@@ -7,7 +7,6 @@ against their guarantees.
 """
 
 from .bounds import (
-    BoundEnvelope,
     GenericBound,
     bound_accelerated,
     bound_adaptive,
@@ -63,7 +62,6 @@ from .restarts import (
     restart_scheduled,
 )
 from .solvers import (
-    SolverState,
     Trace,
     TraceEntry,
     accelerated,

@@ -14,8 +14,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .core import DerivedConditioning
 
@@ -226,70 +225,6 @@ def optimal_constant_holder(cond: DerivedConditioning, eps0: float, c: float) ->
         * (c * cond.kappa) ** (cond.s / (2.0 * cond.q))
         * eps0 ** (-cond.tau / cond.q)
     )
-
-
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """A guarantee packaged as a nonincreasing function of total iterations."""
-
-    kind: str
-    params: dict
-    evaluate: Callable[[float], float]
-
-    @staticmethod
-    def smooth(cond: DerivedConditioning, gap0: float, c: float) -> "BoundEnvelope":
-        kind = "smooth-tau0" if cond.tau == 0.0 else "smooth-tau+"
-        return BoundEnvelope(
-            kind,
-            {"kappa": cond.kappa, "tau": cond.tau, "c": c, "gap0": gap0},
-            lambda N: bound_smooth(cond, gap0, c, N),
-        )
-
-    @staticmethod
-    def generic(
-        cond: DerivedConditioning, gap0: float, c: float, C: float, alpha: float
-    ) -> "BoundEnvelope":
-        kind = "generic-tau0" if cond.tau == 0.0 else "generic-tau+"
-        return BoundEnvelope(
-            kind,
-            {"kappa": cond.kappa, "tau": cond.tau, "c": c, "gap0": gap0, "C": C, "alpha": alpha},
-            lambda N: bound_generic(cond, gap0, c, C, alpha, N).value,
-        )
-
-    @staticmethod
-    def holder(cond: DerivedConditioning, eps0: float, c: float) -> "BoundEnvelope":
-        kind = "holder-tau0" if cond.tau == 0.0 else "holder-tau+"
-        return BoundEnvelope(
-            kind,
-            {"kappa": cond.kappa, "tau": cond.tau, "q": cond.q, "c": c, "eps0": eps0},
-            lambda N: bound_holder(cond, eps0, c, N),
-        )
-
-    @staticmethod
-    def gradient_descent(cond: DerivedConditioning, gap0: float) -> "BoundEnvelope":
-        kind = "gd-tau0" if cond.tau == 0.0 else "gd-tau+"
-        return BoundEnvelope(
-            kind,
-            {"kappa": cond.kappa, "tau": cond.tau, "gap0": gap0},
-            lambda N: bound_gradient_descent(cond, gap0, N),
-        )
-
-    @staticmethod
-    def adaptive(cond: DerivedConditioning, gap0: float, c: float) -> "BoundEnvelope":
-        kind = "adaptive-tau0" if cond.tau == 0.0 else "adaptive-tau+"
-        return BoundEnvelope(
-            kind,
-            {"kappa": cond.kappa, "tau": cond.tau, "c": c, "gap0": gap0},
-            lambda N: bound_adaptive(cond, gap0, c, N),
-        )
-
-    @staticmethod
-    def rounded(nu: float, gamma: float, C: float, alpha: float) -> "BoundEnvelope":
-        return BoundEnvelope(
-            "rounded",
-            {"nu": nu, "gamma": gamma, "C": C, "alpha": alpha},
-            lambda N: bound_rounded(nu, gamma, C, alpha, N),
-        )
 
 
 def _require_smooth(cond: DerivedConditioning) -> None:

@@ -46,10 +46,6 @@ class ProximalOracle:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
-    @property
-    def is_composite(self) -> bool:
-        return self.prox is not None
-
     def smooth_value(self, x: Vector) -> float:
         """Value of the smooth part f0 = f - psi."""
         v = float(self.value(x))

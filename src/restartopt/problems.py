@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ProximalOracle, RegularityParams, Vector
+from .core import DivergenceError, ProximalOracle, RegularityParams, Vector
 
 
 class DatasetFormatError(ValueError):
@@ -542,13 +542,19 @@ def reference_solve(
     Plain backtracking proximal gradient, stopped when the gradient
     mapping norm L_hat ||x - prox_step(x)|| drops below ``grad_map_tol``
     or after ``max_iters`` accepted steps. Returns (point, objective,
-    iterations used).
+    iterations used). Raises ``DivergenceError`` on a non-finite value at
+    the start point, a non-finite gradient, or a line search that ends on
+    a non-finite value.
     """
     x = np.array(x0, dtype=float)
     L_hat = float(L0)
     f0_x = oracle.smooth_value(x)
+    if not math.isfinite(f0_x):
+        raise DivergenceError("reference solve: non-finite objective at the start point")
     for it in range(1, max_iters + 1):
         g = np.asarray(oracle.smooth_gradient(x), dtype=float)
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"reference solve: non-finite gradient (step {it})")
         while True:
             if oracle.prox is not None:
                 cand = np.asarray(oracle.prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
@@ -560,6 +566,10 @@ def reference_solve(
                 break
             L_hat *= 2.0
             if L_hat > 1e300:
+                if not math.isfinite(f0_cand):
+                    raise DivergenceError(
+                        f"reference solve: objective stayed non-finite (step {it})"
+                    )
                 break
         grad_map = L_hat * float(np.linalg.norm(cand - x))
         x = cand

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector
-from .solvers import Trace, TraceEntry, accelerated, universal_fast_gradient
+from .solvers import Trace, accelerated, universal_fast_gradient
 
 CONSTANT = "constant"
 GEOMETRIC = "geometric"
@@ -34,17 +34,11 @@ GEOMETRIC = "geometric"
 
 @dataclass(frozen=True)
 class Schedule:
-    """Restart schedule t_k = C e^(alpha k), consumed as ceil(t_k).
-
-    ``rounding`` selects whether emitted terms are the integers
-    ceil(C e^(alpha k)) or the underlying reals (rounded only at
-    consumption); the consumed counts are identical either way.
-    """
+    """Restart schedule t_k = C e^(alpha k), consumed as ceil(t_k)."""
 
     kind: str
     C: float
     alpha: float = 0.0
-    rounding: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in (CONSTANT, GEOMETRIC):
@@ -65,9 +59,6 @@ class Schedule:
     def iterations(self, k: int) -> int:
         """Integer iteration count ceil(t_k) actually consumed at cycle k."""
         return max(1, math.ceil(self.term(k)))
-
-    def emit(self, k: int) -> float:
-        return float(self.iterations(k)) if self.rounding else self.term(k)
 
 
 def optimal_schedule_smooth(
@@ -93,18 +84,26 @@ def optimal_schedule_holder(
 
 
 def _new_trace(x0: Vector, L0: float, f_star: Optional[float]) -> Trace:
+    """Empty scheme trace whose final point and estimate start the first cycle."""
     return Trace(final_point=np.array(x0, dtype=float), final_L_hat=float(L0),
                  f_star=f_star, max_L_hat=float(L0))
 
 
-def _absorb(parent: Trace, sub: Trace, offset: int) -> int:
-    """Append a cycle's rows to the parent trace; returns the new offset."""
+def _absorb(parent: Trace, sub: Trace) -> None:
+    """Append a cycle's trace to the scheme's, marking the restart before it.
+
+    The cycle's rows are renumbered in place to cumulative counts, and the
+    parent takes over the cycle's final point and estimate, from which the
+    next cycle is warm-started.
+    """
     if parent.f_initial is None:
         parent.f_initial = sub.f_initial
+    if parent.entries:
+        parent.entries[-1].restart = True
+    offset = parent.accepted
     for e in sub.entries:
-        parent.entries.append(
-            TraceEntry(offset + e.iteration, e.f_value, e.gap, e.restart, e.eps_target)
-        )
+        e.iteration += offset
+    parent.entries.extend(sub.entries)
     parent.n_value += sub.n_value
     parent.n_grad += sub.n_grad
     parent.n_prox += sub.n_prox
@@ -113,12 +112,6 @@ def _absorb(parent: Trace, sub: Trace, offset: int) -> int:
     parent.notes.extend(sub.notes)
     parent.final_point = sub.final_point
     parent.final_L_hat = sub.final_L_hat
-    return offset + sub.accepted
-
-
-def _mark_restart(parent: Trace) -> None:
-    if parent.entries:
-        parent.entries[-1].restart = True
 
 
 def restart_scheduled(
@@ -145,11 +138,8 @@ def restart_scheduled(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     trace = _new_trace(x0, L0, f_star)
-    x = trace.final_point
-    L_hat = float(L0)
-    used = 0
     k = 0
-    while used < budget:
+    while (used := trace.accepted) < budget:
         k += 1
         t_k = schedule.iterations(k)
         t_eff = t_k
@@ -163,11 +153,9 @@ def restart_scheduled(
             )
         if t_eff < 1:
             break
-        if used > 0:
-            _mark_restart(trace)
-        x, sub = accelerated(oracle, x, L_hat, t_eff, f_star=f_star)
-        used = _absorb(trace, sub, used)
-        L_hat = sub.final_L_hat
+        _, sub = accelerated(oracle, trace.final_point, trace.final_L_hat, t_eff,
+                             f_star=f_star)
+        _absorb(trace, sub)
     return trace
 
 
@@ -196,12 +184,9 @@ def h_restart(
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     trace = _new_trace(x0, L0, f_star)
-    x = trace.final_point
-    L_hat = float(L0)
     eps_k = float(eps0)
-    used = 0
     k = 0
-    while used < budget:
+    while (used := trace.accepted) < budget:
         k += 1
         eps_k *= math.exp(-gamma)
         t_k = schedule.iterations(k)
@@ -210,13 +195,10 @@ def h_restart(
             trace.notes.append(
                 f"cycle {k} truncated from {t_k} to {t_eff} iterations by the budget"
             )
-        if used > 0:
-            _mark_restart(trace)
-        x, sub = universal_fast_gradient(
-            oracle, x, eps_k, L_hat, t_eff, f_star=f_star
+        _, sub = universal_fast_gradient(
+            oracle, trace.final_point, eps_k, trace.final_L_hat, t_eff, f_star=f_star
         )
-        used = _absorb(trace, sub, used)
-        L_hat = sub.final_L_hat
+        _absorb(trace, sub)
     return trace
 
 
@@ -251,9 +233,7 @@ def criterion_restart(
     if eps_k <= 0.0:
         trace.notes.append("starting gap is nonpositive; no cycles run")
         return trace
-    L_hat = float(L0)
-    used = 0
-    while used < budget:
+    while (used := trace.accepted) < budget:
         eps_k *= math.exp(-gamma)
         target = f_star + eps_k
         current = trace.final_f
@@ -261,19 +241,16 @@ def criterion_restart(
             if current - f_star <= 0.0 or gamma == 0.0:
                 break  # already at the optimum, or the target cannot shrink
             continue  # previous cycle overshot this target; tighten again
-        if used > 0:
-            _mark_restart(trace)
-        x, sub = universal_fast_gradient(
+        _, sub = universal_fast_gradient(
             oracle,
-            x,
+            trace.final_point,
             eps_k,
-            L_hat,
+            trace.final_L_hat,
             budget - used,
             stop=lambda _y, fy, tgt=target: fy <= tgt,
             f_star=f_star,
         )
-        used = _absorb(trace, sub, used)
-        L_hat = sub.final_L_hat
+        _absorb(trace, sub)
         if trace.final_f > target:
             trace.notes.append(
                 f"budget exhausted before reaching target {eps_k:.3e}; "
@@ -373,15 +350,10 @@ def monotone_restart(
         raise ValueError(f"budget must be >= 1, got {budget}")
     trace = _new_trace(x0, L0, f_star)
     x = trace.final_point
-    L_hat = float(L0)
-    used = 0
-    while used < budget:
-        if trace.f_initial is None:
-            f_prev = oracle.smooth_value(x) + oracle.psi(x)
-            trace.n_value += 1
-            trace.f_initial = f_prev
-        else:
-            f_prev = trace.final_f
+    trace.f_initial = oracle.smooth_value(x) + oracle.psi(x)
+    trace.n_value += 1
+    while (used := trace.accepted) < budget:
+        f_prev = trace.final_f
         increased = [False]
 
         def fired(_y: Vector, fy: float, cell=[f_prev], flag=increased) -> bool:
@@ -391,11 +363,9 @@ def monotone_restart(
             cell[0] = fy
             return False
 
-        if used > 0:
-            _mark_restart(trace)
-        x, sub = accelerated(oracle, x, L_hat, budget - used, f_star=f_star, stop=fired)
-        used = _absorb(trace, sub, used)
-        L_hat = sub.final_L_hat
+        _, sub = accelerated(oracle, trace.final_point, trace.final_L_hat, budget - used,
+                             f_star=f_star, stop=fired)
+        _absorb(trace, sub)
         if not increased[0]:
             break  # ran to the budget without the heuristic firing
     return trace

@@ -3,9 +3,12 @@
 Three solvers: backtracking gradient descent, Nesterov's accelerated
 gradient method, and the universal fast gradient method (UFGM). The
 accelerated method is the UFGM run with target accuracy 0. All three
-double their Lipschitz estimate until the (possibly epsilon-relaxed)
-descent condition holds, halve it after every accepted step, and report
-the final estimate so restart schemes can warm-start the next cycle.
+share one line search: each trial takes a (proximal) gradient step at
+1/L_hat and tests the quadratic descent condition, relaxed by
+tau * epsilon / 2 in the UFGM (``_trial``); a failed trial doubles the
+estimate (``_double``). The estimate is halved after every accepted
+step, and the final one is reported so restart schemes can warm-start
+the next cycle.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -117,8 +120,76 @@ def _check_finite(*values: float) -> None:
             raise DivergenceError("non-finite objective or gradient encountered")
 
 
-def _grad_norm_sq(v: Vector) -> float:
-    return float(np.dot(v, v))
+def _start(
+    oracle: ProximalOracle, x0: Vector, L0: float, budget: int, f_star: Optional[float]
+) -> tuple[Vector, Trace, float]:
+    """Validate a solver call and evaluate its start point.
+
+    Returns the start point as a fresh float array, a trace that records
+    f(x0), and the smooth value f0(x0).
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if L0 <= 0:
+        raise ValueError(f"L0 must be positive, got {L0}")
+    x = np.array(x0, dtype=float)
+    trace = Trace(f_star=f_star, max_L_hat=float(L0))
+    f0_x = oracle.smooth_value(x)
+    trace.n_value += 1
+    trace.f_initial = f0_x + oracle.psi(x)
+    _check_finite(trace.f_initial)
+    return x, trace, f0_x
+
+
+def _trial(
+    oracle: ProximalOracle,
+    x: Vector,
+    g: Vector,
+    f0_x: float,
+    L_hat: float,
+    slack: float,
+    trace: Trace,
+) -> tuple[Vector, float, bool, bool]:
+    """One line-search trial: the (proximal) gradient step from x at 1/L_hat.
+
+    Returns the candidate y, its smooth value f0(y), whether that value is
+    finite, and whether the quadratic model bounds it:
+
+        f0(y) <= f0(x) + <g, y - x> + L_hat/2 ||y - x||^2 + slack
+    """
+    if oracle.prox is not None:
+        cand = np.asarray(oracle.prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
+        trace.n_prox += 1
+    else:
+        cand = x - g / L_hat
+    f0_cand = oracle.smooth_value(cand)
+    trace.n_value += 1
+    if not math.isfinite(f0_cand):
+        return cand, f0_cand, False, False
+    d = cand - x
+    model = f0_x + float(np.dot(g, d)) + 0.5 * L_hat * float(np.dot(d, d)) + slack
+    return cand, f0_cand, True, f0_cand <= model
+
+
+def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
+    """Double the estimate after the ``doublings``-th failed trial of a step.
+
+    At the last allowed doubling the caller accepts the last candidate:
+    this raises if that candidate's value was non-finite, and otherwise
+    records that the line search stalled.
+    """
+    L_hat *= 2.0
+    trace.backtracks += 1
+    trace.max_L_hat = max(trace.max_L_hat, L_hat)
+    if doublings == _MAX_DOUBLINGS_PER_STEP:
+        if not finite:
+            raise DivergenceError(
+                f"objective stayed non-finite through the line search (step {step})"
+            )
+        trace.notes.append(
+            f"line search stalled at numerical precision (step {step}); accepted"
+        )
+    return L_hat
 
 
 def gradient_descent(
@@ -136,50 +207,18 @@ def gradient_descent(
     halves the estimate. Composite oracles take proximal-gradient steps,
     with the descent condition tested on the smooth part only.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if L0 <= 0:
-        raise ValueError(f"L0 must be positive, got {L0}")
-    x = np.array(x0, dtype=float)
+    x, trace, f0_x = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
-    trace = Trace(f_star=f_star, max_L_hat=L_hat)
-    f0_x = oracle.smooth_value(x)
-    trace.n_value += 1
-    trace.f_initial = f0_x + oracle.psi(x)
-    _check_finite(trace.f_initial)
 
     for t in range(1, budget + 1):
         g = np.asarray(oracle.smooth_gradient(x), dtype=float)
         trace.n_grad += 1
-        _check_finite(_grad_norm_sq(g))
-        doublings = 0
-        while True:
-            if oracle.prox is not None:
-                cand = np.asarray(oracle.prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
-                trace.n_prox += 1
-            else:
-                cand = x - g / L_hat
-            f0_cand = oracle.smooth_value(cand)
-            trace.n_value += 1
-            finite = math.isfinite(f0_cand)
-            if finite:
-                d = cand - x
-                model = f0_x + float(np.dot(g, d)) + 0.5 * L_hat * _grad_norm_sq(d)
-                if f0_cand <= model:
-                    break
-            L_hat *= 2.0
-            trace.backtracks += 1
-            doublings += 1
-            trace.max_L_hat = max(trace.max_L_hat, L_hat)
-            if doublings >= _MAX_DOUBLINGS_PER_STEP:
-                if not finite:
-                    raise DivergenceError(
-                        f"objective stayed non-finite through the line search (step {t})"
-                    )
-                trace.notes.append(
-                    f"line search stalled at numerical precision (step {t}); accepted"
-                )
+        _check_finite(float(np.dot(g, g)))
+        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+            cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
+            if ok:
                 break
+            L_hat = _double(trace, L_hat, doublings, finite, t)
         x = cand
         f0_x = f0_cand
         f_full = f0_cand + oracle.psi(x)
@@ -189,36 +228,6 @@ def gradient_descent(
     trace.final_point = x
     trace.final_L_hat = L_hat
     return trace
-
-
-@dataclass
-class SolverState:
-    """Internal state of the universal fast gradient method.
-
-    The estimate function phi_t(u) = ||u - anchor||^2 / 2 +
-    sum_i a_i [f0(x_i) + <grad f0(x_i), u - x_i>] (+ A_t psi(u) for
-    composite problems) stays a unit-curvature quadratic, so its argmin
-    is anchor - grad_sum, passed through the prox with step A_t when a
-    nonsmooth part is present.
-    """
-
-    anchor: Vector
-    y: Vector
-    L_hat: float
-    A: float = 0.0
-    grad_sum: Vector = None  # type: ignore[assignment]
-    inner_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.grad_sum is None:
-            self.grad_sum = np.zeros_like(self.anchor)
-
-    def estimate_argmin(self, oracle: ProximalOracle, trace: Trace) -> Vector:
-        z = self.anchor - self.grad_sum
-        if oracle.prox is not None and self.A > 0.0:
-            z = np.asarray(oracle.prox(z, self.A), dtype=float)
-            trace.n_prox += 1
-        return z
 
 
 def universal_fast_gradient(
@@ -233,11 +242,17 @@ def universal_fast_gradient(
 ) -> tuple[Vector, Trace]:
     """Universal fast gradient method with target accuracy ``epsilon``.
 
-    Implements the estimate-sequence method: z_t minimizes the accumulated
-    lower model, the coupling weight solves a^2 = (A_t + a) / L_hat, the
-    candidate is a (proximal) gradient step from x = tau z_t + (1-tau) y_t,
-    and the line search doubles L_hat until the epsilon-relaxed descent
-    condition
+    Implements the estimate-sequence method. The estimate function
+
+        phi_t(u) = ||u - x0||^2 / 2 + sum_i a_i [f0(x_i) + <grad f0(x_i), u - x_i>]
+
+    (+ A_t psi(u) for composite problems, A_t = sum_i a_i) stays a
+    unit-curvature quadratic, so its minimizer z_t is x0 - sum_i a_i
+    grad f0(x_i), passed through the prox with step A_t when a nonsmooth
+    part is present. The coupling weight solves a^2 = (A_t + a) / L_hat,
+    the candidate is a (proximal) gradient step from x = tau z_t +
+    (1-tau) y_t, and the line search doubles L_hat until the
+    epsilon-relaxed descent condition
 
         f0(y) <= f0(x) + <grad f0(x), y - x> + L_hat/2 ||y - x||^2
                  + tau * epsilon / 2
@@ -252,83 +267,50 @@ def universal_fast_gradient(
 
     Returns the final point and its trace.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if L0 <= 0:
-        raise ValueError(f"L0 must be positive, got {L0}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-
-    x_start = np.array(x0, dtype=float)
-    state = SolverState(anchor=x_start, y=x_start.copy(), L_hat=float(L0))
-    trace = Trace(f_star=f_star, max_L_hat=state.L_hat)
-    f0_start = oracle.smooth_value(x_start)
-    trace.n_value += 1
-    trace.f_initial = f0_start + oracle.psi(x_start)
-    _check_finite(trace.f_initial)
+    anchor, trace, _ = _start(oracle, x0, L0, budget, f_star)
+    y = anchor
+    L_hat = float(L0)
+    A = 0.0
+    grad_sum = np.zeros_like(anchor)
     eps_mark = epsilon if epsilon > 0 else None
 
     for t in range(1, budget + 1):
-        z = state.estimate_argmin(oracle, trace)
-        doublings = 0
-        while True:
-            a = (1.0 + math.sqrt(1.0 + 4.0 * state.A * state.L_hat)) / (2.0 * state.L_hat)
-            tau = a / (state.A + a)
-            x = tau * z + (1.0 - tau) * state.y
+        z = anchor - grad_sum
+        if oracle.prox is not None and A > 0.0:
+            z = np.asarray(oracle.prox(z, A), dtype=float)
+            trace.n_prox += 1
+        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+            a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / (2.0 * L_hat)
+            tau = a / (A + a)
+            x = tau * z + (1.0 - tau) * y
             g = np.asarray(oracle.smooth_gradient(x), dtype=float)
             trace.n_grad += 1
             f0_x = oracle.smooth_value(x)
             trace.n_value += 1
-            finite = math.isfinite(f0_x) and math.isfinite(_grad_norm_sq(g))
+            finite = math.isfinite(f0_x) and math.isfinite(float(np.dot(g, g)))
             if finite:
-                if oracle.prox is not None:
-                    y_cand = np.asarray(
-                        oracle.prox(x - g / state.L_hat, 1.0 / state.L_hat), dtype=float
-                    )
-                    trace.n_prox += 1
-                else:
-                    y_cand = x - g / state.L_hat
-                f0_y = oracle.smooth_value(y_cand)
-                trace.n_value += 1
-                finite = math.isfinite(f0_y)
-            if finite:
-                d = y_cand - x
-                model = (
-                    f0_x
-                    + float(np.dot(g, d))
-                    + 0.5 * state.L_hat * _grad_norm_sq(d)
-                    + tau * epsilon / 2.0
+                y_cand, f0_y, finite, ok = _trial(
+                    oracle, x, g, f0_x, L_hat, tau * epsilon / 2.0, trace
                 )
-                if f0_y <= model:
+                if ok:
                     break
-            state.L_hat *= 2.0
-            trace.backtracks += 1
-            doublings += 1
-            trace.max_L_hat = max(trace.max_L_hat, state.L_hat)
-            if doublings >= _MAX_DOUBLINGS_PER_STEP:
-                if not finite:
-                    raise DivergenceError(
-                        f"objective stayed non-finite through the line search (step {t})"
-                    )
-                trace.notes.append(
-                    f"line search stalled at numerical precision (step {t}); accepted"
-                )
-                break
-        state.A += a
-        state.grad_sum = state.grad_sum + a * g
-        state.y = y_cand
-        state.L_hat = max(state.L_hat / 2.0, _L_HAT_MIN)
-        state.inner_count = t
-        f_full = f0_y + oracle.psi(y_cand)
+            L_hat = _double(trace, L_hat, doublings, finite, t)
+        A += a
+        grad_sum = grad_sum + a * g
+        y = y_cand
+        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
+        f_full = f0_y + oracle.psi(y)
         trace.entries.append(
             TraceEntry(t, f_full, _gap(f_full, f_star), eps_target=eps_mark)
         )
-        if stop is not None and stop(y_cand, f_full):
+        if stop is not None and stop(y, f_full):
             break
 
-    trace.final_point = state.y
-    trace.final_L_hat = state.L_hat
-    return state.y, trace
+    trace.final_point = y
+    trace.final_L_hat = L_hat
+    return y, trace
 
 
 def accelerated(

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restartopt import (
-    BoundEnvelope,
     DerivedConditioning,
     bound_accelerated,
+    bound_adaptive,
     bound_generic,
     bound_gradient_descent,
     bound_holder,
@@ -268,18 +268,18 @@ class TestEnvelopeObjects:
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_monotone_nonincreasing_in_n(self, tau):
         cond = smooth_cond(kappa=12.0, tau=tau)
-        envelopes = [
-            BoundEnvelope.smooth(cond, 2.0, 4.0),
-            BoundEnvelope.holder(cond, 2.0, 8.0),
-            BoundEnvelope.gradient_descent(cond, 2.0),
-            BoundEnvelope.adaptive(cond, 2.0, 4.0),
-            BoundEnvelope.rounded(2.0, 2.0, 10.0, tau),
-        ]
+        envelopes = {
+            "smooth": lambda N: bound_smooth(cond, 2.0, 4.0, N),
+            "holder": lambda N: bound_holder(cond, 2.0, 8.0, N),
+            "gradient_descent": lambda N: bound_gradient_descent(cond, 2.0, N),
+            "adaptive": lambda N: bound_adaptive(cond, 2.0, 4.0, N),
+            "rounded": lambda N: bound_rounded(2.0, 2.0, 10.0, tau, N),
+        }
         grid = np.linspace(1.0, 3000.0, 60)
-        for env in envelopes:
-            values = [env.evaluate(N) for N in grid]
-            assert all(b <= a + 1e-15 for a, b in zip(values, values[1:])), env.kind
-            assert env.evaluate(0.0) >= 2.0 * (1 - 1e-12)
+        for name, envelope in envelopes.items():
+            values = [envelope(N) for N in grid]
+            assert all(b <= a + 1e-15 for a, b in zip(values, values[1:])), name
+            assert envelope(0.0) >= 2.0 * (1 - 1e-12)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_monotone_nondecreasing_in_kappa(self, tau):

@@ -8,6 +8,8 @@ import pytest
 
 from restartopt import (
     DatasetFormatError,
+    DivergenceError,
+    ProximalOracle,
     check_sharpness_bound,
     check_suboptimality_upper_bound,
     derive_conditioning,
@@ -272,6 +274,24 @@ class TestDualSvm:
         y_out, trace = universal_fast_gradient(inst.oracle, inst.x0, 1e-4, 1.0, 200)
         assert np.all(y_out >= 0.0) and np.all(y_out <= 1.0)
         assert all(math.isfinite(e.f_value) for e in trace.entries)
+
+
+class TestReferenceSolve:
+    def test_nan_objective_signals_divergence(self):
+        oracle = ProximalOracle(
+            dimension=1, value=lambda x: math.nan, smooth_gradient=lambda x: np.ones(1)
+        )
+        with pytest.raises(DivergenceError):
+            reference_solve(oracle, np.array([1.0]), max_iters=50)
+
+    def test_nan_gradient_signals_divergence(self):
+        oracle = ProximalOracle(
+            dimension=1,
+            value=lambda x: float(x[0] ** 2),
+            smooth_gradient=lambda x: np.full(1, math.nan),
+        )
+        with pytest.raises(DivergenceError):
+            reference_solve(oracle, np.array([1.0]), max_iters=50)
 
 
 class TestLoadDataset:

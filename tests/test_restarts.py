@@ -70,9 +70,6 @@ class TestSchedules:
         sched = Schedule(kind="geometric", C=2.5, alpha=0.5)
         assert sched.term(1) == pytest.approx(2.5 * math.exp(0.5))
         assert sched.iterations(1) == math.ceil(2.5 * math.exp(0.5))
-        assert sched.emit(1) == float(sched.iterations(1))
-        real = Schedule(kind="geometric", C=2.5, alpha=0.5, rounding=False)
-        assert real.emit(3) == real.term(3)
 
     def test_minimum_one_iteration(self):
         sched = Schedule(kind="constant", C=0.01)

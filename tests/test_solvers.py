@@ -36,6 +36,24 @@ def half_norm_oracle(n):
     )
 
 
+def step_oracle():
+    # f jumps from 0 at the start point to 1 everywhere else, so no step
+    # from the start passes the descent test and the first step stalls.
+    # Later steps start at f = 1 with an estimate near 2^119, where the
+    # model's decrease rounds away and the first trial passes.
+    return ProximalOracle(
+        dimension=1,
+        value=lambda x: 0.0 if x[0] == 0.0 else 1.0,
+        smooth_gradient=lambda x: np.ones(1),
+    )
+
+
+def assert_stalled_once(trace, budget):
+    assert trace.backtracks == 120
+    assert trace.accepted == budget
+    assert sum("line search stalled" in note for note in trace.notes) == 1
+
+
 class TestGradientDescent:
     def test_one_step_hand_computation(self):
         # f = x^2/2 from x0 = 1 with L0 = 1: candidate 0 satisfies the
@@ -93,6 +111,15 @@ class TestGradientDescent:
         assert trace.n_grad == trace.accepted
         assert trace.n_value == 1 + trace.accepted + trace.backtracks
         assert trace.n_value + trace.n_grad <= 2 * trace.accepted + trace.backtracks + 1
+        # composite: one prox per trial, alongside its value
+        inst = make_lasso(np.eye(4) * 2.0, np.array([3.0, -0.5, 1.0, 0.0]), lam=1.0)
+        trace = gradient_descent(inst.oracle, inst.x0, 0.01, 40)
+        assert trace.n_prox == trace.accepted + trace.backtracks
+        assert trace.n_value == 1 + trace.n_prox
+
+    def test_line_search_stall_accepts_with_note(self):
+        trace = gradient_descent(step_oracle(), np.array([0.0]), 1.0, 3)
+        assert_stalled_once(trace, 3)
 
     def test_validation(self):
         oracle = half_norm_oracle(2)
@@ -256,6 +283,10 @@ class TestUniversal:
         )
         with pytest.raises(DivergenceError):
             universal_fast_gradient(oracle, np.array([1.0]), 0.0, 1.0, 5)
+
+    def test_line_search_stall_accepts_with_note(self):
+        _, trace = universal_fast_gradient(step_oracle(), np.array([0.0]), 0.0, 1.0, 3)
+        assert_stalled_once(trace, 3)
 
     def test_validation(self):
         oracle = half_norm_oracle(2)
