@@ -7,7 +7,9 @@ Subcommands::
     restartopt grid     the full schedule grid search, one trace per scheme
 
 Configuration comes from flags or a plain ``key=value`` file given with
-``--config``; flags override file values. Traces are written atomically
+``--config``. File lines are parsed as the flags ``--key=value``, with
+the flags' types and choices, and a key that names no flag is an error;
+explicit flags override file values. Traces are written atomically
 as CSV (header ``iter,f,gap,restart,eps_target``, floats with 17
 significant digits) or JSON (same fields per entry plus a metadata
 block). Identical configs and seeds produce byte-identical outputs.
@@ -145,32 +147,23 @@ def build_instance(cfg: dict) -> ProblemInstance:
     name = cfg.get("problem")
     if name is None:
         raise ConfigError("either --problem or --dataset is required")
-    seed = int(cfg.get("seed", 0))
-    dim = int(cfg.get("dim", 10))
+    seed = cfg.get("seed", 0)
+    dim = cfg.get("dim", 10)
+    rows, cols, cond = cfg.get("rows", 208), cfg.get("cols", 60), cfg.get("cond", 100.0)
     if name == "quadratic":
-        return make_quadratic(dim, float(cfg.get("kappa", 100.0)), seed=seed)
+        return make_quadratic(dim, cfg.get("kappa", 100.0), seed=seed)
     if name == "norm-power":
-        return make_norm_power(
-            dim, float(cfg.get("power", 4.0)), float(cfg.get("radius", 1.0)), seed=seed
-        )
+        return make_norm_power(dim, cfg.get("power", 4.0), cfg.get("radius", 1.0), seed=seed)
     if name == "sharp-norm":
         return make_sharp_norm(dim, seed=seed)
     if name in ("least-squares", "lasso"):
         A, b = synthetic_regression(
-            int(cfg.get("rows", 208)),
-            int(cfg.get("cols", 60)),
-            cond=float(cfg.get("cond", 100.0)),
-            seed=seed,
-            noise=float(cfg.get("noise", 0.1)),
+            rows, cols, cond=cond, seed=seed, noise=cfg.get("noise", 0.1)
         )
         return _apply_loss(name, A, b, cfg)
     if name in ("logistic", "dual-svm"):
         A, y = synthetic_classification(
-            int(cfg.get("rows", 208)),
-            int(cfg.get("cols", 60)),
-            cond=float(cfg.get("cond", 100.0)),
-            seed=seed,
-            flip=float(cfg.get("flip", 0.1)),
+            rows, cols, cond=cond, seed=seed, flip=cfg.get("flip", 0.1)
         )
         return _apply_loss(name, A, y, cfg)
     raise ConfigError(f"unknown problem {name!r} (choose from {', '.join(PROBLEMS)})")
@@ -182,40 +175,38 @@ def _apply_loss(loss: str, X: np.ndarray, y: np.ndarray, cfg: dict) -> ProblemIn
     if loss == "logistic":
         return make_logistic(X, y)
     if loss == "lasso":
-        return make_lasso(X, y, lam=float(cfg.get("lam", 1.0)))
+        return make_lasso(X, y, lam=cfg.get("lam", 1.0))
     if loss == "dual-svm":
-        return make_dual_svm(X, y, regularization=float(cfg.get("reg", 1.0)))
+        return make_dual_svm(X, y, regularization=cfg.get("reg", 1.0))
     raise ConfigError(f"unknown loss {loss!r}")
 
 
+def _f_star(instance: ProblemInstance, cfg: dict) -> Optional[float]:
+    """The supplied --f-star, else the instance's known optimum (or None)."""
+    return cfg.get("f_star", instance.f_star)
+
+
 def _gap0(instance: ProblemInstance, cfg: dict) -> float:
-    f_star = cfg.get("f_star")
-    if f_star is None:
-        f_star = instance.f_star
+    f_star = _f_star(instance, cfg)
     if f_star is not None:
         return float(instance.oracle.value(instance.x0)) - float(f_star)
-    eps0 = cfg.get("eps0")
-    if eps0 is not None:
-        return float(eps0)
+    if "eps0" in cfg:
+        return cfg["eps0"]
     raise ConfigError(
         "this method needs an initial gap estimate: supply --f-star or --eps0"
     )
 
 
 def _explicit_schedule(cfg: dict) -> Optional[Schedule]:
-    if cfg.get("C") is None:
+    if "C" not in cfg:
         return None
-    alpha = float(cfg.get("alpha", 0.0))
-    kind = "constant" if alpha == 0.0 else "geometric"
-    return Schedule(kind=kind, C=float(cfg["C"]), alpha=alpha)
+    return Schedule(C=cfg["C"], alpha=cfg.get("alpha", 0.0))
 
 
 def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
     """Dispatch one method on one problem instance per the config."""
-    N = int(cfg["N"])
-    L0 = float(cfg.get("L0", 1.0))
-    f_star = cfg.get("f_star")
-    f_star = float(f_star) if f_star is not None else instance.f_star
+    N, L0 = cfg["N"], cfg["L0"]
+    f_star = _f_star(instance, cfg)
     oracle = instance.oracle
     x0 = instance.x0
 
@@ -243,8 +234,7 @@ def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
         return restart_scheduled(oracle, x0, schedule, N, L0, f_star=f_star)
 
     if method == "h-restart":
-        eps0 = cfg.get("eps0")
-        eps0 = float(eps0) if eps0 is not None else _gap0(instance, cfg)
+        eps0 = cfg["eps0"] if "eps0" in cfg else _gap0(instance, cfg)
         schedule = _explicit_schedule(cfg)
         gamma = cfg.get("gamma")
         if schedule is None or gamma is None:
@@ -258,8 +248,8 @@ def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
                 cond, eps0, bounds.ufgm_constant(instance.regularity.s)
             )
             schedule = schedule or opt_sched
-            gamma = float(gamma) if gamma is not None else opt_gamma
-        return h_restart(oracle, x0, eps0, float(gamma), schedule, N, L0, f_star=f_star)
+            gamma = cfg.get("gamma", opt_gamma)
+        return h_restart(oracle, x0, eps0, gamma, schedule, N, L0, f_star=f_star)
 
     if method == "criterion":
         if f_star is None:
@@ -270,7 +260,7 @@ def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
                 gamma = derive_conditioning(instance.regularity).q
             else:
                 gamma = 1.0  # parameter-free default
-        return criterion_restart(oracle, x0, float(f_star), float(gamma), N, L0)
+        return criterion_restart(oracle, x0, float(f_star), gamma, N, L0)
 
     raise ConfigError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
 
@@ -343,8 +333,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flip", type=float, help="synthetic classification: label flips")
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
+def _read_config_file(path: str) -> list[str]:
+    """The file's ``key=value`` lines as ``--key=value`` flag tokens."""
+    tokens = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -354,39 +345,22 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = val
+                tokens.append(f"--{key.replace('_', '-')}={val}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    return values
-
-
-_INT_KEYS = {"N", "seed", "dim", "rows", "cols"}
-_FLOAT_KEYS = {
-    "L0", "gamma", "C", "alpha", "eps0", "f_star", "kappa", "power",
-    "radius", "lam", "reg", "cond", "noise", "flip",
-}
+    return tokens
 
 
 def effective_config(args: argparse.Namespace) -> dict:
-    """Merge config-file values under explicit flags and coerce types."""
-    cfg: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key in _INT_KEYS:
-                cfg[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                cfg[key] = float(raw)
-            else:
-                cfg[key] = raw
-    for key, val in vars(args).items():
-        if key in ("config", "command", "methods", "handler") or val is None:
-            continue
-        cfg[key] = val
-    if getattr(args, "methods", None) is not None:
-        cfg["methods"] = args.methods
-    if cfg.get("N") is None:
+    """The flags that were given (config-file values included), plus defaults."""
+    cfg = {
+        key: val
+        for key, val in vars(args).items()
+        if key not in ("config", "command", "handler") and val is not None
+    }
+    if "N" not in cfg:
         raise ConfigError("--N is required")
-    if int(cfg["N"]) < 1:
+    if cfg["N"] < 1:
         raise ConfigError(f"--N must be >= 1, got {cfg['N']}")
     cfg.setdefault("L0", 1.0)
     cfg.setdefault("seed", 0)
@@ -395,13 +369,7 @@ def effective_config(args: argparse.Namespace) -> dict:
 
 
 def _config_echo(cfg: dict, method: str) -> dict:
-    echo = {
-        k: v
-        for k, v in sorted(cfg.items())
-        if v is not None and isinstance(v, (str, int, float, bool))
-    }
-    echo["method"] = method
-    return echo
+    return {**dict(sorted(cfg.items())), "method": method}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -414,7 +382,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     fmt = cfg["format"]
     out = cfg.get("out") or f"trace.{fmt}"
     write_trace(trace, out, fmt, _config_echo(cfg, method))
-    print(f"problem: {instance.name}")
+    _print_problem(instance)
     print(f"method: {method}  accepted: {trace.accepted}  restarts: {trace.restart_count}")
     print(f"final f: {_fmt(trace.final_f)}")
     if trace.final_gap is not None:
@@ -426,6 +394,36 @@ def cmd_run(args: argparse.Namespace) -> int:
     for note in trace.notes:
         print(f"note: {note}")
     return 0
+
+
+def _print_problem(instance: ProblemInstance, suffix: str = "") -> None:
+    print(f"problem: {instance.name}{suffix}")
+    for note in instance.notes:
+        print(f"note: {note}")
+
+
+def _write_summary(out_dir: str, fmt: str, doc: dict, columns: list[str]) -> str:
+    """Write ``summary.<fmt>`` into out_dir and return its path.
+
+    JSON dumps the whole document; CSV writes ``doc["rows"]`` over the
+    given columns, with missing cells empty and the error text quoted.
+    """
+    path = os.path.join(out_dir, f"summary.{fmt}")
+    if fmt == "json":
+        _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+        return path
+    lines = [",".join(columns)]
+    for row in doc["rows"]:
+        cells = []
+        for col in columns:
+            val = row.get(col)
+            if col == "error" and val is not None:
+                cells.append(f'"{val}"')
+            else:
+                cells.append(val if isinstance(val, str) else _fmt(val))
+        lines.append(",".join(cells))
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _summary_row(method: str, trace: Trace) -> dict:
@@ -442,11 +440,9 @@ def _summary_row(method: str, trace: Trace) -> dict:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
-    methods = cfg.get("methods")
+    methods = [m.strip() for m in cfg.get("methods", "").split(",") if m.strip()]
     if not methods:
         raise ConfigError("--methods is required (comma-separated list)")
-    if isinstance(methods, str):
-        methods = [m.strip() for m in methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
@@ -456,12 +452,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     fmt = cfg["format"]
 
     rows = []
-    failures = []
     for method in methods:
         try:
             trace = run_method(method, instance, cfg)
-        except (ConfigError, DivergenceError) as exc:
-            failures.append((method, str(exc)))
+        except (ValueError, DivergenceError) as exc:
             rows.append({"method": method, "error": str(exc)})
             continue
         rows.append(_summary_row(method, trace))
@@ -471,7 +465,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
 
     header = ["method", "final_f", "final_gap", "restarts", "oracle_calls", "accepted"]
-    print(f"problem: {instance.name}  N={cfg['N']}")
+    _print_problem(instance, f"  N={cfg['N']}")
     print("  ".join(f"{h:>12}" for h in header))
     for row in rows:
         if "error" in row:
@@ -487,31 +481,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ]
         print("  ".join(cells))
 
-    summary_path = os.path.join(out_dir, f"summary.{fmt}")
-    if fmt == "json":
-        _atomic_write(summary_path, json.dumps({"problem": instance.name, "rows": rows}, indent=1) + "\n")
-    else:
-        lines = ["method,final_f,final_gap,restarts,oracle_calls,accepted,error"]
-        for row in rows:
-            if "error" in row:
-                lines.append(f"{row['method']},,,,,,\"{row['error']}\"")
-            else:
-                lines.append(
-                    f"{row['method']},{_fmt(row['final_f'])},{_fmt(row['final_gap'])},"
-                    f"{row['restarts']},{row['oracle_calls']},{row['accepted']},"
-                )
-        _atomic_write(summary_path, "\n".join(lines) + "\n")
+    summary_path = _write_summary(
+        out_dir, fmt, {"problem": instance.name, "rows": rows}, [*header, "error"]
+    )
     print(f"summary written to {summary_path}")
-    return 1 if failures else 0
+    return 1 if any("error" in row for row in rows) else 0
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     cfg = effective_config(args)
     instance = build_instance(cfg)
-    f_star = cfg.get("f_star")
-    f_star = float(f_star) if f_star is not None else instance.f_star
     outcome: GridOutcome = adaptive_grid(
-        instance.oracle, instance.x0, int(cfg["N"]), float(cfg["L0"]), f_star=f_star
+        instance.oracle, instance.x0, cfg["N"], cfg["L0"], f_star=_f_star(instance, cfg)
     )
     out_dir = cfg.get("out") or "grid_out"
     os.makedirs(out_dir, exist_ok=True)
@@ -536,28 +517,18 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 "best": (i, j) == outcome.best,
             }
         )
-    summary_path = os.path.join(out_dir, f"summary.{fmt}")
-    if fmt == "json":
-        doc = {
-            "problem": instance.name,
-            "best": list(outcome.best),
-            "total_inner_iterations": outcome.total_inner_iterations,
-            "skipped": [list(ij) for ij in outcome.skipped],
-            "rows": rows,
-        }
-        _atomic_write(summary_path, json.dumps(doc, indent=1) + "\n")
-    else:
-        lines = ["i,j,C,alpha,accepted,final_f,final_gap,restarts,best"]
-        for row in rows:
-            lines.append(
-                f"{row['i']},{row['j']},{_fmt(row['C'])},{_fmt(row['alpha'])},"
-                f"{row['accepted']},{_fmt(row['final_f'])},{_fmt(row['final_gap'])},"
-                f"{row['restarts']},{int(row['best'])}"
-            )
-        _atomic_write(summary_path, "\n".join(lines) + "\n")
+    doc = {
+        "problem": instance.name,
+        "best": list(outcome.best),
+        "total_inner_iterations": outcome.total_inner_iterations,
+        "skipped": [list(ij) for ij in outcome.skipped],
+        "rows": rows,
+    }
+    # the CSV columns are the row keys; scheme (1, 0) always runs, so rows[0] exists
+    summary_path = _write_summary(out_dir, fmt, doc, list(rows[0]))
     bi, bj = outcome.best
     best = outcome.best_trace
-    print(f"problem: {instance.name}  N={cfg['N']}")
+    _print_problem(instance, f"  N={cfg['N']}")
     print(f"schemes run: {len(outcome.runs)}  skipped: {len(outcome.skipped)}")
     print(f"total inner iterations: {outcome.total_inner_iterations}")
     gap_text = _fmt(best.final_gap) if best.final_gap is not None else "n/a"
@@ -591,16 +562,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # File values parse as flags placed before the explicit ones,
+            # so they get the same checks and an explicit flag wins.
+            file_tokens = _read_config_file(args.config)
+            args = parser.parse_args([args.command, *file_tokens, *argv[1:]])
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DatasetFormatError, DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # ConfigError, or a value out of its range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

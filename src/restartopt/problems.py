@@ -43,7 +43,6 @@ class ProblemInstance:
     regularity: Optional[RegularityParams] = None
     f_star: Optional[float] = None
     x_star_distance: Optional[Callable[[Vector], float]] = None
-    seed: Optional[int] = None
     validation_radius: float = 1.0
     notes: tuple[str, ...] = ()
 
@@ -116,7 +115,6 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
         regularity=reg,
         f_star=0.0,
         x_star_distance=lambda x: float(np.linalg.norm(x)),
-        seed=seed,
         validation_radius=1.0,
     )
 
@@ -153,7 +151,6 @@ def make_norm_power(n: int, r: float, radius: float = 1.0, seed: int = 0) -> Pro
         regularity=reg,
         f_star=0.0,
         x_star_distance=lambda x: float(np.linalg.norm(x)),
-        seed=seed,
         validation_radius=radius,
     )
 
@@ -187,7 +184,6 @@ def make_sharp_norm(n: int, seed: int = 0) -> ProblemInstance:
         regularity=reg,
         f_star=0.0,
         x_star_distance=lambda x: float(np.linalg.norm(x)),
-        seed=seed,
         validation_radius=1.0,
     )
 

@@ -28,27 +28,22 @@ from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector
 from .solvers import Trace, accelerated, universal_fast_gradient
 
-CONSTANT = "constant"
-GEOMETRIC = "geometric"
-
 
 @dataclass(frozen=True)
 class Schedule:
-    """Restart schedule t_k = C e^(alpha k), consumed as ceil(t_k)."""
+    """Restart schedule t_k = C e^(alpha k), consumed as ceil(t_k).
 
-    kind: str
+    alpha = 0 is the constant schedule t_k = C; alpha > 0 is geometric.
+    """
+
     C: float
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (CONSTANT, GEOMETRIC):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.C <= 0:
             raise ValueError(f"schedule constant C must be positive, got {self.C}")
         if self.alpha < 0:
             raise ValueError(f"schedule growth alpha must be >= 0, got {self.alpha}")
-        if self.kind == CONSTANT and self.alpha != 0.0:
-            raise ValueError("constant schedules must have alpha = 0")
 
     def term(self, k: int) -> float:
         """Real-valued t_k (k is 1-based)."""
@@ -67,9 +62,7 @@ def optimal_schedule_smooth(
     """Optimal restart schedule for smooth problems: C*_{kappa,tau} e^(tau k)."""
     if gap0 <= 0:
         raise ValueError(f"gap0 must be positive, got {gap0}")
-    C = optimal_constant_smooth(cond, gap0, c)
-    kind = CONSTANT if cond.tau == 0.0 else GEOMETRIC
-    return Schedule(kind=kind, C=C, alpha=cond.tau)
+    return Schedule(C=optimal_constant_smooth(cond, gap0, c), alpha=cond.tau)
 
 
 def optimal_schedule_holder(
@@ -78,9 +71,7 @@ def optimal_schedule_holder(
     """Optimal accuracy-scheduled restart: C*_{kappa,tau,q} e^(tau k), gamma = q."""
     if eps0 <= 0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
-    C = optimal_constant_holder(cond, eps0, c)
-    kind = CONSTANT if cond.tau == 0.0 else GEOMETRIC
-    return Schedule(kind=kind, C=C, alpha=cond.tau), cond.q
+    return Schedule(C=optimal_constant_holder(cond, eps0, c), alpha=cond.tau), cond.q
 
 
 def _new_trace(x0: Vector, L0: float, f_star: Optional[float]) -> Trace:
@@ -309,10 +300,7 @@ def adaptive_grid(
     skipped: list[tuple[int, int]] = []
     for i in range(1, i_max + 1):
         for j in range(0, j_max + 1):
-            if j == 0:
-                sched = Schedule(kind=CONSTANT, C=float(2**i))
-            else:
-                sched = Schedule(kind=GEOMETRIC, C=float(2**i), alpha=2.0**-j)
+            sched = Schedule(C=float(2**i), alpha=0.0 if j == 0 else 2.0**-j)
             if sched.iterations(1) > 2 * budget:
                 skipped.append((i, j))
                 continue

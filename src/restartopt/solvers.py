@@ -114,10 +114,18 @@ def _gap(f: float, f_star: Optional[float]) -> Optional[float]:
     return None if f_star is None else f - f_star
 
 
-def _check_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise DivergenceError("non-finite objective or gradient encountered")
+def _finite_vector(g: Vector) -> bool:
+    """Whether every entry of g is finite.
+
+    The dot product is the cheap test; it overflows for finite entries
+    above about 1e154, so only then are the entries checked one by one.
+    """
+    return math.isfinite(float(np.dot(g, g))) or bool(np.isfinite(g).all())
+
+
+def _check_finite(finite: bool) -> None:
+    if not finite:
+        raise DivergenceError("non-finite objective or gradient encountered")
 
 
 def _start(
@@ -137,7 +145,7 @@ def _start(
     f0_x = oracle.smooth_value(x)
     trace.n_value += 1
     trace.f_initial = f0_x + oracle.psi(x)
-    _check_finite(trace.f_initial)
+    _check_finite(math.isfinite(trace.f_initial))
     return x, trace, f0_x
 
 
@@ -213,7 +221,7 @@ def gradient_descent(
     for t in range(1, budget + 1):
         g = np.asarray(oracle.smooth_gradient(x), dtype=float)
         trace.n_grad += 1
-        _check_finite(float(np.dot(g, g)))
+        _check_finite(_finite_vector(g))
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
             cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
             if ok:
@@ -289,7 +297,7 @@ def universal_fast_gradient(
             trace.n_grad += 1
             f0_x = oracle.smooth_value(x)
             trace.n_value += 1
-            finite = math.isfinite(f0_x) and math.isfinite(float(np.dot(g, g)))
+            finite = math.isfinite(f0_x) and _finite_vector(g)
             if finite:
                 y_cand, f0_y, finite, ok = _trial(
                     oracle, x, g, f0_x, L_hat, tau * epsilon / 2.0, trace

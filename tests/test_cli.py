@@ -5,12 +5,24 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from restartopt.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def separable_csv(path):
+    # the label is the sign of the first feature, so the data is separable
+    rng = np.random.default_rng(2)
+    lines = []
+    for _ in range(20):
+        feats = rng.standard_normal(3)
+        feats[0] += np.sign(feats[0])
+        lines.append(",".join(format(v, ".8f") for v in feats) + f",{np.sign(feats[0]):g}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRun:
@@ -262,6 +274,108 @@ class TestGrid:
         doc = json.loads((out / "summary.json").read_text())
         assert len(doc["best"]) == 2
         assert doc["rows"]
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--problem", "lasso", "--lam", "-1", "--method", "acc"),
+            ("run", "--problem", "quadratic", "--kappa", "0.5", "--method", "acc"),
+            ("run", "--problem", "quadratic", "--L0", "0", "--method", "acc"),
+            ("run", "--problem", "quadratic", "--C", "0", "--method", "restart"),
+            ("grid", "--problem", "quadratic"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--N", "3", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_method_rejecting_a_value_becomes_failed_row(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli(
+            "compare", "--problem", "quadratic", "--dim", "5", "--C", "0",
+            "--methods", "acc,restart", "--N", "20", "--out", str(out),
+        )
+        assert code == 1
+        assert "restart  FAILED: schedule constant C" in capsys.readouterr().out
+        assert (out / "trace_acc.csv").exists()
+        assert not (out / "trace_restart.csv").exists()
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[2].startswith('restart,,,,,,"schedule constant C')
+
+
+class TestConfigFile:
+    def test_config_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "# compare two methods\nproblem = quadratic\ndim=6\nkappa=25\n"
+            "methods=acc,criterion\nN=40\nf-star=0\nL0=2\nformat=json\n"
+        )
+        out = tmp_path / "cmp"
+
+        def files():
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        assert run_cli("compare", "--config", str(cfg), "--out", str(out)) == 0
+        from_file = files()
+        for p in out.iterdir():
+            p.unlink()
+        assert run_cli(
+            "compare", "--problem", "quadratic", "--dim", "6", "--kappa", "25",
+            "--methods", "acc,criterion", "--N", "40", "--f-star", "0", "--L0", "2",
+            "--format", "json", "--out", str(out),
+        ) == 0
+        assert sorted(from_file) == ["summary.json", "trace_acc.json", "trace_criterion.json"]
+        assert files() == from_file
+
+    @pytest.mark.parametrize(
+        "line, named", [("N=abc", "--N"), ("format=xml", "--format"), ("wibble=1", "--wibble")]
+    )
+    def test_bad_file_value_rejected_before_output(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"problem=quadratic\nmethods=acc,grad\nN=20\n{line}\n")
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--config", str(cfg), "--out", str(out))
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInstanceNotes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--method", "acc"),
+            ("compare", "--methods", "acc"),
+            ("grid",),
+        ],
+    )
+    def test_note_follows_problem_line(self, tmp_path, capsys, argv):
+        data = tmp_path / "sep.csv"
+        separable_csv(data)
+        code = run_cli(
+            *argv, "--dataset", str(data), "--loss", "logistic", "--N", "8",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("problem: logistic(m=20,n=3)")
+        assert lines[1] == "note: separable data: the infimum is approached but not attained"
+
+    def test_no_note_on_non_separable_data(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--problem", "logistic", "--rows", "100", "--cols", "10",
+            "--method", "acc", "--N", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "problem: logistic(m=100,n=10)"
+        assert lines[1].startswith("method: acc")
 
 
 def test_module_entrypoint_help():

@@ -35,7 +35,6 @@ class TestSchedules:
         sched = optimal_schedule_smooth(cond, 3.7, 4.0)
         assert sched.C == pytest.approx(2 * E, rel=1e-12)  # ~5.43656
         assert sched.alpha == 0.0
-        assert sched.kind == "constant"
 
         cond = derive_conditioning_from(kappa=1.0, tau=0.5)
         sched = optimal_schedule_smooth(cond, 1.0, 4.0)
@@ -67,31 +66,27 @@ class TestSchedules:
         assert sched.alpha == 0.5
 
     def test_terms_and_rounding(self):
-        sched = Schedule(kind="geometric", C=2.5, alpha=0.5)
+        sched = Schedule(C=2.5, alpha=0.5)
         assert sched.term(1) == pytest.approx(2.5 * math.exp(0.5))
         assert sched.iterations(1) == math.ceil(2.5 * math.exp(0.5))
 
     def test_minimum_one_iteration(self):
-        sched = Schedule(kind="constant", C=0.01)
+        sched = Schedule(C=0.01)
         assert sched.iterations(1) == 1
 
     def test_geometric_with_zero_alpha_equals_constant(self):
-        geo = Schedule(kind="geometric", C=3.0, alpha=0.0)
-        const = Schedule(kind="constant", C=3.0)
+        geo = Schedule(C=3.0, alpha=0.0)
+        const = Schedule(C=3.0)
         for k in range(1, 20):
             assert geo.term(k) == const.term(k) == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Schedule(kind="constant", C=3.0, alpha=0.5)
+            Schedule(C=-1.0)
         with pytest.raises(ValueError):
-            Schedule(kind="geometric", C=-1.0)
+            Schedule(C=1.0, alpha=-0.2)
         with pytest.raises(ValueError):
-            Schedule(kind="wavy", C=1.0)
-        with pytest.raises(ValueError):
-            Schedule(kind="geometric", C=1.0, alpha=-0.2)
-        with pytest.raises(ValueError):
-            Schedule(kind="constant", C=1.0).term(0)
+            Schedule(C=1.0).term(0)
 
 
 def derive_conditioning_from(kappa, tau, q=2.0):
@@ -120,7 +115,7 @@ class TestRestartScheduled:
         cond = derive_conditioning(inst.regularity)
         gap0 = inst.gap0()
         base = schedule_threshold(cond, gap0, 4.0, 2.0, 1)
-        sched = Schedule(kind="constant", C=1.7 * base)
+        sched = Schedule(C=1.7 * base)
         budget = 6 * sched.iterations(1)
         trace = restart_scheduled(inst.oracle, inst.x0, sched, budget, 1.0, f_star=0.0)
         checkpoints = trace.restart_entries() + [trace.entries[-1]]
@@ -138,7 +133,7 @@ class TestRestartScheduled:
 
     def test_single_cycle_is_plain_accelerated(self):
         inst = make_quadratic(12, 9.0, seed=23)
-        sched = Schedule(kind="constant", C=40.0)
+        sched = Schedule(C=40.0)
         restarted = restart_scheduled(inst.oracle, inst.x0, sched, 40, 1.0, f_star=0.0)
         _, plain = accelerated(inst.oracle, inst.x0, 1.0, 40, f_star=0.0)
         assert restarted.restart_count == 0
@@ -148,14 +143,14 @@ class TestRestartScheduled:
 
     def test_truncation_recorded(self):
         inst = make_quadratic(5, 4.0, seed=24)
-        sched = Schedule(kind="constant", C=30.0)
+        sched = Schedule(C=30.0)
         trace = restart_scheduled(inst.oracle, inst.x0, sched, 45, 1.0, f_star=0.0)
         assert trace.accepted == 45
         assert any("truncated" in note for note in trace.notes)
 
     def test_restart_markers_at_cycle_boundaries(self):
         inst = make_quadratic(6, 16.0, seed=25)
-        sched = Schedule(kind="constant", C=10.0)
+        sched = Schedule(C=10.0)
         trace = restart_scheduled(inst.oracle, inst.x0, sched, 30, 1.0, f_star=0.0)
         marked = [e.iteration for e in trace.restart_entries()]
         assert marked == [10, 20]
@@ -210,7 +205,7 @@ class TestHRestart:
     def test_zero_gamma_disables_progress_guarantee(self):
         inst = make_sharp_norm(3, seed=28)
         eps0 = inst.gap0()
-        sched = Schedule(kind="constant", C=10.0)
+        sched = Schedule(C=10.0)
         trace = h_restart(inst.oracle, inst.x0, eps0, 0.0, sched, 200, 1.3, f_star=0.0)
         # accuracy targets stay at eps0: the run hovers instead of converging
         assert trace.final_gap <= eps0
@@ -218,7 +213,7 @@ class TestHRestart:
 
     def test_validation(self):
         inst = make_sharp_norm(3, seed=28)
-        sched = Schedule(kind="constant", C=5.0)
+        sched = Schedule(C=5.0)
         with pytest.raises(ValueError):
             h_restart(inst.oracle, inst.x0, -1.0, 1.0, sched, 10, 1.0)
         with pytest.raises(ValueError):
@@ -351,9 +346,9 @@ class TestAdaptiveGrid:
         def run_one(ij):
             i, j = ij
             if j == 0:
-                sched = Schedule(kind="constant", C=float(2**i))
+                sched = Schedule(C=float(2**i))
             else:
-                sched = Schedule(kind="geometric", C=float(2**i), alpha=2.0**-j)
+                sched = Schedule(C=float(2**i), alpha=2.0**-j)
             return ij, restart_scheduled(
                 inst.oracle, inst.x0, sched, N, 1.0, f_star=0.0,
                 complete_final_cycle=True, hard_cap=2 * N,

@@ -48,6 +48,21 @@ def step_oracle():
     )
 
 
+def huge_curvature_oracle(nan_entry=False):
+    # f = 1e200 ||x||^2 / 2: from x0 = [1, 1] the gradient entries are a
+    # finite 1e200 but ||g||^2 overflows. The first step lands on the
+    # minimizer 0 exactly when L0 = 1e200.
+    def grad(x):
+        g = 1e200 * np.asarray(x, dtype=float)
+        if nan_entry:
+            g[1] = math.nan
+        return g
+
+    return ProximalOracle(
+        dimension=2, value=lambda x: 1e200 * float(x @ x) / 2, smooth_gradient=grad
+    )
+
+
 def assert_stalled_once(trace, budget):
     assert trace.backtracks == 120
     assert trace.accepted == budget
@@ -103,6 +118,14 @@ class TestGradientDescent:
         )
         with pytest.raises(DivergenceError):
             gradient_descent(oracle, np.array([1.0]), 1.0, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_huge_finite_gradient_is_not_divergence(self):
+        trace = gradient_descent(huge_curvature_oracle(), np.ones(2), 1e200, 3)
+        assert trace.accepted == 3
+        assert trace.final_f == 0.0
+        with pytest.raises(DivergenceError):
+            gradient_descent(huge_curvature_oracle(nan_entry=True), np.ones(2), 1e200, 3)
 
     def test_oracle_call_accounting(self):
         # one gradient per step, one value per trial, plus the initial value
@@ -283,6 +306,16 @@ class TestUniversal:
         )
         with pytest.raises(DivergenceError):
             universal_fast_gradient(oracle, np.array([1.0]), 0.0, 1.0, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_huge_finite_gradient_is_not_divergence(self):
+        _, trace = universal_fast_gradient(huge_curvature_oracle(), np.ones(2), 0.0, 1e200, 3)
+        assert trace.accepted == 3
+        assert trace.final_f == 0.0
+        with pytest.raises(DivergenceError):
+            universal_fast_gradient(
+                huge_curvature_oracle(nan_entry=True), np.ones(2), 0.0, 1e200, 3
+            )
 
     def test_line_search_stall_accepts_with_note(self):
         _, trace = universal_fast_gradient(step_oracle(), np.array([0.0]), 0.0, 1.0, 3)
