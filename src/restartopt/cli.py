@@ -9,10 +9,12 @@ Subcommands::
 Configuration comes from flags or a plain ``key=value`` file given with
 ``--config``. File lines are parsed as the flags ``--key=value``, with
 the flags' types and choices, and a key that names no flag is an error;
-explicit flags override file values. Traces are written atomically
-as CSV (header ``iter,f,gap,restart,eps_target``, floats with 17
-significant digits) or JSON (same fields per entry plus a metadata
-block). Identical configs and seeds produce byte-identical outputs.
+explicit flags override file values. Flags and keys must be spelled
+out: a prefix of a flag (``--kap`` for ``--kappa``) is rejected, not
+expanded. Traces are written atomically as CSV (header
+``iter,f,gap,restart,eps_target``, floats with 17 significant digits) or
+JSON (same fields per entry plus a metadata block). Identical configs
+and seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -541,20 +543,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restartopt",
         description="Benchmark restart schemes for first-order convex optimization.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one method and write its trace")
+    p_run = sub.add_parser(
+        "run", help="run one method and write its trace", allow_abbrev=False
+    )
     _add_common(p_run)
     p_run.add_argument("--method", choices=METHODS)
     p_run.set_defaults(handler=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run several methods at equal budget")
+    p_cmp = sub.add_parser(
+        "compare", help="run several methods at equal budget", allow_abbrev=False
+    )
     _add_common(p_cmp)
     p_cmp.add_argument("--methods", help="comma-separated subset of: " + ",".join(METHODS))
     p_cmp.set_defaults(handler=cmd_compare)
 
-    p_grid = sub.add_parser("grid", help="run the schedule grid search")
+    p_grid = sub.add_parser(
+        "grid", help="run the schedule grid search", allow_abbrev=False
+    )
     _add_common(p_grid)
     p_grid.set_defaults(handler=cmd_grid)
 

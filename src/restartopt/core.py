@@ -33,6 +33,11 @@ class ProximalOracle:
     and ``nonsmooth_value`` evaluates psi. Both are ``None`` for plain
     smooth problems (psi = 0, prox = identity).
 
+    ``smooth_value_and_gradient``, when given, returns (f0(x), grad f0(x))
+    from one evaluation, sharing the work both need (for example one
+    matrix-vector product); it must agree with ``smooth_value`` and
+    ``smooth_gradient``. ``smooth_eval`` uses it when it is there.
+
     Oracles are immutable and safe to share across concurrent solver runs.
     """
 
@@ -41,6 +46,7 @@ class ProximalOracle:
     smooth_gradient: Callable[[Vector], Vector]
     prox: Optional[Callable[[Vector, float], Vector]] = None
     nonsmooth_value: Optional[Callable[[Vector], float]] = None
+    smooth_value_and_gradient: Optional[Callable[[Vector], tuple[float, Vector]]] = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -52,6 +58,12 @@ class ProximalOracle:
         if self.nonsmooth_value is not None:
             v -= float(self.nonsmooth_value(x))
         return v
+
+    def smooth_eval(self, x: Vector) -> tuple[float, Vector]:
+        """The smooth value f0(x) and gradient grad f0(x), in one call if fused."""
+        if self.smooth_value_and_gradient is not None:
+            return self.smooth_value_and_gradient(x)
+        return self.smooth_value(x), self.smooth_gradient(x)
 
     def psi(self, x: Vector) -> float:
         """Value of the nonsmooth part (0 when the problem is smooth)."""

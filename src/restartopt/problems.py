@@ -103,6 +103,10 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     def grad(x: Vector) -> Vector:
         return A @ x
 
+    def value_and_grad(x: Vector) -> tuple[float, Vector]:
+        Ax = A @ x
+        return 0.5 * float(x @ Ax), Ax
+
     x0 = _unit_vector(rng, n)
     reg = RegularityParams(
         s=2.0, L=float(eigenvalues[-1]), r=2.0, mu=float(eigenvalues[0]) / 2.0,
@@ -110,7 +114,10 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     )
     return ProblemInstance(
         name=f"quadratic(n={n},kappa={kappa_target:g},seed={seed})",
-        oracle=ProximalOracle(dimension=n, value=value, smooth_gradient=grad),
+        oracle=ProximalOracle(
+            dimension=n, value=value, smooth_gradient=grad,
+            smooth_value_and_gradient=value_and_grad,
+        ),
         x0=x0,
         regularity=reg,
         f_star=0.0,
@@ -192,7 +199,10 @@ _RANK_TOL = 1e-10
 
 
 def _quadratic_form_oracle(A: np.ndarray, b: np.ndarray):
-    """Shared machinery for least-squares-type smooth parts, via A^T A."""
+    """Shared machinery for least-squares-type smooth parts, via A^T A.
+
+    Returns G, h, the smooth value, its gradient, and both from one G @ x.
+    """
     G = A.T @ A
     h = A.T @ b
     c0 = 0.5 * float(b @ b)
@@ -203,7 +213,11 @@ def _quadratic_form_oracle(A: np.ndarray, b: np.ndarray):
     def grad(x: Vector) -> Vector:
         return G @ x - h
 
-    return G, h, smooth, grad
+    def smooth_and_grad(x: Vector) -> tuple[float, Vector]:
+        Gx = G @ x
+        return 0.5 * float(x @ Gx) - float(h @ x) + c0, Gx - h
+
+    return G, h, smooth, grad, smooth_and_grad
 
 
 def make_least_squares(A: np.ndarray, b: np.ndarray) -> ProblemInstance:
@@ -213,11 +227,14 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ProblemInstance:
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"target shape {b.shape} does not match design {A.shape}")
-    G, h, smooth, grad = _quadratic_form_oracle(A, b)
+    G, h, smooth, grad, smooth_and_grad = _quadratic_form_oracle(A, b)
     eigenvalues = np.linalg.eigvalsh(G)
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    oracle = ProximalOracle(dimension=n, value=smooth, smooth_gradient=grad)
+    oracle = ProximalOracle(
+        dimension=n, value=smooth, smooth_gradient=grad,
+        smooth_value_and_gradient=smooth_and_grad,
+    )
     if lam_min > _RANK_TOL * max(lam_max, 1.0):
         x_star = np.linalg.solve(G, h)
         f_star = smooth(x_star)
@@ -298,13 +315,23 @@ def make_logistic(A: np.ndarray, y: np.ndarray) -> ProblemInstance:
         margins = y * (A @ x)
         return -(A.T @ (y * _sigmoid(-margins)))
 
+    def value_and_grad(x: Vector) -> tuple[float, Vector]:
+        margins = y * (A @ x)
+        return (
+            float(np.logaddexp(0.0, -margins).sum()),
+            -(A.T @ (y * _sigmoid(-margins))),
+        )
+
     lam_max = float(np.linalg.eigvalsh(A.T @ A)[-1])
     notes = ()
     if lam_max > 0 and _is_separable(A, y):
         notes = ("separable data: the infimum is approached but not attained",)
     return ProblemInstance(
         name=f"logistic(m={m},n={n})",
-        oracle=ProximalOracle(dimension=n, value=value, smooth_gradient=grad),
+        oracle=ProximalOracle(
+            dimension=n, value=value, smooth_gradient=grad,
+            smooth_value_and_gradient=value_and_grad,
+        ),
         x0=np.zeros(n),
         regularity=None,
         f_star=None,
@@ -324,7 +351,9 @@ def make_lasso(A: np.ndarray, b: np.ndarray, lam: float = 1.0) -> ProblemInstanc
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    _, _, smooth, grad = _quadratic_form_oracle(A, b)
+    # No fused evaluation: smooth_value rebuilds f0 as value - psi, and a
+    # direct f0 would differ from that in the last bits.
+    _, _, smooth, grad, _ = _quadratic_form_oracle(A, b)
 
     def value(x: Vector) -> float:
         return smooth(x) + lam * float(np.abs(x).sum())

@@ -8,11 +8,15 @@ share one line search: each trial takes a (proximal) gradient step at
 tau * epsilon / 2 in the UFGM (``_trial``); a failed trial doubles the
 estimate (``_double``). The estimate is halved after every accepted
 step, and the final one is reported so restart schemes can warm-start
-the next cycle.
+the next cycle. The UFGM evaluates f0 and its gradient at each trial
+point with one ``ProximalOracle.smooth_eval`` call, which shares their
+common work when the oracle supplies a fused evaluation.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
 objective/gradient/prox evaluations, so both accountings are reportable.
+The evaluation counters count quantities, not calls: a fused
+value-and-gradient call adds one to each.
 """
 
 from __future__ import annotations
@@ -293,9 +297,9 @@ def universal_fast_gradient(
             a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / (2.0 * L_hat)
             tau = a / (A + a)
             x = tau * z + (1.0 - tau) * y
-            g = np.asarray(oracle.smooth_gradient(x), dtype=float)
+            f0_x, g = oracle.smooth_eval(x)
+            g = np.asarray(g, dtype=float)
             trace.n_grad += 1
-            f0_x = oracle.smooth_value(x)
             trace.n_value += 1
             finite = math.isfinite(f0_x) and _finite_vector(g)
             if finite:

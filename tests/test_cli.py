@@ -346,6 +346,35 @@ class TestConfigFile:
         assert not out.exists()
 
 
+class TestAbbreviatedFlags:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "--problem", "quadratic", "--method", "acc", "--N", "5",
+              "--kap", "5"], "--kap"),
+            (["compare", "--problem", "quadratic", "--method", "acc", "--N", "5"],
+             "--method"),
+        ],
+    )
+    def test_flag_prefix_rejected(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_prefix_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("problem=quadratic\nmethod=acc\nN=5\nkap=5\n")
+        out = tmp_path / "trace.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kap=5" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInstanceNotes:
     @pytest.mark.parametrize(
         "argv",

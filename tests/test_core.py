@@ -210,6 +210,35 @@ class TestCompositeDecomposition:
             ProximalOracle(dimension=0, value=lambda x: 0.0, smooth_gradient=lambda x: x)
 
 
+class TestSmoothEval:
+    def test_falls_back_to_value_and_gradient_without_fused_field(self):
+        rng = np.random.default_rng(11)
+        smooth = norm_oracle(3.0)
+        lasso = make_lasso(rng.standard_normal((10, 5)), rng.standard_normal(10), lam=0.4)
+        for oracle in (smooth, lasso.oracle):
+            assert oracle.smooth_value_and_gradient is None
+            for _ in range(5):
+                x = rng.standard_normal(5)
+                f0, g = oracle.smooth_eval(x)
+                assert f0 == oracle.smooth_value(x)
+                assert np.array_equal(g, oracle.smooth_gradient(x))
+
+    def test_uses_fused_field_when_given(self):
+        calls = []
+
+        def fused(x):
+            calls.append(x)
+            return 7.0, np.full_like(x, 2.0)
+
+        oracle = ProximalOracle(
+            dimension=2, value=lambda x: 0.0, smooth_gradient=lambda x: np.zeros_like(x),
+            smooth_value_and_gradient=fused,
+        )
+        f0, g = oracle.smooth_eval(np.ones(2))
+        assert f0 == 7.0 and np.array_equal(g, [2.0, 2.0])
+        assert len(calls) == 1
+
+
 def test_conditioning_identities_from_construction():
     # kappa = L/mu at r = s = 2; q = 2 at s = 2 and 1/2 at s = 1
     cond = derive_conditioning(RegularityParams(s=2, L=8, r=2, mu=2))

@@ -182,6 +182,28 @@ class TestLogistic:
         assert f == pytest.approx(f_star, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_quadratic(40, 1e3, seed=18),
+        lambda: make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=19)),
+        lambda: make_logistic(*synthetic_classification(208, 60, cond=100.0, seed=20)),
+    ],
+    ids=["quadratic", "least_squares", "logistic"],
+)
+def test_fused_evaluation_is_bitwise_equal_to_separate_calls(make):
+    inst = make()
+    oracle = inst.oracle
+    assert oracle.smooth_value_and_gradient is not None
+    rng = np.random.default_rng(21)
+    points = [inst.x0] + [3.0 * rng.standard_normal(inst.dimension) for _ in range(50)]
+    for x in points:
+        f0, g = oracle.smooth_value_and_gradient(x)
+        assert isinstance(f0, float)
+        assert f0 == oracle.smooth_value(x)
+        assert np.array_equal(g, oracle.smooth_gradient(x))
+
+
 class TestLasso:
     def test_small_targets_threshold_to_zero(self):
         b = np.array([0.5, -0.8, 0.3])

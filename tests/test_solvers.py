@@ -1,5 +1,6 @@
 """Inner-solver behavior: line searches, guarantees, and trace accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,13 +9,18 @@ import pytest
 from restartopt import (
     DivergenceError,
     ProximalOracle,
+    Trace,
     accelerated,
+    adaptive_grid,
     bound_accelerated,
     bound_universal,
+    criterion_restart,
     gradient_descent,
     make_lasso,
+    make_least_squares,
     make_quadratic,
     make_sharp_norm,
+    synthetic_regression,
     universal_fast_gradient,
 )
 from conftest import reference_optimum
@@ -26,6 +32,41 @@ def quadratic_oracle(A):
         value=lambda x: 0.5 * float(x @ (A @ x)),
         smooth_gradient=lambda x: A @ x,
     )
+
+
+class CountingMatrix:
+    """A matrix that counts its products with vectors."""
+
+    def __init__(self, A):
+        self.A = A
+        self.matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.A @ x
+
+
+def counting_quadratic_oracle(A):
+    """f = x^T A x / 2 with a fused evaluation, and the counter of A @ x."""
+    M = CountingMatrix(A)
+
+    def value_and_grad(x):
+        Ax = M @ x
+        return 0.5 * float(x @ Ax), Ax
+
+    oracle = ProximalOracle(
+        dimension=A.shape[0],
+        value=lambda x: 0.5 * float(x @ (M @ x)),
+        smooth_gradient=lambda x: M @ x,
+        smooth_value_and_gradient=value_and_grad,
+    )
+    return oracle, M
+
+
+def assert_traces_equal(a, b):
+    a, b = dict(vars(a)), dict(vars(b))
+    assert np.array_equal(a.pop("final_point"), b.pop("final_point"))
+    assert a == b
 
 
 def half_norm_oracle(n):
@@ -327,3 +368,59 @@ class TestUniversal:
             universal_fast_gradient(oracle, np.zeros(2), -0.1, 1.0, 5)
         with pytest.raises(ValueError):
             universal_fast_gradient(oracle, np.zeros(2), 0.1, 1.0, 0)
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_ufgm_does_two_matvecs_per_trial(self, epsilon):
+        rng = np.random.default_rng(22)
+        B = rng.standard_normal((30, 30))
+        oracle, M = counting_quadratic_oracle(B @ B.T / 30 + 0.01 * np.eye(30))
+        x0 = rng.standard_normal(30)
+        _, trace = universal_fast_gradient(oracle, x0, epsilon, 1.0, 80)
+        trials = trace.accepted + trace.backtracks
+        assert trace.backtracks > 0
+        # f0(x0), then one fused evaluation at x and one value at y per trial
+        assert M.matvecs == 1 + 2 * trials
+        # the counters count oracle quantities, not calls
+        assert trace.n_grad == trials
+        assert trace.n_value == 1 + 2 * trials
+
+        M.matvecs = 0
+        separate = dataclasses.replace(oracle, smooth_value_and_gradient=None)
+        _, separate_trace = universal_fast_gradient(separate, x0, epsilon, 1.0, 80)
+        assert M.matvecs == 1 + 3 * trials
+        assert_traces_equal(trace, separate_trace)
+
+    @pytest.mark.parametrize("method", ["accelerated", "criterion", "grid"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_quadratic(40, 1e3, seed=23),
+            lambda: make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24)),
+        ],
+        ids=["quadratic", "least_squares"],
+    )
+    def test_fused_and_separate_evaluations_give_equal_traces(self, method, make):
+        inst = make()
+        assert inst.oracle.smooth_value_and_gradient is not None
+        separate = dataclasses.replace(inst.oracle, smooth_value_and_gradient=None)
+
+        def solve(oracle):
+            if method == "accelerated":
+                return [accelerated(oracle, inst.x0, 1.0, 150, f_star=inst.f_star)[1]]
+            if method == "criterion":
+                return [criterion_restart(oracle, inst.x0, inst.f_star, 1.0, 150, 1.0)]
+            outcome = adaptive_grid(oracle, inst.x0, 64, 1.0, f_star=inst.f_star)
+            assert outcome.runs
+            return [outcome.best, outcome.skipped, outcome.total_inner_iterations] + [
+                outcome.runs[key] for key in sorted(outcome.runs)
+            ]
+
+        fused_runs, separate_runs = solve(inst.oracle), solve(separate)
+        assert len(fused_runs) == len(separate_runs)
+        for a, b in zip(fused_runs, separate_runs):
+            if isinstance(a, Trace):
+                assert_traces_equal(a, b)
+            else:
+                assert a == b
