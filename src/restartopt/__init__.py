@@ -27,6 +27,7 @@ from .core import (
     DerivedConditioning,
     DivergenceError,
     ProximalOracle,
+    QuadraticForm,
     RegularityParams,
     check_sharpness_bound,
     check_suboptimality_upper_bound,

@@ -9,7 +9,7 @@ and sharpness (a Łojasiewicz-type lower bound) of the minimizers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,24 @@ Vector = np.ndarray
 
 class DivergenceError(RuntimeError):
     """A solver produced a non-finite objective or gradient value."""
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """The smooth part f0(x) = x^T Q x / 2 - h^T x + c, with Q symmetric.
+
+    ``Q`` is anything that supports ``Q @ x``. Knowing the form lets the
+    UFGM carry the images Q y and Q z beside its iterates and spend one
+    product per line-search trial.
+    """
+
+    Q: Any
+    h: Vector
+    c: float = 0.0
+
+    def value(self, x: Vector, Qx: Vector) -> float:
+        """f0(x), given the image Qx = Q @ x."""
+        return 0.5 * float(x @ Qx) - float(self.h @ x) + self.c
 
 
 @dataclass(frozen=True)
@@ -38,6 +56,11 @@ class ProximalOracle:
     matrix-vector product); it must agree with ``smooth_value`` and
     ``smooth_gradient``. ``smooth_eval`` uses it when it is there.
 
+    ``quadratic``, when given, declares f0 as a :class:`QuadraticForm`;
+    ``smooth_value`` then evaluates it directly, and the UFGM uses it in
+    place of the callables. ``from_quadratic`` builds every callable from
+    the form.
+
     Oracles are immutable and safe to share across concurrent solver runs.
     """
 
@@ -47,13 +70,40 @@ class ProximalOracle:
     prox: Optional[Callable[[Vector, float], Vector]] = None
     nonsmooth_value: Optional[Callable[[Vector], float]] = None
     smooth_value_and_gradient: Optional[Callable[[Vector], tuple[float, Vector]]] = None
+    quadratic: Optional[QuadraticForm] = None
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
+    @classmethod
+    def from_quadratic(
+        cls,
+        form: QuadraticForm,
+        prox: Optional[Callable[[Vector, float], Vector]] = None,
+        nonsmooth_value: Optional[Callable[[Vector], float]] = None,
+    ) -> ProximalOracle:
+        """The oracle of f = f0 + psi whose smooth part f0 is ``form``."""
+        Q, h = form.Q, form.h
+
+        def value(x: Vector) -> float:
+            f0 = form.value(x, Q @ x)
+            return f0 if nonsmooth_value is None else f0 + float(nonsmooth_value(x))
+
+        def smooth_value_and_gradient(x: Vector) -> tuple[float, Vector]:
+            Qx = Q @ x
+            return form.value(x, Qx), Qx - h
+
+        return cls(
+            dimension=len(h), value=value, smooth_gradient=lambda x: Q @ x - h,
+            prox=prox, nonsmooth_value=nonsmooth_value,
+            smooth_value_and_gradient=smooth_value_and_gradient, quadratic=form,
+        )
+
     def smooth_value(self, x: Vector) -> float:
-        """Value of the smooth part f0 = f - psi."""
+        """Value of the smooth part f0: the form when declared, else f - psi."""
+        if self.quadratic is not None:
+            return self.quadratic.value(x, self.quadratic.Q @ x)
         v = float(self.value(x))
         if self.nonsmooth_value is not None:
             v -= float(self.nonsmooth_value(x))
@@ -193,7 +243,9 @@ def gradient_finite_difference_error(
     """Largest relative error between smooth_gradient and central differences.
 
     The differences are taken on the smooth part of the objective. Returns
-    max over points of ||g_fd - g|| / max(1, ||g||).
+    max over points of ||g_fd - g|| / max(1, ||g||). Raises
+    ``DivergenceError`` naming the point where a gradient entry or a
+    difference quotient is not finite.
     """
     worst = 0.0
     for x in points:
@@ -205,6 +257,10 @@ def gradient_finite_difference_error(
             e = np.zeros_like(x)
             e[i] = h
             fd[i] = (oracle.smooth_value(x + e) - oracle.smooth_value(x - e)) / (2 * h)
+        if not (np.isfinite(g).all() and np.isfinite(fd).all()):
+            raise DivergenceError(
+                f"non-finite gradient or difference quotient at x = {x.tolist()}"
+            )
         err = float(np.linalg.norm(fd - g)) / max(1.0, float(np.linalg.norm(g)))
         worst = max(worst, err)
     return worst

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DivergenceError, ProximalOracle, RegularityParams, Vector
+from .core import DivergenceError, ProximalOracle, QuadraticForm, RegularityParams, Vector
 
 
 class DatasetFormatError(ValueError):
@@ -96,17 +96,6 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = (q * eigenvalues) @ q.T
     A = 0.5 * (A + A.T)
-
-    def value(x: Vector) -> float:
-        return 0.5 * float(x @ (A @ x))
-
-    def grad(x: Vector) -> Vector:
-        return A @ x
-
-    def value_and_grad(x: Vector) -> tuple[float, Vector]:
-        Ax = A @ x
-        return 0.5 * float(x @ Ax), Ax
-
     x0 = _unit_vector(rng, n)
     reg = RegularityParams(
         s=2.0, L=float(eigenvalues[-1]), r=2.0, mu=float(eigenvalues[0]) / 2.0,
@@ -114,10 +103,7 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     )
     return ProblemInstance(
         name=f"quadratic(n={n},kappa={kappa_target:g},seed={seed})",
-        oracle=ProximalOracle(
-            dimension=n, value=value, smooth_gradient=grad,
-            smooth_value_and_gradient=value_and_grad,
-        ),
+        oracle=ProximalOracle.from_quadratic(QuadraticForm(A, np.zeros(n))),
         x0=x0,
         regularity=reg,
         f_star=0.0,
@@ -198,26 +184,9 @@ def make_sharp_norm(n: int, seed: int = 0) -> ProblemInstance:
 _RANK_TOL = 1e-10
 
 
-def _quadratic_form_oracle(A: np.ndarray, b: np.ndarray):
-    """Shared machinery for least-squares-type smooth parts, via A^T A.
-
-    Returns G, h, the smooth value, its gradient, and both from one G @ x.
-    """
-    G = A.T @ A
-    h = A.T @ b
-    c0 = 0.5 * float(b @ b)
-
-    def smooth(x: Vector) -> float:
-        return 0.5 * float(x @ (G @ x)) - float(h @ x) + c0
-
-    def grad(x: Vector) -> Vector:
-        return G @ x - h
-
-    def smooth_and_grad(x: Vector) -> tuple[float, Vector]:
-        Gx = G @ x
-        return 0.5 * float(x @ Gx) - float(h @ x) + c0, Gx - h
-
-    return G, h, smooth, grad, smooth_and_grad
+def _least_squares_form(A: np.ndarray, b: np.ndarray) -> QuadraticForm:
+    """||A x - b||^2 / 2 in Gram form: G = A^T A, h = A^T b, c = ||b||^2 / 2."""
+    return QuadraticForm(A.T @ A, A.T @ b, 0.5 * float(b @ b))
 
 
 def make_least_squares(A: np.ndarray, b: np.ndarray) -> ProblemInstance:
@@ -227,22 +196,19 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ProblemInstance:
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"target shape {b.shape} does not match design {A.shape}")
-    G, h, smooth, grad, smooth_and_grad = _quadratic_form_oracle(A, b)
-    eigenvalues = np.linalg.eigvalsh(G)
+    form = _least_squares_form(A, b)
+    eigenvalues = np.linalg.eigvalsh(form.Q)
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    oracle = ProximalOracle(
-        dimension=n, value=smooth, smooth_gradient=grad,
-        smooth_value_and_gradient=smooth_and_grad,
-    )
+    oracle = ProximalOracle.from_quadratic(form)
     if lam_min > _RANK_TOL * max(lam_max, 1.0):
-        x_star = np.linalg.solve(G, h)
-        f_star = smooth(x_star)
+        x_star = np.linalg.solve(form.Q, form.h)
+        f_star = oracle.value(x_star)
         reg = RegularityParams(s=2.0, L=lam_max, r=2.0, mu=lam_min / 2.0, f_star=f_star)
         dist = lambda x: float(np.linalg.norm(x - x_star))
     else:
         x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-        f_star = smooth(x_star)
+        f_star = oracle.value(x_star)
         reg = None
         dist = None
     return ProblemInstance(
@@ -351,12 +317,6 @@ def make_lasso(A: np.ndarray, b: np.ndarray, lam: float = 1.0) -> ProblemInstanc
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    # No fused evaluation: smooth_value rebuilds f0 as value - psi, and a
-    # direct f0 would differ from that in the last bits.
-    _, _, smooth, grad, _ = _quadratic_form_oracle(A, b)
-
-    def value(x: Vector) -> float:
-        return smooth(x) + lam * float(np.abs(x).sum())
 
     def nonsmooth(x: Vector) -> float:
         return lam * float(np.abs(x).sum())
@@ -366,10 +326,7 @@ def make_lasso(A: np.ndarray, b: np.ndarray, lam: float = 1.0) -> ProblemInstanc
 
     return ProblemInstance(
         name=f"lasso(m={m},n={n},lam={lam:g})",
-        oracle=ProximalOracle(
-            dimension=n, value=value, smooth_gradient=grad,
-            prox=prox, nonsmooth_value=nonsmooth,
-        ),
+        oracle=ProximalOracle.from_quadratic(_least_squares_form(A, b), prox, nonsmooth),
         x0=np.zeros(n),
     )
 
@@ -389,12 +346,6 @@ def make_dual_svm(A: np.ndarray, y: np.ndarray, regularization: float = 1.0) -> 
     K = np.outer(y, y) * (A @ A.T) / regularization
     K = 0.5 * (K + K.T)
 
-    def smooth(alpha: Vector) -> float:
-        return 0.5 * float(alpha @ (K @ alpha)) - float(alpha.sum())
-
-    def grad(alpha: Vector) -> Vector:
-        return K @ alpha - 1.0
-
     def prox(v: Vector, t: float) -> Vector:
         return np.clip(v, 0.0, 1.0)
 
@@ -402,15 +353,9 @@ def make_dual_svm(A: np.ndarray, y: np.ndarray, regularization: float = 1.0) -> 
         inside = np.all(alpha >= -1e-9) and np.all(alpha <= 1.0 + 1e-9)
         return 0.0 if inside else math.inf
 
-    def value(alpha: Vector) -> float:
-        return smooth(alpha) + nonsmooth(alpha)
-
     return ProblemInstance(
         name=f"dual_svm(m={m},n={n},reg={regularization:g})",
-        oracle=ProximalOracle(
-            dimension=m, value=value, smooth_gradient=grad,
-            prox=prox, nonsmooth_value=nonsmooth,
-        ),
+        oracle=ProximalOracle.from_quadratic(QuadraticForm(K, np.ones(m)), prox, nonsmooth),
         x0=np.zeros(m),
     )
 

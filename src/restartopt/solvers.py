@@ -12,11 +12,28 @@ the next cycle. The UFGM evaluates f0 and its gradient at each trial
 point with one ``ProximalOracle.smooth_eval`` call, which shares their
 common work when the oracle supplies a fused evaluation.
 
+When the oracle declares its smooth part as a quadratic form
+f0(x) = x^T Q x / 2 - h^T x + c (``ProximalOracle.quadratic``), the UFGM
+carries the images Q y and Q z beside its iterates, so Q x = tau Q z +
+(1 - tau) Q y and the gradient Q x - h cost no product. Each trial then
+spends one product, on Q d for the step d = y - x, and tests the descent
+condition in its exact difference form d^T Q d / 2 <= L_hat/2 ||d||^2 +
+tau * epsilon / 2 (``_quadratic_trial``), which no rounding of f0's
+constant term disturbs. On smooth problems Q z = Q x0 - sum_i a_i Q g_i
+needs no product of its own, since a step d = -g / L_hat gives
+Q g = -L_hat Q d; on composite ones Q z takes one product after the prox
+of z. f0 is evaluated only at accepted points, from Q y. Rounding makes
+this path differ from the generic one in the last bits; tests hold it
+to the generic path (the same oracle with ``quadratic=None``) within
+stated tolerances. Gradient descent keeps the generic evaluations.
+
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
 objective/gradient/prox evaluations, so both accountings are reportable.
 The evaluation counters count quantities, not calls: a fused
-value-and-gradient call adds one to each.
+value-and-gradient call adds one to each, and a UFGM trial counts one
+gradient and two smooth values (at x and at the candidate, whose
+difference the descent test uses) on either path.
 """
 
 from __future__ import annotations
@@ -123,8 +140,9 @@ def _finite_vector(g: Vector) -> bool:
 
     The dot product is the cheap test; it overflows for finite entries
     above about 1e154, so only then are the entries checked one by one.
+    ``np.vdot`` overflows to inf without numpy's overflow warning.
     """
-    return math.isfinite(float(np.dot(g, g))) or bool(np.isfinite(g).all())
+    return math.isfinite(float(np.vdot(g, g))) or bool(np.isfinite(g).all())
 
 
 def _check_finite(finite: bool) -> None:
@@ -134,11 +152,13 @@ def _check_finite(finite: bool) -> None:
 
 def _start(
     oracle: ProximalOracle, x0: Vector, L0: float, budget: int, f_star: Optional[float]
-) -> tuple[Vector, Trace, float]:
+) -> tuple[Vector, Trace, float, Optional[Vector]]:
     """Validate a solver call and evaluate its start point.
 
     Returns the start point as a fresh float array, a trace that records
-    f(x0), and the smooth value f0(x0).
+    f(x0), the smooth value f0(x0), and, when the oracle declares a
+    quadratic form, the image Q x0 that f0(x0) was evaluated from (else
+    ``None``).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -146,11 +166,16 @@ def _start(
         raise ValueError(f"L0 must be positive, got {L0}")
     x = np.array(x0, dtype=float)
     trace = Trace(f_star=f_star, max_L_hat=float(L0))
-    f0_x = oracle.smooth_value(x)
+    form = oracle.quadratic
+    if form is None:
+        f0_x, Qx = oracle.smooth_value(x), None
+    else:
+        Qx = form.Q @ x
+        f0_x = form.value(x, Qx)
     trace.n_value += 1
     trace.f_initial = f0_x + oracle.psi(x)
     _check_finite(math.isfinite(trace.f_initial))
-    return x, trace, f0_x
+    return x, trace, f0_x, Qx
 
 
 def _trial(
@@ -181,6 +206,40 @@ def _trial(
     d = cand - x
     model = f0_x + float(np.dot(g, d)) + 0.5 * L_hat * float(np.dot(d, d)) + slack
     return cand, f0_cand, True, f0_cand <= model
+
+
+def _quadratic_trial(
+    oracle: ProximalOracle,
+    x: Vector,
+    g: Vector,
+    L_hat: float,
+    slack: float,
+    trace: Trace,
+) -> tuple[Vector, Vector, bool, bool]:
+    """``_trial`` on a quadratic form, for the one product Q d, d = y - x.
+
+    The form makes the descent test exact in difference form,
+    f0(y) - f0(x) - <g, d> = d^T Q d / 2, so the test reads
+
+        d^T Q d / 2 <= L_hat/2 ||d||^2 + slack
+
+    with no value of f0 in it. Returns y, Q d, whether d^T Q d is finite,
+    and the test. d is formed before its products, so finite data near
+    the overflow threshold stays finite.
+    """
+    if oracle.prox is not None:
+        cand = np.asarray(oracle.prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
+        trace.n_prox += 1
+        d = cand - x
+    else:
+        d = g / -L_hat
+        cand = x + d
+    Qd = oracle.quadratic.Q @ d
+    trace.n_value += 1
+    curvature = float(np.vdot(d, Qd))
+    if not math.isfinite(curvature):
+        return cand, Qd, False, False
+    return cand, Qd, True, 0.5 * curvature <= 0.5 * L_hat * float(np.vdot(d, d)) + slack
 
 
 def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
@@ -219,7 +278,7 @@ def gradient_descent(
     halves the estimate. Composite oracles take proximal-gradient steps,
     with the descent condition tested on the smooth part only.
     """
-    x, trace, f0_x = _start(oracle, x0, L0, budget, f_star)
+    x, trace, f0_x, _ = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
 
     for t in range(1, budget + 1):
@@ -269,10 +328,11 @@ def universal_fast_gradient(
         f0(y) <= f0(x) + <grad f0(x), y - x> + L_hat/2 ||y - x||^2
                  + tau * epsilon / 2
 
-    holds, halving once after each accepted step. With epsilon = 0 the
-    slack vanishes and the method is the plain backtracking accelerated
-    gradient. If ``stop`` is given, the run terminates at the first
-    accepted iterate y with stop(y, f(y)) true.
+    holds, halving once after each accepted step. On a quadratic-form
+    oracle the condition is tested in its difference form (see the module
+    docstring). With epsilon = 0 the slack vanishes and the method is the
+    plain backtracking accelerated gradient. If ``stop`` is given, the run
+    terminates at the first accepted iterate y with stop(y, f(y)) true.
 
     Note: with epsilon = 0 on non-smooth problems (s < 2) there is no
     termination guarantee; the method simply runs out its budget.
@@ -281,11 +341,13 @@ def universal_fast_gradient(
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    anchor, trace, _ = _start(oracle, x0, L0, budget, f_star)
-    y = anchor
+    form = oracle.quadratic
+    anchor, trace, _, Q_anchor = _start(oracle, x0, L0, budget, f_star)
+    y, Qy = anchor, Q_anchor
     L_hat = float(L0)
     A = 0.0
     grad_sum = np.zeros_like(anchor)
+    Q_grad_sum = np.zeros_like(anchor)
     eps_mark = epsilon if epsilon > 0 else None
 
     for t in range(1, budget + 1):
@@ -293,25 +355,42 @@ def universal_fast_gradient(
         if oracle.prox is not None and A > 0.0:
             z = np.asarray(oracle.prox(z, A), dtype=float)
             trace.n_prox += 1
+            if form is not None:
+                Qz = form.Q @ z
+        elif form is not None:
+            Qz = Q_anchor - Q_grad_sum
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
             a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / (2.0 * L_hat)
             tau = a / (A + a)
+            slack = tau * epsilon / 2.0
             x = tau * z + (1.0 - tau) * y
-            f0_x, g = oracle.smooth_eval(x)
-            g = np.asarray(g, dtype=float)
             trace.n_grad += 1
             trace.n_value += 1
-            finite = math.isfinite(f0_x) and _finite_vector(g)
-            if finite:
-                y_cand, f0_y, finite, ok = _trial(
-                    oracle, x, g, f0_x, L_hat, tau * epsilon / 2.0, trace
-                )
-                if ok:
-                    break
+            if form is None:
+                f0_x, g = oracle.smooth_eval(x)
+                g = np.asarray(g, dtype=float)
+                finite = math.isfinite(f0_x) and _finite_vector(g)
+                if finite:
+                    y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
+            else:
+                Qx = tau * Qz + (1.0 - tau) * Qy
+                g = Qx - form.h
+                finite = _finite_vector(g)
+                if finite:
+                    y_cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, slack, trace)
+            if finite and ok:
+                break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
         grad_sum = grad_sum + a * g
         y = y_cand
+        if form is not None:
+            Qy = Qx + Qd
+            if oracle.prox is None:
+                # g = -L_hat d and a L_hat = 1 / tau, so a Q g = -Q d / tau.
+                Q_grad_sum = Q_grad_sum - Qd / tau
+            f0_y = form.value(y, Qy)
+            _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
         f_full = f0_y + oracle.psi(y)
         trace.entries.append(

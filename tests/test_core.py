@@ -1,10 +1,14 @@
 """Oracle contracts, regularity validation, and derived conditioning."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from restartopt import (
     DerivedConditioning,
+    DivergenceError,
     ProximalOracle,
     RegularityParams,
     check_sharpness_bound,
@@ -152,6 +156,21 @@ class TestGradients:
         err = gradient_finite_difference_error(instance.oracle, points)
         assert err <= 1e-5
 
+    def test_non_finite_difference_raises_naming_the_point(self):
+        oracle = ProximalOracle(
+            dimension=2, value=lambda x: math.nan, smooth_gradient=lambda x: np.ones(2)
+        )
+        with pytest.raises(DivergenceError, match=r"x = \[0\.5, -2\.0\]"):
+            gradient_finite_difference_error(oracle, [np.array([0.5, -2.0])])
+
+    def test_dual_svm_at_box_corner_is_checked(self):
+        # At the corner, x + e leaves the box, where f = inf; the form's
+        # smooth value stays finite there, so the differences are measured
+        # (an error of exactly 0 would mean nothing was compared).
+        rng = np.random.default_rng(12)
+        inst = make_dual_svm(rng.standard_normal((40, 5)), np.sign(rng.standard_normal(40)))
+        assert 0.0 < gradient_finite_difference_error(inst.oracle, [np.ones(40)]) <= 1e-5
+
 
 class TestCompositeDecomposition:
     def test_lasso_value_matches_direct_formula(self):
@@ -205,6 +224,17 @@ class TestCompositeDecomposition:
             w = rng.uniform(0.0, 1.0, size=6)
             assert np.linalg.norm(u - v) <= np.linalg.norm(w - v) + 1e-12
 
+    def test_dual_svm_smooth_value_outside_the_box(self):
+        rng = np.random.default_rng(13)
+        A, y = rng.standard_normal((40, 5)), np.sign(rng.standard_normal(40))
+        inst = make_dual_svm(A, y)
+        K = np.outer(y, y) * (A @ A.T)
+        alpha = np.full(40, 1.5)
+        assert inst.oracle.value(alpha) == math.inf
+        assert inst.oracle.smooth_value(alpha) == pytest.approx(
+            0.5 * alpha @ K @ alpha - alpha.sum(), rel=1e-12
+        )
+
     def test_oracle_requires_positive_dimension(self):
         with pytest.raises(ValueError):
             ProximalOracle(dimension=0, value=lambda x: 0.0, smooth_gradient=lambda x: x)
@@ -215,7 +245,11 @@ class TestSmoothEval:
         rng = np.random.default_rng(11)
         smooth = norm_oracle(3.0)
         lasso = make_lasso(rng.standard_normal((10, 5)), rng.standard_normal(10), lam=0.4)
-        for oracle in (smooth, lasso.oracle):
+        # a composite oracle with neither a fused evaluation nor a declared form
+        composite = dataclasses.replace(
+            lasso.oracle, smooth_value_and_gradient=None, quadratic=None
+        )
+        for oracle in (smooth, composite):
             assert oracle.smooth_value_and_gradient is None
             for _ in range(5):
                 x = rng.standard_normal(5)

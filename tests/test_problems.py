@@ -188,8 +188,10 @@ class TestLogistic:
         lambda: make_quadratic(40, 1e3, seed=18),
         lambda: make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=19)),
         lambda: make_logistic(*synthetic_classification(208, 60, cond=100.0, seed=20)),
+        lambda: make_lasso(*synthetic_regression(208, 60, cond=1e4, seed=19), lam=0.5),
+        lambda: make_dual_svm(*synthetic_classification(60, 8, cond=100.0, seed=20)),
     ],
-    ids=["quadratic", "least_squares", "logistic"],
+    ids=["quadratic", "least_squares", "logistic", "lasso", "dual_svm"],
 )
 def test_fused_evaluation_is_bitwise_equal_to_separate_calls(make):
     inst = make()

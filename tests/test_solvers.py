@@ -9,6 +9,8 @@ import pytest
 from restartopt import (
     DivergenceError,
     ProximalOracle,
+    QuadraticForm,
+    Schedule,
     Trace,
     accelerated,
     adaptive_grid,
@@ -16,10 +18,15 @@ from restartopt import (
     bound_universal,
     criterion_restart,
     gradient_descent,
+    h_restart,
+    make_dual_svm,
     make_lasso,
     make_least_squares,
     make_quadratic,
     make_sharp_norm,
+    reference_solve,
+    soft_threshold,
+    synthetic_classification,
     synthetic_regression,
     universal_fast_gradient,
 )
@@ -160,7 +167,7 @@ class TestGradientDescent:
         with pytest.raises(DivergenceError):
             gradient_descent(oracle, np.array([1.0]), 1.0, 5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_gradient_is_not_divergence(self):
         trace = gradient_descent(huge_curvature_oracle(), np.ones(2), 1e200, 3)
         assert trace.accepted == 3
@@ -348,7 +355,7 @@ class TestUniversal:
         with pytest.raises(DivergenceError):
             universal_fast_gradient(oracle, np.array([1.0]), 0.0, 1.0, 5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_gradient_is_not_divergence(self):
         _, trace = universal_fast_gradient(huge_curvature_oracle(), np.ones(2), 0.0, 1e200, 3)
         assert trace.accepted == 3
@@ -424,3 +431,135 @@ class TestFusedEvaluation:
                 assert_traces_equal(a, b)
             else:
                 assert a == b
+
+
+def restart_marks(trace):
+    return [e.iteration for e in trace.entries if e.restart]
+
+
+class TestQuadraticImages:
+    """The UFGM on a declared quadratic form against its reference path.
+
+    The reference path is the same oracle with ``quadratic=None``: the
+    generic loop with fused evaluations. Carrying Q y and Q z changes
+    rounding, so the contract is a tolerance, not bitwise equality.
+    """
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_one_matvec_per_trial(self, epsilon):
+        rng = np.random.default_rng(22)
+        B = rng.standard_normal((30, 30))
+        M = CountingMatrix(B @ B.T / 30 + 0.01 * np.eye(30))
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(M, rng.standard_normal(30), 2.0))
+        _, trace = universal_fast_gradient(oracle, rng.standard_normal(30), epsilon, 1.0, 80)
+        trials = trace.accepted + trace.backtracks
+        assert trace.backtracks > 0
+        # Q x0 at the start, then Q d per trial; the counters keep their meaning
+        assert M.matvecs == 1 + trials
+        assert trace.n_grad == trials
+        assert trace.n_value == 1 + 2 * trials
+
+    def test_composite_adds_one_matvec_per_step_after_the_first(self):
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((40, 20))
+        b = 3.0 * rng.standard_normal(40)
+        M = CountingMatrix(A.T @ A)
+        oracle = ProximalOracle.from_quadratic(
+            QuadraticForm(M, A.T @ b, 0.5 * float(b @ b)),
+            prox=lambda v, t: soft_threshold(v, 0.5 * t),
+            nonsmooth_value=lambda x: 0.5 * float(np.abs(x).sum()),
+        )
+        _, trace = universal_fast_gradient(oracle, np.zeros(20), 0.0, 1.0, 60)
+        trials = trace.accepted + trace.backtracks
+        # Q x0, Q d per trial, and Q z after the prox of z in every step but
+        # the first (where z = x0)
+        assert M.matvecs == 1 + trials + (trace.accepted - 1)
+        assert trace.n_prox == trials + trace.accepted - 1
+        assert trace.n_value == 1 + 2 * trials
+
+    @pytest.mark.parametrize("method", ["accelerated", "h_restart", "criterion", "grid"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_quadratic(40, 1e3, seed=23),
+            lambda: make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24)),
+            lambda: make_lasso(*synthetic_regression(100, 40, cond=1e4, seed=27), lam=0.5),
+            lambda: make_dual_svm(*synthetic_classification(50, 8, cond=100.0, seed=26)),
+        ],
+        ids=["quadratic", "least_squares", "lasso", "dual_svm"],
+    )
+    def test_cached_path_matches_reference_path(self, method, make):
+        inst = make()
+        assert inst.oracle.quadratic is not None
+        reference = dataclasses.replace(inst.oracle, quadratic=None)
+        f_star = inst.f_star
+        if f_star is None:
+            _, f_star, _ = reference_solve(inst.oracle, inst.x0, grad_map_tol=1e-8)
+        # eps0 at the starting gap: with much larger targets the universal
+        # method's path on the box QP amplifies rounding-level changes of
+        # x0 on either path alike
+        gap0 = inst.oracle.value(inst.x0) - f_star
+
+        def solve(oracle):
+            if method == "accelerated":
+                return [accelerated(oracle, inst.x0, 1.0, 200, f_star=f_star)[1]]
+            if method == "h_restart":
+                return [h_restart(oracle, inst.x0, gap0, 1.0, Schedule(C=10.0), 200, 1.0,
+                                  f_star=f_star)]
+            if method == "criterion":
+                return [criterion_restart(oracle, inst.x0, f_star, 1.0, 200, 1.0)]
+            outcome = adaptive_grid(oracle, inst.x0, 64, 1.0, f_star=f_star)
+            return [outcome] + [outcome.runs[key] for key in sorted(outcome.runs)]
+
+        cached, ref = solve(inst.oracle), solve(reference)
+        if method == "grid":
+            assert cached[0].best == ref[0].best
+            assert cached[0].skipped == ref[0].skipped
+            assert sorted(cached[0].runs) == sorted(ref[0].runs)
+            cached, ref = cached[1:], ref[1:]
+        for a, b in zip(cached, ref):
+            assert a.accepted == b.accepted
+            assert restart_marks(a) == restart_marks(b)
+            assert math.isclose(a.final_f, b.final_f, rel_tol=1e-10)
+            f_reported = inst.oracle.value(a.final_point)
+            assert abs(a.final_f - f_reported) <= 1e-12 * max(1.0, abs(a.final_f))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=19)),
+            lambda: make_lasso(*synthetic_regression(208, 60, cond=1e4, seed=19), lam=0.5),
+        ],
+        ids=["least_squares", "lasso"],
+    )
+    def test_reported_value_matches_the_oracle_after_a_long_cycle(self, make):
+        # Q y drifts from Q @ y by rounding over one long cycle
+        inst = make()
+        y, trace = accelerated(inst.oracle, inst.x0, 1.0, 3000)
+        f = trace.final_f
+        assert abs(f - inst.oracle.value(y)) <= 1e-12 * max(1.0, abs(f))
+
+    def test_descent_test_has_no_constant_floor(self):
+        # Noiseless least squares with ||b||^2 / 2 about 1.9e6: near the
+        # optimum, f0(y) - model computed from values drowns in the rounding
+        # of the constant, and the estimate doubled to about 3.5e13. The
+        # difference-form test has no constant in it.
+        rng = np.random.default_rng(1)
+        A = 3.0 * rng.standard_normal((200, 100))
+        b = A @ (5.0 * rng.standard_normal(100))
+        inst = make_least_squares(A, b)
+        assert 1.8e6 < 0.5 * float(b @ b) < 2.0e6
+        _, trace = accelerated(inst.oracle, inst.x0, 1.0, 3000, f_star=inst.f_star)
+        assert trace.max_L_hat <= 2 * inst.regularity.L
+
+    def test_huge_form_does_not_diverge(self):
+        # f = 1e200 ||x||^2 / 2 as a form: Q g would overflow, Q d does not
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(1e200 * np.eye(2), np.zeros(2)))
+        _, trace = universal_fast_gradient(oracle, np.ones(2), 0.0, 1e200, 3)
+        assert trace.accepted == 3
+        assert trace.final_f == 0.0
+
+    def test_non_finite_value_signals_divergence(self):
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(np.eye(2), np.zeros(2), math.nan))
+        with pytest.raises(DivergenceError):
+            universal_fast_gradient(oracle, np.ones(2), 0.0, 1.0, 3)
