@@ -48,6 +48,7 @@ from .restarts import (
     Schedule,
     adaptive_grid,
     criterion_restart,
+    grid_schedule,
     h_restart,
     monotone_restart,
     optimal_schedule_holder,
@@ -199,6 +200,16 @@ def _gap0(instance: ProblemInstance, cfg: dict) -> float:
     )
 
 
+def _eps0(instance: ProblemInstance, cfg: dict) -> float:
+    """h-restart's initial accuracy: the supplied --eps0, else the gap estimate."""
+    return cfg["eps0"] if "eps0" in cfg else _gap0(instance, cfg)
+
+
+# Schedule parameters a method derives unless the config gives them.
+_SCHEDULE_KEYS = {"restart": ("C", "alpha"), "h-restart": ("C", "alpha", "gamma"),
+                  "criterion": ("gamma",)}
+
+
 def _explicit_schedule(cfg: dict) -> Optional[Schedule]:
     if "C" not in cfg:
         return None
@@ -236,7 +247,7 @@ def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
         return restart_scheduled(oracle, x0, schedule, N, L0, f_star=f_star)
 
     if method == "h-restart":
-        eps0 = cfg["eps0"] if "eps0" in cfg else _gap0(instance, cfg)
+        eps0 = _eps0(instance, cfg)
         schedule = _explicit_schedule(cfg)
         gamma = cfg.get("gamma")
         if schedule is None or gamma is None:
@@ -270,8 +281,8 @@ def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
 def applicable_envelope(
     method: str, instance: ProblemInstance, cfg: dict
 ) -> Optional[tuple[str, float]]:
-    """Theoretical guarantee at budget N for side-by-side reporting, if any."""
-    if instance.regularity is None:
+    """Theoretical guarantee at budget N, if the run's schedule was derived."""
+    if instance.regularity is None or any(k in cfg for k in _SCHEDULE_KEYS.get(method, ())):
         return None
     N = float(cfg["N"])
     reg = instance.regularity
@@ -289,9 +300,9 @@ def applicable_envelope(
                 cond, _gap0(instance, cfg), 4.0, N
             )
         if method in ("h-restart", "criterion"):
-            c = bounds.ufgm_constant(reg.s)
+            eps0 = _eps0(instance, cfg) if method == "h-restart" else _gap0(instance, cfg)
             return "accuracy-scheduled envelope", bounds.bound_holder(
-                cond, _gap0(instance, cfg), c, N
+                cond, eps0, bounds.ufgm_constant(reg.s), N
             )
         if method == "grid":
             return "grid-search envelope", bounds.bound_adaptive(
@@ -501,6 +512,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     fmt = cfg["format"]
     rows = []
     for (i, j), trace in sorted(outcome.runs.items()):
+        sched = grid_schedule(i, j)
         name = f"trace_i{i}_j{j}.{fmt}"
         write_trace(
             trace, os.path.join(out_dir, name), fmt,
@@ -510,8 +522,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
             {
                 "i": i,
                 "j": j,
-                "C": float(2**i),
-                "alpha": 0.0 if j == 0 else 2.0**-j,
+                "C": sched.C,
+                "alpha": sched.alpha,
                 "accepted": trace.accepted,
                 "final_f": trace.final_f,
                 "final_gap": trace.final_gap,
@@ -523,7 +535,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         "problem": instance.name,
         "best": list(outcome.best),
         "total_inner_iterations": outcome.total_inner_iterations,
-        "skipped": [list(ij) for ij in outcome.skipped],
         "rows": rows,
     }
     # the CSV columns are the row keys; scheme (1, 0) always runs, so rows[0] exists
@@ -531,7 +542,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     bi, bj = outcome.best
     best = outcome.best_trace
     _print_problem(instance, f"  N={cfg['N']}")
-    print(f"schemes run: {len(outcome.runs)}  skipped: {len(outcome.skipped)}")
+    print(f"schemes run: {len(outcome.runs)}")
     print(f"total inner iterations: {outcome.total_inner_iterations}")
     gap_text = _fmt(best.final_gap) if best.final_gap is not None else "n/a"
     print(f"best scheme: (i={bi}, j={bj})  final f: {_fmt(best.final_f)}  gap: {gap_text}")

@@ -7,26 +7,33 @@ criterion restarts that stop each cycle once a target gap is reached
 parameters. A monotone function-value restart heuristic is included as
 a comparison baseline.
 
+Every cycle of every scheme is one universal-method run (``_run_cycle``);
+the accelerated method is the universal one at target accuracy 0. Both
+scheduled schemes share one cycle loop (``_scheduled``): scheduled
+restarts are accuracy-scheduled restarts with eps0 = 0, whose targets
+stay 0.
+
 Budget semantics: the budget counts accepted inner iterations across all
-cycles; the final cycle of a scheduled run is truncated at the budget so
-method comparisons happen at equal N. Grid-search runs instead complete
-their final cycle (stopping at the first cycle boundary past N, capped
-at 2N), matching how the grid's guarantee is stated. The Lipschitz
-estimate is warm-started across cycles: each cycle starts from the last
-estimate of the previous one.
+cycles. A scheduled run stops once the budget is used, and truncates a
+cycle where it would pass ``cap`` accepted iterations. The cap defaults
+to the budget, so method comparisons happen at equal N; grid-search runs
+use cap = 2N, so they complete their final cycle (stopping at the first
+cycle boundary past N, or at 2N), matching how the grid's guarantee is
+stated. The Lipschitz estimate is warm-started across cycles: each cycle
+starts from the last estimate of the previous one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector
-from .solvers import Trace, accelerated, universal_fast_gradient
+from .solvers import Trace, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -80,29 +87,58 @@ def _new_trace(x0: Vector, L0: float, f_star: Optional[float]) -> Trace:
                  f_star=f_star, max_L_hat=float(L0))
 
 
-def _absorb(parent: Trace, sub: Trace) -> None:
-    """Append a cycle's trace to the scheme's, marking the restart before it.
+def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations: int,
+               stop: Optional[Callable[[Vector, float], bool]] = None) -> None:
+    """Run one cycle of the universal method and append it to the scheme's trace.
 
-    The cycle's rows are renumbered in place to cumulative counts, and the
-    parent takes over the cycle's final point and estimate, from which the
-    next cycle is warm-started.
+    The cycle is warm-started from the trace's final point and estimate.
+    It marks the restart before it, its rows are renumbered in place to
+    cumulative counts, and the trace takes over its final point and
+    estimate, from which the next cycle starts.
     """
-    if parent.f_initial is None:
-        parent.f_initial = sub.f_initial
-    if parent.entries:
-        parent.entries[-1].restart = True
-    offset = parent.accepted
+    _, sub = universal_fast_gradient(
+        oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
+        f_star=trace.f_star,
+    )
+    if trace.f_initial is None:
+        trace.f_initial = sub.f_initial
+    if trace.entries:
+        trace.entries[-1].restart = True
+    offset = trace.accepted
     for e in sub.entries:
         e.iteration += offset
-    parent.entries.extend(sub.entries)
-    parent.n_value += sub.n_value
-    parent.n_grad += sub.n_grad
-    parent.n_prox += sub.n_prox
-    parent.backtracks += sub.backtracks
-    parent.max_L_hat = max(parent.max_L_hat, sub.max_L_hat)
-    parent.notes.extend(sub.notes)
-    parent.final_point = sub.final_point
-    parent.final_L_hat = sub.final_L_hat
+    trace.entries.extend(sub.entries)
+    trace.n_value += sub.n_value
+    trace.n_grad += sub.n_grad
+    trace.n_prox += sub.n_prox
+    trace.backtracks += sub.backtracks
+    trace.max_L_hat = max(trace.max_L_hat, sub.max_L_hat)
+    trace.notes.extend(sub.notes)
+    trace.final_point = sub.final_point
+    trace.final_L_hat = sub.final_L_hat
+
+
+def _scheduled(oracle: ProximalOracle, x0: Vector, eps0: float, gamma: float,
+               schedule: Schedule, budget: int, cap: int, L0: float,
+               f_star: Optional[float]) -> Trace:
+    """Cycles of ceil(t_k) iterations at target e^(-gamma k) eps0 until the budget.
+
+    A cycle is truncated where it would pass ``cap`` (>= budget) iterations.
+    """
+    trace = _new_trace(x0, L0, f_star)
+    eps_k = float(eps0)
+    k = 0
+    while (used := trace.accepted) < budget:
+        k += 1
+        eps_k *= math.exp(-gamma)
+        t_k = schedule.iterations(k)
+        t_eff = min(t_k, cap - used)
+        if t_eff < t_k:
+            trace.notes.append(
+                f"cycle {k} truncated from {t_k} to {t_eff} iterations by the budget"
+            )
+        _run_cycle(trace, oracle, eps_k, t_eff)
+    return trace
 
 
 def restart_scheduled(
@@ -113,41 +149,22 @@ def restart_scheduled(
     L0: float,
     *,
     f_star: Optional[float] = None,
-    complete_final_cycle: bool = False,
-    hard_cap: Optional[int] = None,
+    cap: Optional[int] = None,
 ) -> Trace:
     """Scheduled restarts of the accelerated method.
 
     Runs cycles k = 1, 2, ... of ceil(t_k) accelerated iterations, each
     warm-started from the previous cycle's output point and Lipschitz
-    estimate, until the budget of accepted inner iterations is used. By
-    default the last cycle is truncated exactly at the budget; with
-    ``complete_final_cycle`` the run stops at the first cycle boundary
-    past the budget (optionally truncated at ``hard_cap``), the stopping
-    rule of the grid search.
+    estimate, until the budget of accepted inner iterations is used. A
+    cycle is truncated where it would pass ``cap`` (default: the budget)
+    accepted iterations; the grid search passes 2 * budget.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    trace = _new_trace(x0, L0, f_star)
-    k = 0
-    while (used := trace.accepted) < budget:
-        k += 1
-        t_k = schedule.iterations(k)
-        t_eff = t_k
-        if not complete_final_cycle:
-            t_eff = min(t_k, budget - used)
-        elif hard_cap is not None and used + t_k > hard_cap:
-            t_eff = hard_cap - used
-        if t_eff < t_k:
-            trace.notes.append(
-                f"cycle {k} truncated from {t_k} to {t_eff} iterations by the budget"
-            )
-        if t_eff < 1:
-            break
-        _, sub = accelerated(oracle, trace.final_point, trace.final_L_hat, t_eff,
-                             f_star=f_star)
-        _absorb(trace, sub)
-    return trace
+    cap = budget if cap is None else cap
+    if cap < budget:
+        raise ValueError(f"cap must be >= the budget {budget}, got {cap}")
+    return _scheduled(oracle, x0, 0.0, 0.0, schedule, budget, cap, L0, f_star)
 
 
 def h_restart(
@@ -174,23 +191,7 @@ def h_restart(
         raise ValueError(f"eps0 must be positive, got {eps0}")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    trace = _new_trace(x0, L0, f_star)
-    eps_k = float(eps0)
-    k = 0
-    while (used := trace.accepted) < budget:
-        k += 1
-        eps_k *= math.exp(-gamma)
-        t_k = schedule.iterations(k)
-        t_eff = min(t_k, budget - used)
-        if t_eff < t_k:
-            trace.notes.append(
-                f"cycle {k} truncated from {t_k} to {t_eff} iterations by the budget"
-            )
-        _, sub = universal_fast_gradient(
-            oracle, trace.final_point, eps_k, trace.final_L_hat, t_eff, f_star=f_star
-        )
-        _absorb(trace, sub)
-    return trace
+    return _scheduled(oracle, x0, eps0, gamma, schedule, budget, budget, L0, f_star)
 
 
 def criterion_restart(
@@ -232,16 +233,7 @@ def criterion_restart(
             if current - f_star <= 0.0 or gamma == 0.0:
                 break  # already at the optimum, or the target cannot shrink
             continue  # previous cycle overshot this target; tighten again
-        _, sub = universal_fast_gradient(
-            oracle,
-            trace.final_point,
-            eps_k,
-            trace.final_L_hat,
-            budget - used,
-            stop=lambda _y, fy, tgt=target: fy <= tgt,
-            f_star=f_star,
-        )
-        _absorb(trace, sub)
+        _run_cycle(trace, oracle, eps_k, budget - used, stop=lambda _y, fy: fy <= target)
         if trace.final_f > target:
             trace.notes.append(
                 f"budget exhausted before reaching target {eps_k:.3e}; "
@@ -256,19 +248,24 @@ def criterion_restart(
     return trace
 
 
+def grid_schedule(i: int, j: int) -> Schedule:
+    """Scheme (i, j) of the grid search: t_k = 2^i, times e^(2^-j k) if j >= 1."""
+    return Schedule(C=float(2**i), alpha=0.0 if j == 0 else 2.0**-j)
+
+
 @dataclass
 class GridOutcome:
     """All runs of the schedule grid search plus the winning index.
 
-    ``best`` minimizes the final objective value among completed runs,
-    ties broken by smaller i then smaller j. Each run's own total
-    N' satisfies N <= N' <= 2N.
+    Every scheme of the grid runs; none can be skipped (see
+    ``adaptive_grid``). ``best`` minimizes the final objective value,
+    ties broken by smaller i then smaller j. Each run's own total N'
+    satisfies N <= N' <= 2N.
     """
 
     runs: dict[tuple[int, int], Trace]
     best: tuple[int, int]
     total_inner_iterations: int
-    skipped: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def best_trace(self) -> Trace:
@@ -285,38 +282,28 @@ def adaptive_grid(
 ) -> GridOutcome:
     """Logarithmic grid search over restart schedules.
 
-    Runs constant schedules t_k = 2^i for i in [1, floor(log2 N)] and
-    geometric schedules t_k = 2^i e^(2^-j k) for j in [1, ceil(log2 N)],
-    each stopped at the first cycle boundary past N (capped at 2N).
-    Schemes whose first cycle alone exceeds 2N are recorded as skipped.
-    Runs are mutually independent; the reduction to ``best`` is
+    Runs the schemes ``grid_schedule(i, j)``: constant schedules t_k = 2^i
+    for i in [1, floor(log2 N)] (j = 0) and geometric schedules
+    t_k = 2^i e^(2^-j k) for j in [1, ceil(log2 N)], each stopped at the
+    first cycle boundary past N and capped at 2N. Every first cycle fits
+    in the cap: 2^i <= N and alpha <= 1/2 give ceil(t_1) <= ceil(e^(1/2) N)
+    <= 2N. Runs are mutually independent; the reduction to ``best`` is
     deterministic regardless of execution order.
     """
     if budget < 4:
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
     i_max = int(math.floor(math.log2(budget)))
     j_max = int(math.ceil(math.log2(budget)))
-    runs: dict[tuple[int, int], Trace] = {}
-    skipped: list[tuple[int, int]] = []
-    for i in range(1, i_max + 1):
-        for j in range(0, j_max + 1):
-            sched = Schedule(C=float(2**i), alpha=0.0 if j == 0 else 2.0**-j)
-            if sched.iterations(1) > 2 * budget:
-                skipped.append((i, j))
-                continue
-            runs[(i, j)] = restart_scheduled(
-                oracle,
-                x0,
-                sched,
-                budget,
-                L0,
-                f_star=f_star,
-                complete_final_cycle=True,
-                hard_cap=2 * budget,
-            )
+    runs = {
+        (i, j): restart_scheduled(
+            oracle, x0, grid_schedule(i, j), budget, L0, f_star=f_star, cap=2 * budget
+        )
+        for i in range(1, i_max + 1)
+        for j in range(0, j_max + 1)
+    }
     best = min(runs, key=lambda ij: (runs[ij].final_f, ij))
     total = sum(tr.accepted for tr in runs.values())
-    return GridOutcome(runs=runs, best=best, total_inner_iterations=total, skipped=skipped)
+    return GridOutcome(runs=runs, best=best, total_inner_iterations=total)
 
 
 def monotone_restart(
@@ -332,7 +319,8 @@ def monotone_restart(
     Runs the accelerated method and restarts from the current iterate
     whenever the objective of an accepted iterate exceeds the previous
     accepted one. Only accepted-iterate values feed the test, never line
-    search candidates.
+    search candidates. A cycle in which no value increases runs out the
+    budget, which ends the run.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -342,18 +330,13 @@ def monotone_restart(
     trace.n_value += 1
     while (used := trace.accepted) < budget:
         f_prev = trace.final_f
-        increased = [False]
 
-        def fired(_y: Vector, fy: float, cell=[f_prev], flag=increased) -> bool:
-            if fy > cell[0]:
-                flag[0] = True
+        def increased(_y: Vector, fy: float) -> bool:
+            nonlocal f_prev
+            if fy > f_prev:
                 return True
-            cell[0] = fy
+            f_prev = fy
             return False
 
-        _, sub = accelerated(oracle, trace.final_point, trace.final_L_hat, budget - used,
-                             f_star=f_star, stop=fired)
-        _absorb(trace, sub)
-        if not increased[0]:
-            break  # ran to the budget without the heuristic firing
+        _run_cycle(trace, oracle, 0.0, budget - used, stop=increased)
     return trace

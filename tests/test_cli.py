@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from restartopt import bound_holder, derive_conditioning, make_quadratic, ufgm_constant
 from restartopt.cli import main
 
 
@@ -23,6 +24,23 @@ def separable_csv(path):
         feats[0] += np.sign(feats[0])
         lines.append(",".join(format(v, ".8f") for v in feats) + f",{np.sign(feats[0]):g}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def logistic_csv(path):
+    rng = np.random.default_rng(3)
+    lines = []
+    for _ in range(30):
+        feats = rng.standard_normal(3)
+        lines.append(",".join(format(v, ".8f") for v in feats) + f",{rng.choice([-1, 1])}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def envelope_lines(stdout):
+    return [line for line in stdout.splitlines() if line.startswith("envelope")]
+
+
+def trace_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
 
 
 class TestRun:
@@ -59,6 +77,37 @@ class TestRun:
         )
         stdout = capsys.readouterr().out
         assert "envelope" in stdout
+
+    @pytest.mark.parametrize(
+        "explicit",
+        [
+            ("--method", "restart", "--C", "2"),
+            ("--method", "h-restart", "--gamma", "1"),
+            ("--method", "criterion", "--gamma", "0.5"),
+        ],
+        ids=["restart-C", "h-restart-gamma", "criterion-gamma"],
+    )
+    def test_no_envelope_for_an_explicit_schedule(self, tmp_path, capsys, explicit):
+        # the envelope assumes the schedule derived from the regularity
+        code = run_cli(
+            "run", "--problem", "quadratic", "--dim", "30", "--kappa", "1000",
+            "--N", "300", *explicit, "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        assert not envelope_lines(capsys.readouterr().out)
+
+    def test_h_restart_envelope_uses_the_supplied_eps0(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--problem", "quadratic", "--dim", "30", "--kappa", "1000",
+            "--method", "h-restart", "--eps0", "1e6", "--N", "300",
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        reg = make_quadratic(30, 1000.0, seed=0).regularity
+        bound = bound_holder(derive_conditioning(reg), 1e6, ufgm_constant(reg.s), 300.0)
+        assert envelope_lines(capsys.readouterr().out) == [
+            f"envelope [accuracy-scheduled envelope] at N=300: {bound:.17g}"
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = (
@@ -163,6 +212,57 @@ class TestRun:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 26
+
+
+class TestHRestartRun:
+    def test_derived_schedule(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", "quadratic", "--dim", "10", "--kappa", "50",
+            "--method", "h-restart", "--N", "120", "--out", str(out),
+        )
+        assert code == 0
+        rows = trace_rows(out)
+        assert len(rows) == 120
+        assert all(row[4] for row in rows)  # every cycle carries its target
+        assert "1" in [row[3] for row in rows]
+        assert envelope_lines(capsys.readouterr().out)
+
+    def test_explicit_schedule_without_regularity(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        logistic_csv(data)
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--dataset", str(data), "--loss", "logistic", "--method", "h-restart",
+            "--C", "5", "--gamma", "0.5", "--eps0", "10", "--N", "40", "--out", str(out),
+        )
+        assert code == 0
+        rows = trace_rows(out)
+        assert len(rows) == 40
+        assert all(row[2] == "" and row[4] for row in rows)  # no optimum, targets set
+        assert not envelope_lines(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--eps0", "1"), "h-restart needs --C/--alpha/--gamma"),
+            (("--C", "5", "--gamma", "0.5"), "initial gap estimate"),
+        ],
+        ids=["eps0-alone", "no-gap-estimate"],
+    )
+    def test_incomplete_config_without_regularity_exits_2(
+        self, tmp_path, capsys, flags, message
+    ):
+        data = tmp_path / "d.csv"
+        logistic_csv(data)
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--dataset", str(data), "--loss", "logistic", "--method", "h-restart",
+            *flags, "--N", "40", "--out", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

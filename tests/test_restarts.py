@@ -14,6 +14,7 @@ from restartopt import (
     bound_smooth,
     criterion_restart,
     derive_conditioning,
+    grid_schedule,
     h_restart,
     make_norm_power,
     make_quadratic,
@@ -155,6 +156,24 @@ class TestRestartScheduled:
         marked = [e.iteration for e in trace.restart_entries()]
         assert marked == [10, 20]
 
+    def test_cap_bounds_the_final_cycle(self):
+        inst = make_quadratic(6, 16.0, seed=25)
+        sched = Schedule(C=10.0)
+
+        def run(budget, **kw):
+            return restart_scheduled(inst.oracle, inst.x0, sched, budget, 1.0, f_star=0.0, **kw)
+
+        # a budget of 25 ends inside cycle 3: a cap of 50 lets that cycle
+        # complete, a cap of 27 truncates it
+        completed = run(25, cap=50)
+        assert [e.f_value for e in completed.entries] == [e.f_value for e in run(30).entries]
+        assert not completed.notes
+        truncated = run(25, cap=27)
+        assert truncated.accepted == 27
+        assert truncated.notes == ["cycle 3 truncated from 10 to 7 iterations by the budget"]
+        with pytest.raises(ValueError, match="cap"):
+            run(25, cap=24)
+
 
 class TestHRestart:
     def test_targets_met_on_smooth_problem(self):
@@ -257,6 +276,31 @@ class TestCriterionRestart:
         assert trace.final_f == 0.0
         assert any("no cycles" in note for note in trace.notes)
 
+    def test_overshot_targets_are_tightened_without_a_cycle(self):
+        # at gamma = 0.2 a cycle often ends below several later targets; the
+        # next cycle then aims at the first one below its starting gap
+        inst = make_quadratic(10, 20.0, seed=29)
+        gamma = 0.2
+        trace = criterion_restart(inst.oracle, inst.x0, 0.0, gamma, 300, 1.0)
+        cycles = [[]]
+        for e in trace.entries:
+            cycles[-1].append(e)
+            if e.restart:
+                cycles.append([])
+        decay = math.exp(-gamma)
+        eps = start_gap = trace.f_initial  # gap0, as f_star = 0
+        targets = 0
+        for cycle in cycles:
+            while eps >= start_gap:
+                eps *= decay
+                targets += 1
+            assert all(e.eps_target == eps for e in cycle)
+            if cycle[-1].restart:
+                assert cycle[-1].gap <= eps
+            start_gap = cycle[-1].gap
+        assert len(cycles) > 2
+        assert targets > len(cycles)  # some targets got no cycle of their own
+
     def test_f_star_below_true_optimum_surfaces_diagnostic(self):
         inst = make_quadratic(8, 10.0, seed=32)
         trace = criterion_restart(inst.oracle, inst.x0, -1.0, 2.0, 50, 1.0)
@@ -275,7 +319,16 @@ class TestAdaptiveGrid:
         inst = make_quadratic(5, 10.0, seed=34)
         out = adaptive_grid(inst.oracle, inst.x0, 64, 1.0, f_star=0.0)
         assert len(out.runs) == 42  # 6 constants x 7 growth columns
-        assert not out.skipped
+
+    def test_every_scheme_fits_its_first_cycle_in_twice_the_budget(self):
+        # 2^i <= N and alpha <= 1/2 give ceil(t_1) <= ceil(e^(1/2) N) <= 2N,
+        # so the 2N cap never leaves a scheme of the grid without a cycle
+        for N in range(4, 4097):
+            i_max = int(math.floor(math.log2(N)))
+            j_max = int(math.ceil(math.log2(N)))
+            for i in range(1, i_max + 1):
+                for j in range(0, j_max + 1):
+                    assert grid_schedule(i, j).iterations(1) <= 2 * N, (N, i, j)
 
     def test_per_run_budget_window(self):
         inst = make_norm_power(6, 4.0, 1.0, seed=35)
@@ -351,7 +404,7 @@ class TestAdaptiveGrid:
                 sched = Schedule(C=float(2**i), alpha=2.0**-j)
             return ij, restart_scheduled(
                 inst.oracle, inst.x0, sched, N, 1.0, f_star=0.0,
-                complete_final_cycle=True, hard_cap=2 * N,
+                cap=2 * N,
             )
 
         with ThreadPoolExecutor(max_workers=4) as pool:
