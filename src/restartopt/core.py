@@ -137,7 +137,6 @@ class RegularityParams:
     r: float
     mu: float
     f_star: Optional[float] = None
-    gap0: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 1.0 <= self.s <= 2.0:
@@ -150,8 +149,6 @@ class RegularityParams:
             raise ValueError(
                 f"sharpness exponent r={self.r} must be >= smoothness exponent s={self.s}"
             )
-        if self.gap0 is not None and self.gap0 <= 0:
-            raise ValueError(f"gap0 must be positive when given, got {self.gap0}")
 
 
 @dataclass(frozen=True)

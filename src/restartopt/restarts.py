@@ -92,9 +92,9 @@ def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations:
     """Run one cycle of the universal method and append it to the scheme's trace.
 
     The cycle is warm-started from the trace's final point and estimate.
-    It marks the restart before it, its rows are renumbered in place to
-    cumulative counts, and the trace takes over its final point and
-    estimate, from which the next cycle starts.
+    Its values and its one ``(length, target)`` record are appended, and
+    the trace takes over its final point and estimate, from which the
+    next cycle starts.
     """
     _, sub = universal_fast_gradient(
         oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
@@ -102,12 +102,8 @@ def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations:
     )
     if trace.f_initial is None:
         trace.f_initial = sub.f_initial
-    if trace.entries:
-        trace.entries[-1].restart = True
-    offset = trace.accepted
-    for e in sub.entries:
-        e.iteration += offset
-    trace.entries.extend(sub.entries)
+    trace.values.extend(sub.values)
+    trace.cycles.extend(sub.cycles)
     trace.n_value += sub.n_value
     trace.n_grad += sub.n_grad
     trace.n_prox += sub.n_prox
@@ -123,9 +119,11 @@ def _scheduled(oracle: ProximalOracle, x0: Vector, eps0: float, gamma: float,
                f_star: Optional[float]) -> Trace:
     """Cycles of ceil(t_k) iterations at target e^(-gamma k) eps0 until the budget.
 
-    A cycle is truncated where it would pass ``cap`` (>= budget) iterations.
+    A cycle is truncated where it would pass ``cap`` (>= budget) iterations;
+    its note names the cap when the cap exceeds the budget.
     """
     trace = _new_trace(x0, L0, f_star)
+    limit = "the cap" if cap > budget else "the budget"
     eps_k = float(eps0)
     k = 0
     while (used := trace.accepted) < budget:
@@ -135,7 +133,7 @@ def _scheduled(oracle: ProximalOracle, x0: Vector, eps0: float, gamma: float,
         t_eff = min(t_k, cap - used)
         if t_eff < t_k:
             trace.notes.append(
-                f"cycle {k} truncated from {t_k} to {t_eff} iterations by the budget"
+                f"cycle {k} truncated from {t_k} to {t_eff} iterations by {limit}"
             )
         _run_cycle(trace, oracle, eps_k, t_eff)
     return trace
@@ -240,7 +238,7 @@ def criterion_restart(
                 "the supplied optimum may be below the true one"
             )
             break
-    if trace.entries and trace.final_gap is not None and trace.final_gap < 0.0:
+    if trace.values and trace.final_gap is not None and trace.final_gap < 0.0:
         trace.notes.append(
             "final value fell below the supplied optimum; the criterion may "
             "have fired spuriously (f_star above the true optimum)"

@@ -34,13 +34,19 @@ The evaluation counters count quantities, not calls: a fused
 value-and-gradient call adds one to each, and a UFGM trial counts one
 gradient and two smooth values (at x and at the candidate, whose
 difference the descent test uses) on either path.
+
+Each solver call appends f at every accepted iterate to ``Trace.values``
+and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
+restart schemes concatenate both lists over their cycles. ``Trace.entries``
+is the one place that derives rows (cumulative count, gap, restart
+marker, target) from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,28 +63,28 @@ _L_HAT_MIN = 1e-280
 _GAP_FLOOR = -1e-12
 
 
-@dataclass
-class TraceEntry:
-    """One accepted inner iterate."""
+class TraceEntry(NamedTuple):
+    """One accepted inner iterate, as a read-only row of ``Trace.entries``."""
 
     iteration: int
     f_value: float
     gap: Optional[float]
-    restart: bool = False
-    eps_target: Optional[float] = None
+    restart: bool
+    eps_target: Optional[float]
 
 
 @dataclass
 class Trace:
-    """Per-iteration record of a solver or restart-scheme run.
+    """Record of a solver or restart-scheme run.
 
-    ``entries`` holds one row per accepted inner iteration with strictly
-    increasing cumulative counts; ``gap`` entries are present iff
-    ``f_star`` is known. Restart markers sit on the last iterate of each
-    cycle that was followed by another cycle.
+    Stores only what cannot be derived: ``values``, the objective f at
+    each accepted inner iterate in order, and ``cycles``, one
+    ``(length, target)`` pair per inner-method run, whose target is
+    ``None`` at accuracy 0. ``entries`` derives the rows from them.
     """
 
-    entries: list[TraceEntry] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+    cycles: list[tuple[int, Optional[float]]] = field(default_factory=list)
     final_point: Optional[Vector] = None
     final_L_hat: float = 0.0
     f_star: Optional[float] = None
@@ -91,13 +97,33 @@ class Trace:
     notes: list[str] = field(default_factory=list)
 
     @property
+    def entries(self) -> list[TraceEntry]:
+        """One row per accepted inner iterate.
+
+        ``iteration`` is the cumulative count, ``gap`` is f - f_star when
+        ``f_star`` is known (else ``None``), ``restart`` marks the last row
+        of every cycle but the last, and ``eps_target`` is the row's cycle
+        target.
+        """
+        rows = []
+        end = 0
+        last = len(self.cycles) - 1
+        for k, (length, target) in enumerate(self.cycles):
+            start, end = end, end + length
+            for i in range(start, end):
+                f = self.values[i]
+                gap = None if self.f_star is None else f - self.f_star
+                rows.append(TraceEntry(i + 1, f, gap, k < last and i == end - 1, target))
+        return rows
+
+    @property
     def accepted(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     @property
     def final_f(self) -> float:
-        if self.entries:
-            return self.entries[-1].f_value
+        if self.values:
+            return self.values[-1]
         if self.f_initial is None:
             raise ValueError("empty trace with no recorded initial value")
         return self.f_initial
@@ -110,7 +136,7 @@ class Trace:
 
     @property
     def restart_count(self) -> int:
-        return sum(1 for e in self.entries if e.restart)
+        return max(len(self.cycles) - 1, 0)
 
     def restart_entries(self) -> list[TraceEntry]:
         return [e for e in self.entries if e.restart]
@@ -120,19 +146,12 @@ class Trace:
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
-        last = 0
-        for e in self.entries:
-            assert e.iteration > last, "iteration counts must strictly increase"
-            last = e.iteration
-            if self.f_star is None:
-                assert e.gap is None
-            else:
-                assert e.gap is not None
-                assert e.gap >= _GAP_FLOOR * max(1.0, abs(self.f_star))
-
-
-def _gap(f: float, f_star: Optional[float]) -> Optional[float]:
-    return None if f_star is None else f - f_star
+        lengths = [length for length, _ in self.cycles]
+        assert all(n >= 1 for n in lengths), "every cycle must have at least one step"
+        assert sum(lengths) == len(self.values), "cycle lengths must sum to the step count"
+        if self.f_star is not None:
+            floor = _GAP_FLOOR * max(1.0, abs(self.f_star))
+            assert all(f - self.f_star >= floor for f in self.values)
 
 
 def _finite_vector(g: Vector) -> bool:
@@ -294,8 +313,9 @@ def gradient_descent(
         f0_x = f0_cand
         f_full = f0_cand + oracle.psi(x)
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
-        trace.entries.append(TraceEntry(t, f_full, _gap(f_full, f_star)))
+        trace.values.append(f_full)
 
+    trace.cycles.append((trace.accepted, None))
     trace.final_point = x
     trace.final_L_hat = L_hat
     return trace
@@ -348,7 +368,6 @@ def universal_fast_gradient(
     A = 0.0
     grad_sum = np.zeros_like(anchor)
     Q_grad_sum = np.zeros_like(anchor)
-    eps_mark = epsilon if epsilon > 0 else None
 
     for t in range(1, budget + 1):
         z = anchor - grad_sum
@@ -393,12 +412,11 @@ def universal_fast_gradient(
             _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
         f_full = f0_y + oracle.psi(y)
-        trace.entries.append(
-            TraceEntry(t, f_full, _gap(f_full, f_star), eps_target=eps_mark)
-        )
+        trace.values.append(f_full)
         if stop is not None and stop(y, f_full):
             break
 
+    trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
     trace.final_point = y
     trace.final_L_hat = L_hat
     return y, trace

@@ -73,7 +73,6 @@ class TestDeriveConditioning:
             dict(s=2.5, L=1, r=3, mu=1),
             dict(s=2, L=0, r=2, mu=1),
             dict(s=2, L=1, r=2, mu=0),
-            dict(s=2, L=1, r=2, mu=1, gap0=-1.0),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):

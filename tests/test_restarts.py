@@ -170,7 +170,7 @@ class TestRestartScheduled:
         assert not completed.notes
         truncated = run(25, cap=27)
         assert truncated.accepted == 27
-        assert truncated.notes == ["cycle 3 truncated from 10 to 7 iterations by the budget"]
+        assert truncated.notes == ["cycle 3 truncated from 10 to 7 iterations by the cap"]
         with pytest.raises(ValueError, match="cap"):
             run(25, cap=24)
 
@@ -330,6 +330,16 @@ class TestAdaptiveGrid:
                 for j in range(0, j_max + 1):
                     assert grid_schedule(i, j).iterations(1) <= 2 * N, (N, i, j)
 
+    def test_cap_truncation_is_named(self):
+        # at N = 77 scheme (6, 3) runs cycles of ceil(64 e^(k/8)) = 73 and 83
+        # iterations; the 2N = 154 cap, not the budget, truncates the second
+        inst = make_quadratic(6, 50.0, seed=0)
+        out = adaptive_grid(inst.oracle, inst.x0, 77, 1.0)
+        trace = out.runs[(6, 3)]
+        assert trace.notes == ["cycle 2 truncated from 83 to 81 iterations by the cap"]
+        assert trace.cycles == [(73, None), (81, None)]
+        assert trace.accepted == 2 * 77
+
     def test_per_run_budget_window(self):
         inst = make_norm_power(6, 4.0, 1.0, seed=35)
         N = 300
@@ -445,3 +455,54 @@ class TestMonotoneRestart:
         trace = monotone_restart(inst.oracle, inst.x0, 1, 1.0, f_star=0.0)
         assert trace.accepted == 1
         assert trace.restart_count == 0
+
+
+class TestCycleRecord:
+    """Every scheme records one (length, target) pair per inner-method run."""
+
+    def test_constant_schedule_cycles_and_markers(self):
+        inst = make_quadratic(6, 16.0, seed=25)
+        trace = restart_scheduled(inst.oracle, inst.x0, Schedule(C=3.0), 10, 1.0, f_star=0.0)
+        assert trace.cycles == [(3, None)] * 3 + [(1, None)]
+        assert [e.iteration for e in trace.restart_entries()] == [3, 6, 9]
+        assert trace.restart_count == 3
+        trace.validate()
+
+    def test_h_restart_targets_decay_per_cycle(self):
+        inst = make_sharp_norm(4, seed=29)
+        eps0, gamma = 2.0, 0.7
+        trace = h_restart(inst.oracle, inst.x0, eps0, gamma, Schedule(C=6.0), 40, 1.0,
+                          f_star=0.0)
+        expected, eps = [], eps0
+        for _ in trace.cycles:
+            eps *= math.exp(-gamma)
+            expected.append(eps)
+        assert [target for _, target in trace.cycles] == expected
+        assert len(trace.cycles) == 7
+        rows = iter(trace.entries)
+        for length, target in trace.cycles:
+            assert all(next(rows).eps_target == target for _ in range(length))
+        trace.validate()
+
+    def test_criterion_cycle_lengths_sum_to_accepted(self):
+        inst = make_quadratic(10, 40.0, seed=30)
+        trace = criterion_restart(inst.oracle, inst.x0, 0.0, 1.0, 300, 1.0)
+        assert len(trace.cycles) >= 2
+        assert sum(length for length, _ in trace.cycles) == trace.accepted
+        assert all(target is not None for _, target in trace.cycles)
+        trace.validate()
+
+    def test_every_scheme_validates(self):
+        inst = make_quadratic(8, 30.0, seed=31)
+        gap0 = inst.gap0()
+        traces = [
+            restart_scheduled(inst.oracle, inst.x0, Schedule(C=7.0, alpha=0.2), 60, 1.0,
+                              f_star=0.0),
+            h_restart(inst.oracle, inst.x0, gap0, 1.0, Schedule(C=7.0), 60, 1.0, f_star=0.0),
+            criterion_restart(inst.oracle, inst.x0, 0.0, 1.0, 60, 1.0),
+            monotone_restart(inst.oracle, inst.x0, 60, 1.0, f_star=0.0),
+            *adaptive_grid(inst.oracle, inst.x0, 16, 1.0, f_star=0.0).runs.values(),
+        ]
+        for trace in traces:
+            trace.validate()
+            assert trace.restart_count == len(trace.cycles) - 1

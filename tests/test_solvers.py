@@ -333,6 +333,50 @@ class TestUniversal:
         iters = [e.iteration for e in trace.entries]
         assert iters == list(range(1, 31))
 
+    def test_one_cycle_per_call(self):
+        inst = make_quadratic(8, 25.0, seed=19)
+        _, trace = universal_fast_gradient(inst.oracle, inst.x0, 0.5, 1.0, 12, f_star=0.0)
+        assert trace.cycles == [(12, 0.5)]
+        plain = gradient_descent(inst.oracle, inst.x0, 1.0, 9, f_star=0.0)
+        assert plain.cycles == [(9, None)]
+        plain.validate()
+
+    def test_stopped_run_records_its_length(self):
+        inst = make_quadratic(8, 25.0, seed=19)
+        steps = []
+
+        def stop(_y, _fy):
+            steps.append(1)
+            return len(steps) == 7
+
+        _, trace = accelerated(inst.oracle, inst.x0, 1.0, 30, f_star=0.0, stop=stop)
+        assert trace.cycles == [(7, None)]
+        assert trace.accepted == 7
+        assert trace.restart_count == 0
+        trace.validate()
+
+    def test_validate_checks_the_cycle_record(self):
+        with pytest.raises(AssertionError, match="at least one step"):
+            Trace(values=[3.0, 2.0], cycles=[(2, None), (0, None)]).validate()
+        with pytest.raises(AssertionError, match="sum"):
+            Trace(values=[3.0, 2.0, 1.0], cycles=[(2, None)]).validate()
+        with pytest.raises(AssertionError, match="sum"):
+            Trace(values=[3.0], cycles=[(1, None), (1, None)]).validate()
+        Trace(values=[3.0, 2.0, 1.0], cycles=[(2, None), (1, 0.5)]).validate()
+
+    def test_rows_are_derived_from_values_and_cycles(self):
+        trace = Trace(values=[4.0, 3.0, 2.0, 1.5], cycles=[(1, None), (3, 0.25)], f_star=1.0)
+        assert [tuple(e) for e in trace.entries] == [
+            (1, 4.0, 3.0, True, None),
+            (2, 3.0, 2.0, False, 0.25),
+            (3, 2.0, 1.0, False, 0.25),
+            (4, 1.5, 0.5, False, 0.25),
+        ]
+        assert trace.restart_count == 1
+        assert trace.final_f == 1.5
+        with pytest.raises(AttributeError):
+            trace.entries[0].restart = False
+
     def test_gap_none_without_f_star(self):
         inst = make_quadratic(8, 25.0, seed=19)
         _, trace = accelerated(inst.oracle, inst.x0, 1.0, 10)
