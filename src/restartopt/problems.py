@@ -13,6 +13,7 @@ L = lambda_max(A^T A)/4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -397,12 +398,18 @@ def load_dataset(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read a dense design matrix and target vector from disk.
 
-    ``csv``: comma-separated numeric rows, last column is the target, no
-    header. ``libsvm``: "label idx:val ..." lines with 1-based, strictly
-    increasing indices; the dimension is the largest index seen unless
-    given. Two-valued targets are mapped onto {-1, +1} (low -> -1);
-    targets already in {-1, +1}, or with more than two values, pass
-    through unchanged.
+    ``csv``: comma-separated rows of at least two numbers each, all of one
+    width, the last column the target, no header. Each field is a number
+    as Python's ``float`` reads it (surrounding whitespace allowed), and
+    blank lines are skipped. numpy's C reader parses the file when it
+    can; the line parser takes the files it rejects and gives the same
+    array bit for bit. ``libsvm``: "label idx:val ..." lines with 1-based,
+    strictly increasing indices; the dimension is the largest index seen
+    unless given. In either format a malformed line or a non-finite value
+    (nan, inf, or a number that overflows) raises ``DatasetFormatError``
+    naming ``path:line``. Two-valued targets are mapped onto {-1, +1}
+    (low -> -1); targets already in {-1, +1}, or with more than two
+    values, pass through unchanged.
     """
     if fmt == "csv":
         X, y = _load_csv(path)
@@ -417,6 +424,43 @@ def load_dataset(
 
 
 def _load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    data = _read_csv_fast(path)
+    if data is None:
+        data = _parse_csv_lines(path)
+    return data[:, :-1], data[:, -1]
+
+
+def _read_csv_fast(path: str) -> Optional[np.ndarray]:
+    """Parse a CSV dataset with numpy's C reader, or return ``None``.
+
+    ``None`` hands the file to ``_parse_csv_lines``, the reference parser
+    and the only one that names the offending line: on input numpy
+    rejects (whitespace-only lines, ``1_000``, non-ASCII digits, bad or
+    ragged rows), on fewer than one row or two columns, and on non-finite
+    values. Where both parsers accept a file their arrays are bitwise
+    equal. A file with no data line never reaches numpy, which would warn
+    that it is empty.
+    """
+    with open(path) as fh:
+        for first in fh:
+            if not first.isspace():
+                break
+        else:
+            return None
+        try:
+            data = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2,
+                dtype=float,
+            )
+        except ValueError:
+            return None
+    if data.shape[0] < 1 or data.shape[1] < 2 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parse_csv_lines(path: str) -> np.ndarray:
+    """Parse a CSV dataset line by line; every error names ``path:line``."""
     rows: list[list[float]] = []
     width = None
     with open(path) as fh:
@@ -439,11 +483,17 @@ def _load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: expected {width} columns, got {len(row)}"
                 )
+            if not all(map(math.isfinite, row)):
+                column = next(i for i, v in enumerate(row, start=1) if not math.isfinite(v))
+                raise _non_finite(path, lineno, row[column - 1], f"column {column}")
             rows.append(row)
     if not rows:
         raise DatasetFormatError(f"{path}: empty dataset")
-    data = np.asarray(rows, dtype=float)
-    return data[:, :-1], data[:, -1]
+    return np.asarray(rows, dtype=float)
+
+
+def _non_finite(path: str, lineno: int, value: float, where: str) -> DatasetFormatError:
+    return DatasetFormatError(f"{path}:{lineno}: non-finite value {value!r} in {where}")
 
 
 def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -460,6 +510,8 @@ def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.nd
                 label = float(parts[0])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: bad label: {exc}") from None
+            if not math.isfinite(label):
+                raise _non_finite(path, lineno, label, "the label")
             entries: dict[int, float] = {}
             previous = 0
             for token in parts[1:]:
@@ -481,6 +533,8 @@ def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.nd
                     raise DatasetFormatError(
                         f"{path}:{lineno}: indices must be strictly increasing"
                     )
+                if not math.isfinite(val):
+                    raise _non_finite(path, lineno, val, f"feature {idx}")
                 previous = idx
                 entries[idx] = val
                 max_index = max(max_index, idx)

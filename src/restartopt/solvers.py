@@ -25,7 +25,10 @@ Q g = -L_hat Q d; on composite ones Q z takes one product after the prox
 of z. f0 is evaluated only at accepted points, from Q y. Rounding makes
 this path differ from the generic one in the last bits; tests hold it
 to the generic path (the same oracle with ``quadratic=None``) within
-stated tolerances. Gradient descent keeps the generic evaluations.
+stated tolerances. Gradient descent on a quadratic form likewise carries
+Q x, takes its gradient Q x - h at no product, runs every trial through
+``_quadratic_trial`` and updates Q x by the accepted Q d, so a run costs
+one product per trial plus one for x0.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -295,21 +298,34 @@ def gradient_descent(
     Each step backtracks (doubling the Lipschitz estimate) until the
     candidate satisfies the quadratic descent condition, accepts it, then
     halves the estimate. Composite oracles take proximal-gradient steps,
-    with the descent condition tested on the smooth part only.
+    with the descent condition tested on the smooth part only. On a
+    quadratic-form oracle the method carries Q x and tests the condition
+    in its difference form (see the module docstring).
     """
-    x, trace, f0_x, _ = _start(oracle, x0, L0, budget, f_star)
+    form = oracle.quadratic
+    x, trace, f0_x, Qx = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
 
     for t in range(1, budget + 1):
-        g = np.asarray(oracle.smooth_gradient(x), dtype=float)
+        if form is None:
+            g = np.asarray(oracle.smooth_gradient(x), dtype=float)
+        else:
+            g = Qx - form.h
         trace.n_grad += 1
         _check_finite(_finite_vector(g))
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
-            cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
+            if form is None:
+                cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
+            else:
+                cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, 0.0, trace)
             if ok:
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         x = cand
+        if form is not None:
+            Qx = Qx + Qd
+            f0_cand = form.value(x, Qx)
+            _check_finite(math.isfinite(f0_cand))
         f0_x = f0_cand
         f_full = f0_cand + oracle.psi(x)
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)

@@ -185,6 +185,16 @@ class TestRun:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 45  # flag overrides the file's N=30
 
+    @pytest.mark.parametrize("loss, value", [("least-squares", "nan"), ("lasso", "inf")])
+    def test_non_finite_dataset_value_is_a_config_error(self, tmp_path, capsys, loss, value):
+        data = tmp_path / "d.csv"
+        data.write_text(f"1,2,3\n4,5,6\n7,{value},9\n1,0,2\n")
+        code = run_cli(
+            "run", "--dataset", str(data), "--loss", loss, "--method", "acc", "--N", "10",
+        )
+        assert code == 2
+        assert "d.csv:3: non-finite value" in capsys.readouterr().err
+
     def test_libsvm_dataset_run(self, tmp_path):
         data = tmp_path / "d.svm"
         data.write_text("1 1:0.5 2:1.0\n-1 1:-0.3 3:0.8\n1 2:0.9\n-1 1:0.1 3:-0.4\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from restartopt import (
     synthetic_classification,
     synthetic_regression,
 )
+from restartopt.problems import _parse_csv_lines, _read_csv_fast
 from conftest import reference_optimum
 
 
@@ -382,6 +384,104 @@ class TestLoadDataset:
         path.write_text("1,2\n")
         with pytest.raises(ValueError):
             load_dataset(str(path), fmt="parquet")
+
+
+# Files numpy's C reader accepts: its array must equal the line parser's
+# bit for bit.
+CSV_FAST_CASES = {
+    "plain": "1,2,3\n4,5,6\n",
+    "no_final_newline": "1,2,3\n4,5,6",
+    "crlf": "1,2,3\r\n4,5,6\r\n",
+    "cr": "1,2,3\r4,5,6\r",
+    "blank_lines": "\n\n1,2,3\n\n4,5,6\n\n",
+    "leading_whitespace_line": "  \n1,2,3\n",
+    "whitespace_around_fields": " 1 , 2,3 \n\t4,\t5 ,6\n",
+    "signed_zeros": "-0,0,-0.0\n+0,-0e5,1\n",
+    "subnormals": "5e-324,2.2250738585072014e-308,4.9406564584124654e-324\n"
+                  "1e-320,-1e-310,1\n",
+    "long_digits": "0.1000000000000000055511151231257827021181583404541015625,"
+                   "1.00000000000000011102230246251565404236316680908203125,"
+                   "1.7976931348623157e308\n",
+    "halfway": "9007199254740993,1.0000000000000001110223024625156540423631668090820312501,"
+               "0.3\n",
+    "exponent_forms": "1E5,1e+5,1.e5\n.5,5.,-.5e-3\n",
+    "round_trip": "\n".join(
+        ",".join(format(v, ".17g") for v in row)
+        for row in np.random.default_rng(5).standard_normal((20, 7)) * 1e3
+    ),
+}
+
+# Files numpy's reader rejects but the line parser accepts.
+CSV_FALLBACK_CASES = {
+    "whitespace_only_line": ("1,2,3\n   \n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+    "underscore": ("1_000,2,3\n", [[1000, 2, 3]]),
+    "non_ascii_digit": ("\u0661,2,3\n", [[1, 2, 3]]),
+}
+
+
+def write_exact(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("name", sorted(CSV_FAST_CASES))
+    def test_fast_path_is_bitwise_equal_to_line_parser(self, tmp_path, name):
+        path = write_exact(tmp_path / f"{name}.csv", CSV_FAST_CASES[name])
+        fast = _read_csv_fast(path)
+        assert fast is not None
+        reference = _parse_csv_lines(path)
+        assert fast.shape == reference.shape
+        assert fast.tobytes() == reference.tobytes()
+        X, _ = load_dataset(path, fmt="csv")
+        assert X.tobytes() == reference[:, :-1].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CSV_FALLBACK_CASES))
+    def test_numpy_rejects_load_through_line_parser(self, tmp_path, name):
+        text, expected = CSV_FALLBACK_CASES[name]
+        path = write_exact(tmp_path / f"{name}.csv", text)
+        assert _read_csv_fast(path) is None
+        assert np.array_equal(_parse_csv_lines(path), expected)
+        X, _ = load_dataset(path, fmt="csv")
+        assert np.array_equal(X, np.asarray(expected)[:, :-1])
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("single_column", "1\n2\n", r"single_column\.csv:1: need at least one feature"),
+            ("empty", "", r"empty\.csv: empty dataset"),
+            ("blank_only", "\n\n\r\n", r"blank_only\.csv: empty dataset"),
+            ("whitespace_only", "  \n\t\n", r"whitespace_only\.csv: empty dataset"),
+        ],
+    )
+    def test_rejected_shapes_keep_their_messages_without_warnings(
+        self, tmp_path, name, text, message
+    ):
+        path = write_exact(tmp_path / f"{name}.csv", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DatasetFormatError, match=message):
+                load_dataset(path, fmt="csv")
+        assert caught == []
+
+
+class TestNonFiniteDataset:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("column", ["feature", "target"])
+    def test_csv_names_the_line(self, tmp_path, value, column):
+        bad = f"1,{value},2" if column == "feature" else f"1,2,{value}"
+        path = write_exact(tmp_path / "nonfinite.csv", f"1,2,3\n\n{bad}\n4,5,6\n")
+        with pytest.raises(DatasetFormatError, match=r"nonfinite\.csv:3: non-finite"):
+            load_dataset(path, fmt="csv")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["feature", "target"])
+    def test_libsvm_names_the_line(self, tmp_path, value, column):
+        bad = f"1 1:{value} 2:1" if column == "feature" else f"{value} 1:1 2:1"
+        path = write_exact(tmp_path / "nonfinite.svm", f"1 1:1\n-1 2:1\n{bad}\n")
+        with pytest.raises(DatasetFormatError, match=r"nonfinite\.svm:3: non-finite"):
+            load_dataset(path, fmt="libsvm")
 
 
 class TestSyntheticDesigns:

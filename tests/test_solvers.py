@@ -498,6 +498,14 @@ def restart_marks(trace):
     return [e.iteration for e in trace.entries if e.restart]
 
 
+def noiseless_least_squares():
+    rng = np.random.default_rng(1)
+    A = 3.0 * rng.standard_normal((200, 100))
+    b = A @ (5.0 * rng.standard_normal(100))
+    assert 1.8e6 < 0.5 * float(b @ b) < 2.0e6
+    return make_least_squares(A, b)
+
+
 class TestQuadraticImages:
     """The UFGM on a declared quadratic form against its reference path.
 
@@ -604,11 +612,7 @@ class TestQuadraticImages:
         # optimum, f0(y) - model computed from values drowns in the rounding
         # of the constant, and the estimate doubled to about 3.5e13. The
         # difference-form test has no constant in it.
-        rng = np.random.default_rng(1)
-        A = 3.0 * rng.standard_normal((200, 100))
-        b = A @ (5.0 * rng.standard_normal(100))
-        inst = make_least_squares(A, b)
-        assert 1.8e6 < 0.5 * float(b @ b) < 2.0e6
+        inst = noiseless_least_squares()
         _, trace = accelerated(inst.oracle, inst.x0, 1.0, 3000, f_star=inst.f_star)
         assert trace.max_L_hat <= 2 * inst.regularity.L
 
@@ -623,3 +627,70 @@ class TestQuadraticImages:
         oracle = ProximalOracle.from_quadratic(QuadraticForm(np.eye(2), np.zeros(2), math.nan))
         with pytest.raises(DivergenceError):
             universal_fast_gradient(oracle, np.ones(2), 0.0, 1.0, 3)
+
+
+class TestGradientDescentQuadraticImages:
+    """Gradient descent carrying Q x on a declared quadratic form.
+
+    The reference path is the same oracle with ``quadratic=None``. The
+    contract is the UFGM's: equal accepted counts, final values within
+    1e-10 relative, and reported values within 1e-12 max(1, |f|) of the
+    oracle at the final point.
+    """
+
+    def test_one_matvec_per_trial(self):
+        rng = np.random.default_rng(22)
+        B = rng.standard_normal((30, 30))
+        M = CountingMatrix(B @ B.T / 30 + 0.01 * np.eye(30))
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(M, rng.standard_normal(30), 2.0))
+        trace = gradient_descent(oracle, rng.standard_normal(30), 1.0, 50)
+        trials = trace.accepted + trace.backtracks
+        assert trace.backtracks > 0
+        # Q x0 at the start, then Q d per trial; the counters keep their meaning
+        assert M.matvecs == 1 + trials
+        assert trace.n_grad == trace.accepted
+        assert trace.n_value == 1 + trials
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_quadratic(40, 1e3, seed=23),
+            lambda: make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24)),
+            lambda: make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=19)),
+            lambda: make_lasso(*synthetic_regression(100, 40, cond=1e4, seed=27), lam=0.5),
+            lambda: make_dual_svm(*synthetic_classification(50, 8, cond=100.0, seed=26)),
+        ],
+        ids=["quadratic", "least_squares_80x20", "least_squares_208x60", "lasso", "dual_svm"],
+    )
+    def test_cached_path_matches_reference_path(self, make):
+        inst = make()
+        assert inst.oracle.quadratic is not None
+        reference = dataclasses.replace(inst.oracle, quadratic=None)
+        a = gradient_descent(inst.oracle, inst.x0, 1.0, 200)
+        b = gradient_descent(reference, inst.x0, 1.0, 200)
+        assert a.accepted == b.accepted
+        assert a.oracle_calls() == b.oracle_calls()
+        assert math.isclose(a.final_f, b.final_f, rel_tol=1e-10)
+        f_reported = inst.oracle.value(a.final_point)
+        assert abs(a.final_f - f_reported) <= 1e-12 * max(1.0, abs(a.final_f))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=19)),
+            lambda: make_lasso(*synthetic_regression(208, 60, cond=1e4, seed=19), lam=0.5),
+        ],
+        ids=["least_squares", "lasso"],
+    )
+    def test_reported_value_matches_the_oracle_after_a_long_run(self, make):
+        # Q x drifts from Q @ x by rounding over the run
+        inst = make()
+        trace = gradient_descent(inst.oracle, inst.x0, 1.0, 3000)
+        f = trace.final_f
+        assert abs(f - inst.oracle.value(trace.final_point)) <= 1e-12 * max(1.0, abs(f))
+
+    def test_descent_test_has_no_constant_floor(self):
+        # the value-form test doubled the estimate to about 1.4e14 here
+        inst = noiseless_least_squares()
+        trace = gradient_descent(inst.oracle, inst.x0, 1.0, 3000, f_star=inst.f_star)
+        assert trace.max_L_hat <= 2 * inst.regularity.L
