@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import bounds
-from .core import DivergenceError, derive_conditioning
+from .core import DerivedConditioning, DivergenceError, derive_conditioning
 from .problems import (
     DatasetFormatError,
     ProblemInstance,
@@ -189,132 +190,127 @@ def _f_star(instance: ProblemInstance, cfg: dict) -> Optional[float]:
     return cfg.get("f_star", instance.f_star)
 
 
-def _gap0(instance: ProblemInstance, cfg: dict) -> float:
+def _gap0(instance: ProblemInstance, cfg: dict) -> Optional[float]:
+    """f(x0) minus the supplied or known optimum, else --eps0, else None."""
     f_star = _f_star(instance, cfg)
     if f_star is not None:
         return float(instance.oracle.value(instance.x0)) - float(f_star)
-    if "eps0" in cfg:
-        return cfg["eps0"]
-    raise ConfigError(
-        "this method needs an initial gap estimate: supply --f-star or --eps0"
-    )
+    return cfg.get("eps0")
 
 
-def _eps0(instance: ProblemInstance, cfg: dict) -> float:
-    """h-restart's initial accuracy: the supplied --eps0, else the gap estimate."""
-    return cfg["eps0"] if "eps0" in cfg else _gap0(instance, cfg)
-
-
-# Schedule parameters a method derives unless the config gives them.
-_SCHEDULE_KEYS = {"restart": ("C", "alpha"), "h-restart": ("C", "alpha", "gamma"),
-                  "criterion": ("gamma",)}
+_NO_GAP0 = "this method needs an initial gap estimate: supply --f-star or --eps0"
 
 
 def _explicit_schedule(cfg: dict) -> Optional[Schedule]:
-    if "C" not in cfg:
-        return None
-    return Schedule(C=cfg["C"], alpha=cfg.get("alpha", 0.0))
+    """The schedule that --C and --alpha give, or None to derive one."""
+    if "C" in cfg:
+        return Schedule(C=cfg["C"], alpha=cfg.get("alpha", 0.0))
+    if "alpha" in cfg:
+        raise ConfigError("--alpha needs --C: together they give t_k = C e^(alpha k)")
+    return None
 
 
-def run_method(method: str, instance: ProblemInstance, cfg: dict) -> Trace:
-    """Dispatch one method on one problem instance per the config."""
-    N, L0 = cfg["N"], cfg["L0"]
-    f_star = _f_star(instance, cfg)
-    oracle = instance.oracle
-    x0 = instance.x0
+Envelope = Optional[tuple[str, float]]
+
+
+def _envelope(name: str, bound: Callable[..., float], cond: Optional[DerivedConditioning],
+              gap0: Optional[float], *args: float) -> Envelope:
+    """``(name, bound(cond, gap0, *args))``; None without cond or a positive gap0."""
+    applies = cond is not None and gap0 is not None and gap0 > 0
+    return (name, bound(cond, gap0, *args)) if applies else None
+
+
+def run_method(method: str, instance: ProblemInstance, cfg: dict) -> tuple[Trace, Envelope]:
+    """Run one method on one problem per the config; return its trace and envelope.
+
+    The envelope ``(name, value at N)`` is the guarantee for the schedule
+    the run used, computed from the same derived values. A method has one
+    only when it derives its schedule from the instance's declared
+    regularity, and only from a positive gap estimate; otherwise None.
+    """
+    N, L0, n = cfg["N"], cfg["L0"], float(cfg["N"])  # envelopes take N as a real
+    f_star, gap0 = _f_star(instance, cfg), _gap0(instance, cfg)
+    oracle, x0, reg = instance.oracle, instance.x0, instance.regularity
+    cond = None if reg is None else derive_conditioning(reg)
+    smooth_cond = cond if reg is not None and reg.s == 2.0 else None  # s = 2 bounds need it
 
     if method == "grad":
-        return gradient_descent(oracle, x0, L0, N, f_star=f_star)
+        trace = gradient_descent(oracle, x0, L0, N, f_star=f_star)
+        return trace, _envelope("gradient-descent envelope", bounds.bound_gradient_descent,
+                                smooth_cond, gap0, n)
     if method == "acc":
         _, trace = accelerated(oracle, x0, L0, N, f_star=f_star)
-        return trace
+        if reg is None or instance.x_star_distance is None:
+            return trace, None
+        d0 = instance.x_star_distance(x0)
+        return trace, ("accelerated c L d^2 / N^2", bounds.bound_accelerated(reg.L, d0, n))
     if method == "mono":
-        return monotone_restart(oracle, x0, N, L0, f_star=f_star)
+        return monotone_restart(oracle, x0, N, L0, f_star=f_star), None
     if method == "grid":
-        outcome = adaptive_grid(oracle, x0, N, L0, f_star=f_star)
-        return outcome.best_trace
+        trace = adaptive_grid(oracle, x0, N, L0, f_star=f_star).best_trace
+        return trace, _envelope("grid-search envelope", bounds.bound_adaptive,
+                                smooth_cond, gap0, 4.0, n)
 
     if method == "restart":
         schedule = _explicit_schedule(cfg)
-        if schedule is None:
-            if instance.regularity is None or instance.regularity.s != 2.0:
-                raise ConfigError(
-                    "restart needs --C/--alpha, or an instance with declared "
-                    "smooth (s = 2) regularity to derive the optimal schedule"
-                )
-            cond = derive_conditioning(instance.regularity)
-            schedule = optimal_schedule_smooth(cond, _gap0(instance, cfg), 4.0)
-        return restart_scheduled(oracle, x0, schedule, N, L0, f_star=f_star)
+        if schedule is not None:
+            return restart_scheduled(oracle, x0, schedule, N, L0, f_star=f_star), None
+        if smooth_cond is None:
+            raise ConfigError("restart needs --C/--alpha, or an instance with declared "
+                              "smooth (s = 2) regularity to derive the optimal schedule")
+        if gap0 is None:
+            raise ConfigError(_NO_GAP0)
+        schedule = optimal_schedule_smooth(smooth_cond, gap0, 4.0)
+        envelope = ("scheduled-restart envelope", bounds.bound_smooth(smooth_cond, gap0, 4.0, n))
+        return restart_scheduled(oracle, x0, schedule, N, L0, f_star=f_star), envelope
 
     if method == "h-restart":
-        eps0 = _eps0(instance, cfg)
-        schedule = _explicit_schedule(cfg)
-        gamma = cfg.get("gamma")
-        if schedule is None or gamma is None:
-            if instance.regularity is None:
-                raise ConfigError(
-                    "h-restart needs --C/--alpha/--gamma, or an instance with "
-                    "declared regularity to derive the optimal schedule"
-                )
-            cond = derive_conditioning(instance.regularity)
-            opt_sched, opt_gamma = optimal_schedule_holder(
-                cond, eps0, bounds.ufgm_constant(instance.regularity.s)
-            )
-            schedule = schedule or opt_sched
-            gamma = cfg.get("gamma", opt_gamma)
-        return h_restart(oracle, x0, eps0, gamma, schedule, N, L0, f_star=f_star)
+        eps0 = cfg.get("eps0", gap0)
+        if eps0 is None:
+            raise ConfigError(_NO_GAP0)
+        schedule, gamma = _explicit_schedule(cfg), cfg.get("gamma")
+        if schedule is not None and gamma is not None:
+            return h_restart(oracle, x0, eps0, gamma, schedule, N, L0, f_star=f_star), None
+        if reg is None:
+            raise ConfigError("h-restart needs --C/--alpha/--gamma, or an instance with "
+                              "declared regularity to derive the optimal schedule")
+        c = bounds.ufgm_constant(reg.s)
+        opt_schedule, opt_gamma = optimal_schedule_holder(cond, eps0, c)
+        envelope = None
+        if schedule is None and gamma is None:
+            envelope = ("accuracy-scheduled envelope", bounds.bound_holder(cond, eps0, c, n))
+        schedule = schedule or opt_schedule
+        gamma = opt_gamma if gamma is None else gamma
+        return h_restart(oracle, x0, eps0, gamma, schedule, N, L0, f_star=f_star), envelope
 
     if method == "criterion":
         if f_star is None:
             raise ConfigError("criterion restart needs --f-star (or a known optimum)")
-        gamma = cfg.get("gamma")
-        if gamma is None:
-            if instance.regularity is not None:
-                gamma = derive_conditioning(instance.regularity).q
-            else:
-                gamma = 1.0  # parameter-free default
-        return criterion_restart(oracle, x0, float(f_star), gamma, N, L0)
+        gamma, envelope = cfg.get("gamma"), None
+        if gamma is None and reg is None:
+            gamma = 1.0  # parameter-free default
+        elif gamma is None:
+            gamma = cond.q
+            envelope = _envelope("accuracy-scheduled envelope", bounds.bound_holder, cond,
+                                 gap0, bounds.ufgm_constant(reg.s), n)
+        return criterion_restart(oracle, x0, float(f_star), gamma, N, L0), envelope
 
     raise ConfigError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
 
 
-def applicable_envelope(
-    method: str, instance: ProblemInstance, cfg: dict
-) -> Optional[tuple[str, float]]:
-    """Theoretical guarantee at budget N, if the run's schedule was derived."""
-    if instance.regularity is None or any(k in cfg for k in _SCHEDULE_KEYS.get(method, ())):
-        return None
-    N = float(cfg["N"])
-    reg = instance.regularity
-    cond = derive_conditioning(reg)
-    try:
-        if method == "acc" and instance.x_star_distance is not None:
-            d0 = instance.x_star_distance(instance.x0)
-            return "accelerated c L d^2 / N^2", bounds.bound_accelerated(reg.L, d0, N)
-        if method == "grad":
-            return "gradient-descent envelope", bounds.bound_gradient_descent(
-                cond, _gap0(instance, cfg), N
-            )
-        if method == "restart":
-            return "scheduled-restart envelope", bounds.bound_smooth(
-                cond, _gap0(instance, cfg), 4.0, N
-            )
-        if method in ("h-restart", "criterion"):
-            eps0 = _eps0(instance, cfg) if method == "h-restart" else _gap0(instance, cfg)
-            return "accuracy-scheduled envelope", bounds.bound_holder(
-                cond, eps0, bounds.ufgm_constant(reg.s), N
-            )
-        if method == "grid":
-            return "grid-search envelope", bounds.bound_adaptive(
-                cond, _gap0(instance, cfg), 4.0, N
-            )
-    except (ConfigError, ValueError):
-        return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # argument handling
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a number that is neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -324,26 +320,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset-format", choices=("csv", "libsvm"), dest="dataset_format")
     p.add_argument("--loss", choices=("least-squares", "logistic", "lasso", "dual-svm"))
     p.add_argument("--N", type=int, help="budget of accepted inner iterations")
-    p.add_argument("--L0", type=float, help="initial Lipschitz estimate (default 1)")
+    p.add_argument("--L0", type=_finite_float, help="initial Lipschitz estimate (default 1)")
     p.add_argument("--seed", type=int, help="generator seed (default 0)")
-    p.add_argument("--gamma", type=float, help="accuracy decay rate per cycle")
-    p.add_argument("--C", type=float, help="explicit schedule constant")
-    p.add_argument("--alpha", type=float, help="explicit schedule growth rate")
-    p.add_argument("--eps0", type=float, help="initial gap (upper) estimate")
-    p.add_argument("--f-star", type=float, dest="f_star", help="known optimal value")
+    p.add_argument("--gamma", type=_finite_float, help="accuracy decay rate per cycle")
+    p.add_argument("--C", type=_finite_float, help="explicit schedule constant")
+    p.add_argument("--alpha", type=_finite_float, help="explicit schedule growth rate")
+    p.add_argument("--eps0", type=_finite_float, help="initial gap (upper) estimate")
+    p.add_argument("--f-star", type=_finite_float, dest="f_star", help="known optimal value")
     p.add_argument("--out", help="output file (run) or directory (compare/grid)")
     p.add_argument("--format", choices=("csv", "json"), help="trace format (default csv)")
     p.add_argument("--dim", type=int, help="dimension of synthetic problems")
-    p.add_argument("--kappa", type=float, help="quadratic: spectral condition number")
-    p.add_argument("--power", type=float, help="norm-power: exponent r >= 2")
-    p.add_argument("--radius", type=float, help="norm-power: validated ball radius")
-    p.add_argument("--lam", type=float, help="lasso: l1 weight (default 1)")
-    p.add_argument("--reg", type=float, help="dual-svm: regularization (default 1)")
+    p.add_argument("--kappa", type=_finite_float, help="quadratic: spectral condition number")
+    p.add_argument("--power", type=_finite_float, help="norm-power: exponent r >= 2")
+    p.add_argument("--radius", type=_finite_float, help="norm-power: validated ball radius")
+    p.add_argument("--lam", type=_finite_float, help="lasso: l1 weight (default 1)")
+    p.add_argument("--reg", type=_finite_float, help="dual-svm: regularization (default 1)")
     p.add_argument("--rows", type=int, help="synthetic dataset: sample count")
     p.add_argument("--cols", type=int, help="synthetic dataset: feature count")
-    p.add_argument("--cond", type=float, help="synthetic dataset: conditioning")
-    p.add_argument("--noise", type=float, help="synthetic regression: target noise")
-    p.add_argument("--flip", type=float, help="synthetic classification: label flips")
+    p.add_argument("--cond", type=_finite_float, help="synthetic dataset: conditioning")
+    p.add_argument("--noise", type=_finite_float, help="synthetic regression: target noise")
+    p.add_argument("--flip", type=_finite_float, help="synthetic classification: label flips")
 
 
 def _read_config_file(path: str) -> list[str]:
@@ -391,7 +387,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if method is None:
         raise ConfigError("--method is required")
     instance = build_instance(cfg)
-    trace = run_method(method, instance, cfg)
+    trace, envelope = run_method(method, instance, cfg)
     fmt = cfg["format"]
     out = cfg.get("out") or f"trace.{fmt}"
     write_trace(trace, out, fmt, _config_echo(cfg, method))
@@ -400,9 +396,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"final f: {_fmt(trace.final_f)}")
     if trace.final_gap is not None:
         print(f"final gap: {_fmt(trace.final_gap)}")
-    env = applicable_envelope(method, instance, cfg)
-    if env is not None:
-        print(f"envelope [{env[0]}] at N={cfg['N']}: {_fmt(env[1])}")
+    if envelope is not None:
+        print(f"envelope [{envelope[0]}] at N={cfg['N']}: {_fmt(envelope[1])}")
     print(f"trace written to {out}")
     for note in trace.notes:
         print(f"note: {note}")
@@ -467,7 +462,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for method in methods:
         try:
-            trace = run_method(method, instance, cfg)
+            trace, _ = run_method(method, instance, cfg)
         except (ValueError, DivergenceError) as exc:
             rows.append({"method": method, "error": str(exc)})
             continue

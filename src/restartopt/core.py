@@ -8,6 +8,7 @@ and sharpness (a Łojasiewicz-type lower bound) of the minimizers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -18,6 +19,13 @@ Vector = np.ndarray
 
 class DivergenceError(RuntimeError):
     """A solver produced a non-finite objective or gradient value."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first keyword value that is nan or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

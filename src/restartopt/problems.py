@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -405,9 +405,10 @@ def load_dataset(
     can; the line parser takes the files it rejects and gives the same
     array bit for bit. ``libsvm``: "label idx:val ..." lines with 1-based,
     strictly increasing indices; the dimension is the largest index seen
-    unless given. In either format a malformed line or a non-finite value
-    (nan, inf, or a number that overflows) raises ``DatasetFormatError``
-    naming ``path:line``. Two-valued targets are mapped onto {-1, +1}
+    unless given. Files are read as UTF-8. In either format a malformed
+    line, a byte that is not UTF-8 or a non-finite value (nan, inf, or a
+    number that overflows) raises ``DatasetFormatError`` naming
+    ``path:line``. Two-valued targets are mapped onto {-1, +1}
     (low -> -1); targets already in {-1, +1}, or with more than two
     values, pass through unchanged.
     """
@@ -435,13 +436,13 @@ def _read_csv_fast(path: str) -> Optional[np.ndarray]:
 
     ``None`` hands the file to ``_parse_csv_lines``, the reference parser
     and the only one that names the offending line: on input numpy
-    rejects (whitespace-only lines, ``1_000``, non-ASCII digits, bad or
-    ragged rows), on fewer than one row or two columns, and on non-finite
-    values. Where both parsers accept a file their arrays are bitwise
-    equal. A file with no data line never reaches numpy, which would warn
-    that it is empty.
+    rejects (whitespace-only lines, ``1_000``, non-ASCII digits, bytes
+    that are not UTF-8, bad or ragged rows), on fewer than one row or two
+    columns, and on non-finite values. Where both parsers accept a file
+    their arrays are bitwise equal. A file with no data line never reaches
+    numpy, which would warn that it is empty.
     """
-    with open(path) as fh:
+    with _open_dataset(path) as fh:
         for first in fh:
             if not first.isspace():
                 break
@@ -463,8 +464,9 @@ def _parse_csv_lines(path: str) -> np.ndarray:
     """Parse a CSV dataset line by line; every error names ``path:line``."""
     rows: list[list[float]] = []
     width = None
-    with open(path) as fh:
+    with _open_dataset(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, lineno, line)
             line = line.strip()
             if not line:
                 continue
@@ -492,6 +494,26 @@ def _parse_csv_lines(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _open_dataset(path: str) -> TextIO:
+    """Open a dataset as UTF-8 text, each byte that is not UTF-8 read as a surrogate.
+
+    The surrogates (U+DC80..U+DCFF) make numpy's reader reject the file,
+    and ``_check_utf8`` names the line that holds one.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(path: str, lineno: int, line: str) -> None:
+    """Raise ``DatasetFormatError`` if the line holds a byte that is not UTF-8."""
+    if line.isascii():
+        return
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise DatasetFormatError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
+
+
 def _non_finite(path: str, lineno: int, value: float, where: str) -> DatasetFormatError:
     return DatasetFormatError(f"{path}:{lineno}: non-finite value {value!r} in {where}")
 
@@ -500,8 +522,9 @@ def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.nd
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    with open(path) as fh:
+    with _open_dataset(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, lineno, line)
             line = line.strip()
             if not line:
                 continue

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
-from .core import DerivedConditioning, ProximalOracle, Vector
+from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
 from .solvers import Trace, universal_fast_gradient
 
 
@@ -47,6 +47,7 @@ class Schedule:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(C=self.C, alpha=self.alpha)
         if self.C <= 0:
             raise ValueError(f"schedule constant C must be positive, got {self.C}")
         if self.alpha < 0:
@@ -185,6 +186,7 @@ def h_restart(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    require_finite(eps0=eps0, gamma=gamma)
     if eps0 <= 0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
     if gamma < 0:
@@ -212,6 +214,7 @@ def criterion_restart(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    require_finite(f_star=f_star, gamma=gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     trace = _new_trace(x0, L0, f_star)

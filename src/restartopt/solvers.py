@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import DivergenceError, ProximalOracle, Vector
+from .core import DivergenceError, ProximalOracle, Vector, require_finite
 
 # Doubling the estimate this many times within a single step means the
 # descent test is chasing rounding noise; we accept and record a note.
@@ -184,6 +184,7 @@ def _start(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    require_finite(L0=L0)
     if L0 <= 0:
         raise ValueError(f"L0 must be positive, got {L0}")
     x = np.array(x0, dtype=float)
@@ -375,6 +376,7 @@ def universal_fast_gradient(
 
     Returns the final point and its trace.
     """
+    require_finite(epsilon=epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     form = oracle.quadratic

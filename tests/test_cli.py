@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from restartopt import bound_holder, derive_conditioning, make_quadratic, ufgm_constant
+from restartopt import (
+    bound_accelerated,
+    bound_adaptive,
+    bound_gradient_descent,
+    bound_holder,
+    bound_smooth,
+    derive_conditioning,
+    make_quadratic,
+    ufgm_constant,
+)
 from restartopt.cli import main
 
 
@@ -84,8 +93,11 @@ class TestRun:
             ("--method", "restart", "--C", "2"),
             ("--method", "h-restart", "--gamma", "1"),
             ("--method", "criterion", "--gamma", "0.5"),
+            ("--method", "restart", "--C", "2", "--alpha", "0.1"),
+            ("--method", "h-restart", "--C", "5"),
         ],
-        ids=["restart-C", "h-restart-gamma", "criterion-gamma"],
+        ids=["restart-C", "h-restart-gamma", "criterion-gamma", "restart-C-alpha",
+             "h-restart-C"],
     )
     def test_no_envelope_for_an_explicit_schedule(self, tmp_path, capsys, explicit):
         # the envelope assumes the schedule derived from the regularity
@@ -95,6 +107,62 @@ class TestRun:
         )
         assert code == 0
         assert not envelope_lines(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "method", ["grad", "acc", "restart", "h-restart", "criterion", "grid"]
+    )
+    def test_envelope_is_the_bound_of_the_derived_schedule(self, tmp_path, capsys, method):
+        code = run_cli(
+            "run", "--problem", "quadratic", "--dim", "30", "--kappa", "1000",
+            "--method", method, "--N", "100", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        inst = make_quadratic(30, 1000.0, seed=0)
+        reg, cond = inst.regularity, derive_conditioning(inst.regularity)
+        gap0 = float(inst.oracle.value(inst.x0)) - inst.f_star
+        holder = bound_holder(cond, gap0, ufgm_constant(reg.s), 100.0)
+        name, value = {
+            "grad": ("gradient-descent envelope", bound_gradient_descent(cond, gap0, 100.0)),
+            "acc": ("accelerated c L d^2 / N^2",
+                    bound_accelerated(reg.L, inst.x_star_distance(inst.x0), 100.0)),
+            "restart": ("scheduled-restart envelope", bound_smooth(cond, gap0, 4.0, 100.0)),
+            "h-restart": ("accuracy-scheduled envelope", holder),
+            "criterion": ("accuracy-scheduled envelope", holder),
+            "grid": ("grid-search envelope", bound_adaptive(cond, gap0, 4.0, 100.0)),
+        }[method]
+        assert envelope_lines(capsys.readouterr().out) == [
+            f"envelope [{name}] at N=100: {value:.17g}"
+        ]
+
+    @pytest.mark.parametrize("method", ["grad", "grid", "criterion"])
+    @pytest.mark.parametrize(
+        "problem", [("norm-power", "--power", "4"), ("quadratic",)], ids=["tau>0", "tau=0"]
+    )
+    def test_no_envelope_from_a_gap_estimate_at_or_below_0(
+        self, tmp_path, capsys, problem, method
+    ):
+        # --f-star above f(x0): the run still goes, but no envelope holds
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", *problem, "--dim", "5", "--method", method,
+            "--f-star", "1e6", "--N", "20", "--out", str(out),
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "final gap: -" in stdout
+        assert not envelope_lines(stdout)
+        assert out.exists()
+
+    @pytest.mark.parametrize("method", ["restart", "h-restart"])
+    def test_alpha_without_C_exits_2(self, tmp_path, capsys, method):
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "run", "--problem", "quadratic", "--dim", "6", "--method", method,
+            "--alpha", "0.5", "--N", "20", "--out", str(out),
+        )
+        assert code == 2
+        assert "--alpha needs --C" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_h_restart_envelope_uses_the_supplied_eps0(self, tmp_path, capsys):
         code = run_cli(
@@ -325,6 +393,19 @@ class TestCompare:
         assert "FAILED" in capsys.readouterr().out or "criterion" in summary
         assert (out / "trace_acc.csv").exists()
 
+    def test_alpha_without_C_fails_the_scheduled_rows(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli(
+            "compare", "--problem", "quadratic", "--dim", "6", "--alpha", "0.5",
+            "--methods", "acc,restart,h-restart", "--N", "20", "--out", str(out),
+        )
+        assert code == 1
+        stdout = capsys.readouterr().out
+        for method in ("restart", "h-restart"):
+            assert f"{method}  FAILED: --alpha needs --C" in stdout
+            assert not (out / f"trace_{method}.csv").exists()
+        assert (out / "trace_acc.csv").exists()
+
     def test_unknown_method_rejected(self, capsys):
         code = run_cli(
             "compare", "--problem", "quadratic", "--methods", "acc,warp",
@@ -404,6 +485,32 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--method", "grad", "--f-star", "nan", "--format", "json"), "--f-star"),
+            (("--method", "h-restart", "--C", "4", "--gamma", "nan"), "--gamma"),
+            (("--method", "acc", "--L0", "inf"), "--L0"),
+            (("--method", "restart", "--C", "nan"), "--C"),
+            (("--method", "acc", "--kappa=-inf"), "--kappa"),
+        ],
+    )
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--problem", "quadratic", *argv, "--N", "10", "--out", str(out))
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_dataset_byte_names_the_line(self, tmp_path, capsys):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"1,2,3\n4,5,6\n7,\xe9,9\n")
+        code = run_cli("run", "--dataset", str(data), "--method", "grad", "--N", "5",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "latin.csv:3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
     def test_method_rejecting_a_value_becomes_failed_row(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = run_cli(
@@ -443,7 +550,9 @@ class TestConfigFile:
         assert files() == from_file
 
     @pytest.mark.parametrize(
-        "line, named", [("N=abc", "--N"), ("format=xml", "--format"), ("wibble=1", "--wibble")]
+        "line, named",
+        [("N=abc", "--N"), ("format=xml", "--format"), ("wibble=1", "--wibble"),
+         ("gamma=inf", "--gamma: must be finite")],
     )
     def test_bad_file_value_rejected_before_output(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "exp.cfg"

@@ -499,3 +499,34 @@ class TestSyntheticDesigns:
         A1, b1 = synthetic_regression(30, 5, seed=24)
         A2, b2 = synthetic_regression(30, 5, seed=24)
         assert np.array_equal(A1, A2) and np.array_equal(b1, b2)
+
+
+class TestNonUtf8Dataset:
+    # the bad byte sits after more than one read buffer of valid lines, so
+    # only a per-line check can name its line
+    PREFIX_LINES = 3000
+
+    @pytest.mark.parametrize(
+        "bad, byte", [(b"7,\xe9,9", "e9"), (b"7,8,9\xe9", "e9"), (b"7,8,9 \xff", "ff"),
+                      (b"\xe9", "e9")]
+    )
+    def test_csv_names_the_line(self, tmp_path, bad, byte):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1,2,3\n" * self.PREFIX_LINES + bad + b"\n4,5,6\n")
+        line = self.PREFIX_LINES + 1
+        with pytest.raises(
+            DatasetFormatError, match=rf"latin\.csv:{line}: byte 0x{byte} is not UTF-8"
+        ):
+            load_dataset(str(path), fmt="csv")
+
+    @pytest.mark.parametrize(
+        "bad, byte", [(b"-1 1:\xe9", "e9"), (b"\xe9 1:1", "e9"), (b"1 1:2 \xff", "ff")]
+    )
+    def test_libsvm_names_the_line(self, tmp_path, bad, byte):
+        path = tmp_path / "latin.svm"
+        path.write_bytes(b"1 1:2\n" * self.PREFIX_LINES + bad + b"\n")
+        line = self.PREFIX_LINES + 1
+        with pytest.raises(
+            DatasetFormatError, match=rf"latin\.svm:{line}: byte 0x{byte} is not UTF-8"
+        ):
+            load_dataset(str(path), fmt="libsvm")

@@ -14,6 +14,7 @@ from restartopt import (
     bound_smooth,
     criterion_restart,
     derive_conditioning,
+    gradient_descent,
     grid_schedule,
     h_restart,
     make_norm_power,
@@ -25,6 +26,7 @@ from restartopt import (
     restart_scheduled,
     schedule_threshold,
     ufgm_constant,
+    universal_fast_gradient,
 )
 
 E = math.e
@@ -506,3 +508,29 @@ class TestCycleRecord:
         for trace in traces:
             trace.validate()
             assert trace.restart_count == len(trace.cycles) - 1
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda o, x0: gradient_descent(o, x0, math.inf, 20), "L0"),
+        (lambda o, x0: accelerated(o, x0, math.nan, 20), "L0"),
+        (lambda o, x0: universal_fast_gradient(o, x0, math.inf, 1.0, 20), "epsilon"),
+        (lambda o, x0: universal_fast_gradient(o, x0, math.nan, 1.0, 20), "epsilon"),
+        (lambda o, x0: Schedule(math.inf), "C"),
+        (lambda o, x0: Schedule(math.nan), "C"),
+        (lambda o, x0: Schedule(4.0, math.inf), "alpha"),
+        (lambda o, x0: h_restart(o, x0, math.inf, 1.0, Schedule(4.0), 20, 1.0), "eps0"),
+        (lambda o, x0: h_restart(o, x0, 1.0, math.nan, Schedule(4.0), 20, 1.0), "gamma"),
+        (lambda o, x0: criterion_restart(o, x0, math.nan, 1.0, 20, 1.0), "f_star"),
+        (lambda o, x0: criterion_restart(o, x0, 0.0, math.inf, 20, 1.0), "gamma"),
+    ],
+    ids=["grad-L0-inf", "acc-L0-nan", "ufgm-eps-inf", "ufgm-eps-nan", "schedule-C-inf",
+         "schedule-C-nan", "schedule-alpha-inf", "h-restart-eps0-inf", "h-restart-gamma-nan",
+         "criterion-f_star-nan", "criterion-gamma-inf"],
+)
+def test_non_finite_parameter_raises_value_error(call, named):
+    # nan and inf pass every `<= 0` / `< 0` test, so each is checked on its own
+    inst = make_quadratic(5, 10.0)
+    with pytest.raises(ValueError, match=f"^{named} must be finite"):
+        call(inst.oracle, inst.x0)
