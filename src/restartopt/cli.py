@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,54 +85,45 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_trace_csv(trace: Trace, path: str) -> None:
-    lines = ["iter,f,gap,restart,eps_target"]
-    for e in trace.entries:
-        lines.append(
-            f"{e.iteration},{_fmt(e.f_value)},{_fmt(e.gap)},"
-            f"{int(e.restart)},{_fmt(e.eps_target)}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+_TRACE_COLUMNS = ("iter", "f", "gap", "restart", "eps_target")
 
 
-def write_trace_json(trace: Trace, path: str, config: dict) -> None:
-    doc = {
-        "metadata": {
-            "config": config,
-            "accepted": trace.accepted,
-            "final_f": trace.final_f,
-            "final_gap": trace.final_gap,
-            "final_L_hat": trace.final_L_hat,
-            "oracle_calls": {
-                "value": trace.n_value,
-                "grad": trace.n_grad,
-                "prox": trace.n_prox,
-            },
-            "backtracks": trace.backtracks,
-            "restarts": trace.restart_count,
-            "notes": list(trace.notes),
-        },
-        "entries": [
-            {
-                "iter": e.iteration,
-                "f": e.f_value,
-                "gap": e.gap,
-                "restart": bool(e.restart),
-                "eps_target": e.eps_target,
-            }
-            for e in trace.entries
-        ],
-    }
-    _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+def _csv_cell(column: str, val: object) -> str:
+    if not isinstance(val, str):
+        return _fmt(val)  # a number, a boolean (1 or 0) or None (empty)
+    return f'"{val}"' if column == "error" else val
+
+
+def _write_doc(path: str, fmt: str, doc: dict, rows: list[dict],
+               columns: Sequence[str]) -> None:
+    """Write one output file: ``doc`` as JSON, or ``rows`` over ``columns`` as CSV.
+
+    A CSV cell is empty where a row lacks the column; the error text is quoted.
+    """
+    if fmt == "json":
+        text = json.dumps(doc, indent=1)
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join([_csv_cell(col, row.get(col)) for col in columns]) for row in rows]
+        text = "\n".join(lines)
+    _atomic_write(path, text + "\n")
 
 
 def write_trace(trace: Trace, path: str, fmt: str, config: dict) -> None:
-    if fmt == "csv":
-        write_trace_csv(trace, path)
-    elif fmt == "json":
-        write_trace_json(trace, path, config)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    """Write one row per ``trace.entries`` entry; JSON adds the run's metadata."""
+    rows = [dict(zip(_TRACE_COLUMNS, entry)) for entry in trace.entries]
+    metadata = {
+        "config": config,
+        "accepted": trace.accepted,
+        "final_f": trace.final_f,
+        "final_gap": trace.final_gap,
+        "final_L_hat": trace.final_L_hat,
+        "oracle_calls": {"value": trace.n_value, "grad": trace.n_grad, "prox": trace.n_prox},
+        "backtracks": trace.backtracks,
+        "restarts": trace.restart_count,
+        "notes": list(trace.notes),
+    }
+    _write_doc(path, fmt, {"metadata": metadata, "entries": rows}, rows, _TRACE_COLUMNS)
 
 
 def build_instance(cfg: dict) -> ProblemInstance:
@@ -410,30 +401,6 @@ def _print_problem(instance: ProblemInstance, suffix: str = "") -> None:
         print(f"note: {note}")
 
 
-def _write_summary(out_dir: str, fmt: str, doc: dict, columns: list[str]) -> str:
-    """Write ``summary.<fmt>`` into out_dir and return its path.
-
-    JSON dumps the whole document; CSV writes ``doc["rows"]`` over the
-    given columns, with missing cells empty and the error text quoted.
-    """
-    path = os.path.join(out_dir, f"summary.{fmt}")
-    if fmt == "json":
-        _atomic_write(path, json.dumps(doc, indent=1) + "\n")
-        return path
-    lines = [",".join(columns)]
-    for row in doc["rows"]:
-        cells = []
-        for col in columns:
-            val = row.get(col)
-            if col == "error" and val is not None:
-                cells.append(f'"{val}"')
-            else:
-                cells.append(val if isinstance(val, str) else _fmt(val))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
-
-
 def _summary_row(method: str, trace: Trace) -> dict:
     return {
         "method": method,
@@ -451,9 +418,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in cfg.get("methods", "").split(",") if m.strip()]
     if not methods:
         raise ConfigError("--methods is required (comma-separated list)")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
+        if m in methods[:k]:
+            raise ConfigError(f"method {m!r} is listed twice in --methods")
     instance = build_instance(cfg)
     out_dir = cfg.get("out") or "compare_out"
     os.makedirs(out_dir, exist_ok=True)
@@ -489,9 +458,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ]
         print("  ".join(cells))
 
-    summary_path = _write_summary(
-        out_dir, fmt, {"problem": instance.name, "rows": rows}, [*header, "error"]
-    )
+    summary_path = os.path.join(out_dir, f"summary.{fmt}")
+    _write_doc(summary_path, fmt, {"problem": instance.name, "rows": rows}, rows,
+               [*header, "error"])
     print(f"summary written to {summary_path}")
     return 1 if any("error" in row for row in rows) else 0
 
@@ -533,7 +502,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         "rows": rows,
     }
     # the CSV columns are the row keys; scheme (1, 0) always runs, so rows[0] exists
-    summary_path = _write_summary(out_dir, fmt, doc, list(rows[0]))
+    summary_path = os.path.join(out_dir, f"summary.{fmt}")
+    _write_doc(summary_path, fmt, doc, rows, list(rows[0]))
     bi, bj = outcome.best
     best = outcome.best_trace
     _print_problem(instance, f"  N={cfg['N']}")
@@ -576,8 +546,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -1e6`` as ``--flag=-1e6``, for a value that is a negative number.
+
+    argparse takes a token that starts with '-' for an option unless it
+    reads like ``-12`` or ``-1.5``, which would leave ``--f-star -1e6``
+    (or ``-inf``) without its argument.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        takes_value = flag.startswith("--") and "=" not in flag and flag not in ("--", "--help")
+        if takes_value and token.startswith("-") and _is_number(token):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -113,6 +113,18 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     )
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, but inf where the float power overflows.
+
+    Python's float power raises OverflowError there, which would keep a
+    line search from doubling its estimate away from a far candidate.
+    """
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def make_norm_power(n: int, r: float, radius: float = 1.0, seed: int = 0) -> ProblemInstance:
     """f(x) = ||x||^r, sharp with (r, mu = 1) and smooth on the given ball.
 
@@ -126,18 +138,24 @@ def make_norm_power(n: int, r: float, radius: float = 1.0, seed: int = 0) -> Pro
     rng = np.random.default_rng(seed)
 
     def value(x: Vector) -> float:
-        return float(np.linalg.norm(x)) ** r
+        return _power(float(np.linalg.norm(x)), r)
 
     def grad(x: Vector) -> Vector:
         nrm = float(np.linalg.norm(x))
         if nrm == 0.0:
             return np.zeros_like(x)
-        return r * nrm ** (r - 2.0) * x
+        scale = r * _power(nrm, r - 2.0)
+        if not math.isfinite(scale):
+            return np.full_like(x, math.inf)
+        with np.errstate(over="ignore"):  # an entry past the float range is inf
+            return scale * x
 
+    L = r * (r - 1.0) * _power(radius, r - 2.0)
+    if not math.isfinite(L):
+        raise ValueError(f"smoothness constant r (r - 1) radius^(r - 2) overflows "
+                         f"at r={r:g}, radius={radius:g}")
     x0 = _unit_vector(rng, n) * radius
-    reg = RegularityParams(
-        s=2.0, L=r * (r - 1.0) * radius ** (r - 2.0), r=r, mu=1.0, f_star=0.0
-    )
+    reg = RegularityParams(s=2.0, L=L, r=r, mu=1.0, f_star=0.0)
     return ProblemInstance(
         name=f"norm_power(n={n},r={r:g},radius={radius:g},seed={seed})",
         oracle=ProximalOracle(dimension=n, value=value, smooth_gradient=grad),
@@ -368,8 +386,10 @@ def synthetic_regression(
 
     The singular values of A are log-spaced so that the condition number
     of A^T A equals ``cond``. Stands in for the benchmark datasets at
-    matched shapes.
+    matched shapes. Needs rows m >= cols n >= 1.
     """
+    if not m >= n >= 1:
+        raise ValueError(f"synthetic design needs rows >= cols >= 1, got rows={m}, cols={n}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -268,11 +268,14 @@ def _quadratic_trial(
 def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
     """Double the estimate after the ``doublings``-th failed trial of a step.
 
-    At the last allowed doubling the caller accepts the last candidate:
-    this raises if that candidate's value was non-finite, and otherwise
-    records that the line search stalled.
+    An estimate that overflows to inf raises DivergenceError. At the last
+    allowed doubling the caller accepts the last candidate: this raises if
+    that candidate's value was non-finite, and otherwise records that the
+    line search stalled.
     """
     L_hat *= 2.0
+    if math.isinf(L_hat):
+        raise DivergenceError(f"Lipschitz estimate overflowed in the line search (step {step})")
     trace.backtracks += 1
     trace.max_L_hat = max(trace.max_L_hat, L_hat)
     if doublings == _MAX_DOUBLINGS_PER_STEP:
@@ -397,7 +400,8 @@ def universal_fast_gradient(
         elif form is not None:
             Qz = Q_anchor - Q_grad_sum
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
-            a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / (2.0 * L_hat)
+            # halving before the division is exact and, unlike 2 L_hat, cannot overflow
+            a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
             tau = a / (A + a)
             slack = tau * epsilon / 2.0
             x = tau * z + (1.0 - tau) * y

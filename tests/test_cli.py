@@ -17,7 +17,9 @@ from restartopt import (
     make_quadratic,
     ufgm_constant,
 )
-from restartopt.cli import main
+from restartopt import cli
+from restartopt.cli import ConfigError, main, write_trace
+from restartopt.solvers import Trace
 
 
 def run_cli(*argv):
@@ -263,6 +265,17 @@ class TestRun:
         assert code == 2
         assert "d.csv:3: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("--problem", "norm-power", "--power", "1e6"),  # ||x||^r overflows off the ball
+        ("--problem", "quadratic", "--dim", "3", "--L0", "1e308"),  # 2 L0 overflows
+    ])
+    @pytest.mark.parametrize("method", ["acc", "grad", "mono", "grid"])
+    def test_overflow_runs_to_the_budget(self, tmp_path, capsys, argv, method):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", *argv, "--method", method, "--N", "5", "--out", str(out))
+        assert code == 0
+        assert all(np.isfinite(float(row[1])) for row in trace_rows(out))
+
     def test_libsvm_dataset_run(self, tmp_path):
         data = tmp_path / "d.svm"
         data.write_text("1 1:0.5 2:1.0\n-1 1:-0.3 3:0.8\n1 2:0.9\n-1 1:0.1 3:-0.4\n")
@@ -413,6 +426,16 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_repeated_method_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli(
+            "compare", "--problem", "quadratic", "--methods", "acc,grad,acc",
+            "--N", "10", "--out", str(out),
+        )
+        assert code == 2
+        assert "method 'acc' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_restart_without_gap_estimate_rejected_before_running(self, capsys):
         # scheduled restart on a problem without declared regularity needs
         # an explicit schedule; validation happens before any computation
@@ -502,6 +525,30 @@ class TestErrors:
         assert exc.value.code == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [("--cols", "0"), ("--rows", "5", "--cols", "10")])
+    def test_unbuildable_synthetic_shape_exits_2(self, tmp_path, capsys, shape):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--problem", "least-squares", *shape, "--method", "acc",
+                       "--N", "5", "--out", str(out))
+        assert code == 2
+        assert "needs rows >= cols >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_float_in_exponent_form(self, tmp_path, capsys):
+        outputs = []
+        for f_star in (["--f-star", "-1e6"], ["--f-star=-1e6"]):
+            out = tmp_path / "t.csv"
+            code = run_cli("run", "--problem", "quadratic", "--method", "grad", "--N", "5",
+                           *f_star, "--out", str(out))
+            assert code == 0
+            outputs.append((capsys.readouterr().out, out.read_text()))
+        assert outputs[0] == outputs[1]
+        assert "final gap: 1000000." in outputs[0][0]
+        code = run_cli("run", "--problem", "lasso", "--lam", "-1e-3", "--method", "acc",
+                       "--N", "5", "--out", str(tmp_path / "l.csv"))
+        assert code == 2
+        assert "lam must be positive, got -0.001" in capsys.readouterr().err
 
     def test_non_utf8_dataset_byte_names_the_line(self, tmp_path, capsys):
         data = tmp_path / "latin.csv"
@@ -624,6 +671,122 @@ class TestInstanceNotes:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "problem: logistic(m=100,n=10)"
         assert lines[1].startswith("method: acc")
+
+
+def golden_trace():
+    # two cycles, the first with a target; f_star known; one note
+    return Trace(values=[3.0, 0.1, 1 / 3], cycles=[(2, 0.5), (1, None)], f_star=0.0625,
+                 f_initial=4.0, final_L_hat=2.0, n_value=7, n_grad=3, n_prox=1,
+                 backtracks=2, notes=["a note"])
+
+
+GOLDEN_TRACE = {
+    "csv": """\
+iter,f,gap,restart,eps_target
+1,3,2.9375,0,0.5
+2,0.10000000000000001,0.037500000000000006,1,0.5
+3,0.33333333333333331,0.27083333333333331,0,
+""",
+    "json": """\
+{
+ "metadata": {
+  "config": {
+   "N": 3,
+   "method": "acc"
+  },
+  "accepted": 3,
+  "final_f": 0.3333333333333333,
+  "final_gap": 0.2708333333333333,
+  "final_L_hat": 2.0,
+  "oracle_calls": {
+   "value": 7,
+   "grad": 3,
+   "prox": 1
+  },
+  "backtracks": 2,
+  "restarts": 1,
+  "notes": [
+   "a note"
+  ]
+ },
+ "entries": [
+  {
+   "iter": 1,
+   "f": 3.0,
+   "gap": 2.9375,
+   "restart": false,
+   "eps_target": 0.5
+  },
+  {
+   "iter": 2,
+   "f": 0.1,
+   "gap": 0.037500000000000006,
+   "restart": true,
+   "eps_target": 0.5
+  },
+  {
+   "iter": 3,
+   "f": 0.3333333333333333,
+   "gap": 0.2708333333333333,
+   "restart": false,
+   "eps_target": null
+  }
+ ]
+}
+""",
+}
+
+GOLDEN_SUMMARY = {
+    "csv": """\
+method,final_f,final_gap,restarts,oracle_calls,accepted,error
+acc,0.33333333333333331,0.27083333333333331,1,11,3,
+criterion,,,,,,"criterion restart needs --f-star (or a known optimum)"
+""",
+    "json": """\
+{
+ "problem": "quadratic(n=2,kappa=100,seed=0)",
+ "rows": [
+  {
+   "method": "acc",
+   "final_f": 0.3333333333333333,
+   "final_gap": 0.2708333333333333,
+   "restarts": 1,
+   "oracle_calls": 11,
+   "accepted": 3,
+   "backtracks": 2
+  },
+  {
+   "method": "criterion",
+   "error": "criterion restart needs --f-star (or a known optimum)"
+  }
+ ]
+}
+""",
+}
+
+
+class TestFileBytes:
+    """The exact bytes of a trace and of a compare summary, in both formats."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace(self, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        write_trace(golden_trace(), str(path), fmt, {"N": 3, "method": "acc"})
+        assert path.read_text() == GOLDEN_TRACE[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_summary_with_a_failed_row(self, tmp_path, capsys, monkeypatch, fmt):
+        def fake_run_method(method, instance, cfg):
+            if method == "criterion":
+                raise ConfigError("criterion restart needs --f-star (or a known optimum)")
+            return golden_trace(), None
+
+        monkeypatch.setattr(cli, "run_method", fake_run_method)
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--problem", "quadratic", "--dim", "2", "--methods",
+                       "acc,criterion", "--N", "3", "--out", str(out), "--format", fmt)
+        assert code == 1
+        assert (out / f"summary.{fmt}").read_text() == GOLDEN_SUMMARY[fmt]
 
 
 def test_module_entrypoint_help():

@@ -102,6 +102,16 @@ class TestNormPower:
         with pytest.raises(ValueError):
             make_norm_power(3, 1.5)
 
+    def test_overflow_is_inf_not_an_exception(self):
+        oracle = make_norm_power(3, 1e6, 1.0).oracle
+        far = np.full(3, 2.0)
+        assert oracle.value(far) == math.inf
+        assert not np.isfinite(oracle.smooth_gradient(far)).any()
+
+    def test_overflowing_smoothness_constant_rejected(self):
+        with pytest.raises(ValueError, match="radius=2"):
+            make_norm_power(3, 1e6, 2.0)
+
 
 class TestSharpNorm:
     def test_subgradient_norm_bounded_and_zero_at_kink(self):
@@ -158,6 +168,13 @@ class TestLeastSquares:
         assert check_suboptimality_upper_bound(
             inst.oracle, inst.regularity, points, inst.x_star_distance
         )
+
+
+@pytest.mark.parametrize("rows, cols", [(208, 0), (5, 10), (0, 0)])
+def test_synthetic_design_needs_rows_at_least_cols(rows, cols):
+    for make in (synthetic_regression, synthetic_classification):
+        with pytest.raises(ValueError, match=f"rows={rows}, cols={cols}"):
+            make(rows, cols)
 
 
 class TestLogistic:

@@ -112,6 +112,19 @@ def huge_curvature_oracle(nan_entry=False):
     )
 
 
+def finite_only_at_start_oracle():
+    # f is 1 on its first evaluation (the start point) and inf on every
+    # later one, so each trial fails and the line search doubles the
+    # estimate until it overflows.
+    calls = []
+
+    def value(x):
+        calls.append(x)
+        return 1.0 if len(calls) == 1 else math.inf
+
+    return ProximalOracle(dimension=2, value=value, smooth_gradient=lambda x: np.ones(2))
+
+
 def assert_stalled_once(trace, budget):
     assert trace.backtracks == 120
     assert trace.accepted == budget
@@ -175,6 +188,10 @@ class TestGradientDescent:
         assert trace.final_f == 0.0
         with pytest.raises(DivergenceError):
             gradient_descent(huge_curvature_oracle(nan_entry=True), np.ones(2), 1e200, 3)
+
+    def test_overflowing_estimate_signals_divergence(self):
+        with pytest.raises(DivergenceError, match="Lipschitz estimate overflowed"):
+            gradient_descent(finite_only_at_start_oracle(), np.ones(2), 1e300, 5)
 
     def test_oracle_call_accounting(self):
         # one gradient per step, one value per trial, plus the initial value
@@ -413,6 +430,11 @@ class TestUniversal:
     def test_line_search_stall_accepts_with_note(self):
         _, trace = universal_fast_gradient(step_oracle(), np.array([0.0]), 0.0, 1.0, 3)
         assert_stalled_once(trace, 3)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_overflowing_estimate_signals_divergence(self, epsilon):
+        with pytest.raises(DivergenceError, match="Lipschitz estimate overflowed"):
+            universal_fast_gradient(finite_only_at_start_oracle(), np.ones(2), epsilon, 1e300, 5)
 
     def test_validation(self):
         oracle = half_norm_oracle(2)
