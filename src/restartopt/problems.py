@@ -208,10 +208,18 @@ def _least_squares_form(A: np.ndarray, b: np.ndarray) -> QuadraticForm:
     return QuadraticForm(A.T @ A, A.T @ b, 0.5 * float(b @ b))
 
 
+def _require_columns(A: np.ndarray) -> None:
+    """Raise ValueError for a design with no columns: there is nothing to fit."""
+    m, n = A.shape
+    if n < 1:
+        raise ValueError(f"empty design: the {m}x{n} matrix has no columns (dimension must be >= 1)")
+
+
 def make_least_squares(A: np.ndarray, b: np.ndarray) -> ProblemInstance:
     """f(x) = ||A x - b||^2 / 2 with spectral regularity when A^T A is full rank."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    _require_columns(A)
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"target shape {b.shape} does not match design {A.shape}")
@@ -289,6 +297,7 @@ def make_logistic(A: np.ndarray, y: np.ndarray) -> ProblemInstance:
     instance carries a note.
     """
     A = np.asarray(A, dtype=float)
+    _require_columns(A)
     y = _map_labels(np.asarray(y, dtype=float))
     m, n = A.shape
 

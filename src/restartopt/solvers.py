@@ -14,21 +14,27 @@ common work when the oracle supplies a fused evaluation.
 
 When the oracle declares its smooth part as a quadratic form
 f0(x) = x^T Q x / 2 - h^T x + c (``ProximalOracle.quadratic``), the UFGM
-carries the images Q y and Q z beside its iterates, so Q x = tau Q z +
-(1 - tau) Q y and the gradient Q x - h cost no product. Each trial then
-spends one product, on Q d for the step d = y - x, and tests the descent
-condition in its exact difference form d^T Q d / 2 <= L_hat/2 ||d||^2 +
-tau * epsilon / 2 (``_quadratic_trial``), which no rounding of f0's
-constant term disturbs. On smooth problems Q z = Q x0 - sum_i a_i Q g_i
-needs no product of its own, since a step d = -g / L_hat gives
-Q g = -L_hat Q d; on composite ones Q z takes one product after the prox
-of z. f0 is evaluated only at accepted points, from Q y. Rounding makes
-this path differ from the generic one in the last bits; tests hold it
-to the generic path (the same oracle with ``quadratic=None``) within
-stated tolerances. Gradient descent on a quadratic form likewise carries
-Q x, takes its gradient Q x - h at no product, runs every trial through
-``_quadratic_trial`` and updates Q x by the accepted Q d, so a run costs
-one product per trial plus one for x0.
+spends one product per line-search trial and tests the descent condition
+in its exact difference form d^T Q d / 2 <= L_hat/2 ||d||^2 +
+tau * epsilon / 2 for the step d = y - x, which no rounding of f0's
+constant term disturbs. On a smooth form (no prox) it carries the
+gradients g_y = Q y - h and g_z = Q z - h beside its iterates
+(``_ufgm_on_smooth_form``). The gradient at x = tau z + (1 - tau) y is
+affine in tau, g = g_y + tau (g_z - g_y), so a trial forms g, the step
+d = -g / L_hat, Q d, d^T Q d and ||d||^2, and neither x nor the candidate.
+An accepted step updates y+ = x + d, g_y+ = g + Q d, z+ = z - a g and
+g_z+ = g_z + Q d / tau (a step d = -g / L_hat gives a Q g = -Q d / tau),
+and evaluates f0(y+) = y+^T (g_y+ - h) / 2 + c from them. On a composite
+form the prox of z needs z itself, so the UFGM carries Q y and Q z
+instead (``_quadratic_trial``): Q x = tau Q z + (1 - tau) Q y and the
+gradient Q x - h cost no product, Q z takes one product after the prox
+of z, and f0 is evaluated only at accepted points, from Q y. Rounding
+makes both paths differ from the generic one in the last bits; tests
+hold them to the generic path (the same oracle with ``quadratic=None``)
+within stated tolerances. Gradient descent on a quadratic form likewise
+carries Q x, takes its gradient Q x - h at no product, runs every trial
+through ``_quadratic_trial`` and updates Q x by the accepted Q d, so a
+run costs one product per trial plus one for x0.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -36,7 +42,7 @@ objective/gradient/prox evaluations, so both accountings are reportable.
 The evaluation counters count quantities, not calls: a fused
 value-and-gradient call adds one to each, and a UFGM trial counts one
 gradient and two smooth values (at x and at the candidate, whose
-difference the descent test uses) on either path.
+difference the descent test uses) on every path.
 
 Each solver call appends f at every accepted iterate to ``Trace.values``
 and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
@@ -382,13 +388,40 @@ def universal_fast_gradient(
     require_finite(epsilon=epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
+    run = _ufgm_on_smooth_form if oracle.quadratic is not None and oracle.prox is None else _ufgm
+    y, L_hat = run(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
+    trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
+    trace.final_point = y
+    trace.final_L_hat = L_hat
+    return y, trace
+
+
+def _coupling(A: float, L_hat: float) -> tuple[float, float]:
+    """The weight a solving a^2 = (A + a) / L_hat, and tau = a / (A + a)."""
+    # halving before the division is exact and, unlike 2 L_hat, cannot overflow
+    a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
+    return a, a / (A + a)
+
+
+def _ufgm(
+    oracle: ProximalOracle,
+    anchor: Vector,
+    Q_anchor: Optional[Vector],
+    epsilon: float,
+    L_hat: float,
+    budget: int,
+    stop: Optional[Callable[[Vector, float], bool]],
+    trace: Trace,
+) -> tuple[Vector, float]:
+    """The UFGM loop for generic oracles and composite quadratic forms.
+
+    Returns the last accepted iterate and the final estimate.
+    """
     form = oracle.quadratic
-    anchor, trace, _, Q_anchor = _start(oracle, x0, L0, budget, f_star)
-    y, Qy = anchor, Q_anchor
-    L_hat = float(L0)
+    y, Qy, Qz = anchor, Q_anchor, Q_anchor
     A = 0.0
     grad_sum = np.zeros_like(anchor)
-    Q_grad_sum = np.zeros_like(anchor)
 
     for t in range(1, budget + 1):
         z = anchor - grad_sum
@@ -397,12 +430,8 @@ def universal_fast_gradient(
             trace.n_prox += 1
             if form is not None:
                 Qz = form.Q @ z
-        elif form is not None:
-            Qz = Q_anchor - Q_grad_sum
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
-            # halving before the division is exact and, unlike 2 L_hat, cannot overflow
-            a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
-            tau = a / (A + a)
+            a, tau = _coupling(A, L_hat)
             slack = tau * epsilon / 2.0
             x = tau * z + (1.0 - tau) * y
             trace.n_grad += 1
@@ -427,9 +456,6 @@ def universal_fast_gradient(
         y = y_cand
         if form is not None:
             Qy = Qx + Qd
-            if oracle.prox is None:
-                # g = -L_hat d and a L_hat = 1 / tau, so a Q g = -Q d / tau.
-                Q_grad_sum = Q_grad_sum - Qd / tau
             f0_y = form.value(y, Qy)
             _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
@@ -437,11 +463,65 @@ def universal_fast_gradient(
         trace.values.append(f_full)
         if stop is not None and stop(y, f_full):
             break
+    return y, L_hat
 
-    trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
-    trace.final_point = y
-    trace.final_L_hat = L_hat
-    return y, trace
+
+def _ufgm_on_smooth_form(
+    oracle: ProximalOracle,
+    x0: Vector,
+    Qx0: Vector,
+    epsilon: float,
+    L_hat: float,
+    budget: int,
+    stop: Optional[Callable[[Vector, float], bool]],
+    trace: Trace,
+) -> tuple[Vector, float]:
+    """The UFGM on a smooth quadratic form, carrying g_y and g_z.
+
+    See the module docstring. Each trial spends one product, Q d, and
+    counts as one gradient and two smooth values, as on the other paths.
+    A non-finite g makes d, and with it d^T Q d, non-finite, so the
+    finiteness of d^T Q d covers the gradient too. d is formed before its
+    product, so finite data near the overflow threshold stays finite.
+    Returns the last accepted iterate and the final estimate.
+    """
+    Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
+    y = z = x0
+    g_y = g_z = Qx0 - h
+    A = 0.0
+    trials = 0
+
+    for t in range(1, budget + 1):
+        dg = g_z - g_y
+        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+            trials += 1
+            a, tau = _coupling(A, L_hat)
+            g = g_y + tau * dg
+            d = g / -L_hat
+            Qd = Q @ d
+            curvature = float(np.vdot(d, Qd))
+            finite = math.isfinite(curvature)
+            if finite and 0.5 * curvature <= (
+                0.5 * L_hat * float(np.vdot(d, d)) + tau * epsilon / 2.0
+            ):
+                break
+            L_hat = _double(trace, L_hat, doublings, finite, t)
+        A += a
+        y = tau * z + (1.0 - tau) * y + d
+        g_y = g + Qd
+        z = z - a * g
+        # g = -L_hat d and a L_hat = 1 / tau, so -a Q g = Q d / tau.
+        g_z = g_z + Qd / tau
+        f0_y = 0.5 * float(np.vdot(y, g_y - h)) + c
+        _check_finite(math.isfinite(f0_y))
+        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
+        f_full = f0_y + oracle.psi(y)
+        trace.values.append(f_full)
+        if stop is not None and stop(y, f_full):
+            break
+    trace.n_grad += trials
+    trace.n_value += 2 * trials
+    return y, L_hat
 
 
 def accelerated(

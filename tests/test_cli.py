@@ -558,6 +558,17 @@ class TestErrors:
         assert code == 2
         assert "latin.csv:3: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", ["least-squares", "logistic"])
+    def test_labels_only_dataset_exits_2_naming_the_empty_design(self, tmp_path, capsys, loss):
+        data = tmp_path / "labels.libsvm"
+        data.write_text("1\n-1\n1\n")
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--dataset", str(data), "--dataset-format", "libsvm",
+                       "--loss", loss, "--method", "acc", "--N", "5", "--out", str(out))
+        assert code == 2
+        assert "empty design: the 3x0 matrix has no columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_method_rejecting_a_value_becomes_failed_row(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = run_cli(

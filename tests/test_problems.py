@@ -170,6 +170,13 @@ class TestLeastSquares:
         )
 
 
+def test_design_without_columns_is_rejected():
+    A, labels = np.zeros((3, 0)), np.array([1.0, -1.0, 1.0])
+    for make in (make_least_squares, make_logistic):
+        with pytest.raises(ValueError, match="empty design: the 3x0 matrix has no columns"):
+            make(A, labels)
+
+
 @pytest.mark.parametrize("rows, cols", [(208, 0), (5, 10), (0, 0)])
 def test_synthetic_design_needs_rows_at_least_cols(rows, cols):
     for make in (synthetic_regression, synthetic_classification):

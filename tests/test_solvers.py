@@ -25,6 +25,7 @@ from restartopt import (
     make_logistic,
     make_quadratic,
     make_sharp_norm,
+    monotone_restart,
     reference_solve,
     soft_threshold,
     synthetic_classification,
@@ -528,6 +529,14 @@ def noiseless_least_squares():
     return make_least_squares(A, b)
 
 
+FORM_INSTANCES = {
+    "quadratic": lambda: make_quadratic(40, 1e3, seed=23),
+    "least_squares": lambda: make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24)),
+    "lasso": lambda: make_lasso(*synthetic_regression(100, 40, cond=1e4, seed=27), lam=0.5),
+    "dual_svm": lambda: make_dual_svm(*synthetic_classification(50, 8, cond=100.0, seed=26)),
+}
+
+
 class TestQuadraticImages:
     """The UFGM on a declared quadratic form against its reference path.
 
@@ -568,18 +577,23 @@ class TestQuadraticImages:
         assert trace.n_prox == trials + trace.accepted - 1
         assert trace.n_value == 1 + 2 * trials
 
-    @pytest.mark.parametrize("method", ["accelerated", "h_restart", "criterion", "grid"])
     @pytest.mark.parametrize(
-        "make",
+        "make, method",
         [
-            lambda: make_quadratic(40, 1e3, seed=23),
-            lambda: make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24)),
-            lambda: make_lasso(*synthetic_regression(100, 40, cond=1e4, seed=27), lam=0.5),
-            lambda: make_dual_svm(*synthetic_classification(50, 8, cond=100.0, seed=26)),
+            pytest.param(make, method, id=f"{name}-{method}")
+            for name, make in FORM_INSTANCES.items()
+            for method in ["accelerated", "h_restart", "criterion", "grid"]
+        ]
+        # mono feeds accepted values to its stop test. It is left out on
+        # dual_svm, where its restart marks differ between the two paths
+        # even without the smooth-form path: consecutive values tie to
+        # rounding level, so the last bits decide each restart.
+        + [
+            pytest.param(FORM_INSTANCES[name], "mono", id=f"{name}-mono")
+            for name in ["quadratic", "least_squares"]
         ],
-        ids=["quadratic", "least_squares", "lasso", "dual_svm"],
     )
-    def test_cached_path_matches_reference_path(self, method, make):
+    def test_cached_path_matches_reference_path(self, make, method):
         inst = make()
         assert inst.oracle.quadratic is not None
         reference = dataclasses.replace(inst.oracle, quadratic=None)
@@ -599,6 +613,8 @@ class TestQuadraticImages:
                                   f_star=f_star)]
             if method == "criterion":
                 return [criterion_restart(oracle, inst.x0, f_star, 1.0, 200, 1.0)]
+            if method == "mono":
+                return [monotone_restart(oracle, inst.x0, 200, 1.0, f_star=f_star)]
             outcome = adaptive_grid(oracle, inst.x0, 64, 1.0, f_star=f_star)
             return [outcome] + [outcome.runs[key] for key in sorted(outcome.runs)]
 
@@ -649,6 +665,44 @@ class TestQuadraticImages:
         oracle = ProximalOracle.from_quadratic(QuadraticForm(np.eye(2), np.zeros(2), math.nan))
         with pytest.raises(DivergenceError):
             universal_fast_gradient(oracle, np.ones(2), 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "Q, h",
+        [
+            (np.eye(2), np.array([1.0, math.nan])),
+            (np.array([[1.0, math.inf], [math.inf, 1.0]]), np.ones(2)),
+        ],
+        ids=["nan_in_h", "inf_in_Q"],
+    )
+    def test_non_finite_data_signals_divergence(self, Q, h):
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(Q, h))
+        with pytest.raises(DivergenceError):
+            universal_fast_gradient(oracle, np.ones(2), 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_overflowing_estimate_signals_divergence(self, epsilon):
+        # curvature 1.5e308 exceeds every finite estimate on the doubling
+        # path from 1e300, whose last finite value is about 1.34e308
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(1.5e308 * np.eye(2), np.zeros(2)))
+        with pytest.raises(DivergenceError, match="Lipschitz estimate overflowed"):
+            universal_fast_gradient(oracle, np.full(2, 1e-10), epsilon, 1e300, 5)
+
+    def test_stop_ends_the_run_at_the_first_iterate_where_it_holds(self):
+        inst = make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24))
+        _, full = accelerated(inst.oracle, inst.x0, 1.0, 60)
+        threshold = full.values[29]
+        first = next(i for i, f in enumerate(full.values) if f <= threshold)
+        seen = []
+
+        def stop(y, fy):
+            seen.append((y, fy))
+            return fy <= threshold
+
+        y, trace = accelerated(inst.oracle, inst.x0, 1.0, 60, stop=stop)
+        assert trace.values == full.values[: first + 1]
+        assert trace.cycles == [(first + 1, None)]
+        assert [fy for _, fy in seen] == trace.values
+        assert y is seen[-1][0] is trace.final_point
 
 
 class TestGradientDescentQuadraticImages:
