@@ -33,6 +33,7 @@ from .core import DerivedConditioning, DivergenceError, derive_conditioning
 from .problems import (
     DatasetFormatError,
     ProblemInstance,
+    _check_utf8,
     load_dataset,
     make_dual_svm,
     make_lasso,
@@ -334,11 +335,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: str) -> list[str]:
-    """The file's ``key=value`` lines as ``--key=value`` flag tokens."""
+    """The file's ``key=value`` lines as ``--key=value`` flag tokens.
+
+    The file is read as UTF-8 in every locale; a byte that is not UTF-8
+    raises ``ConfigError`` naming its line.
+    """
     tokens = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                _check_utf8(path, lineno, line, ConfigError)
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue

@@ -33,8 +33,9 @@ class QuadraticForm:
     """The smooth part f0(x) = x^T Q x / 2 - h^T x + c, with Q symmetric.
 
     ``Q`` is anything that supports ``Q @ x``. Knowing the form lets the
-    UFGM carry the images Q y and Q z beside its iterates and spend one
-    product per line-search trial.
+    UFGM carry the gradients Q y - h and Q z - h beside its iterates and
+    spend one product per line-search trial (plus one per step for z after
+    its prox, on composite problems).
     """
 
     Q: Any

@@ -532,15 +532,17 @@ def _open_dataset(path: str) -> TextIO:
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _check_utf8(path: str, lineno: int, line: str) -> None:
-    """Raise ``DatasetFormatError`` if the line holds a byte that is not UTF-8."""
+def _check_utf8(
+    path: str, lineno: int, line: str, error: type[ValueError] = DatasetFormatError
+) -> None:
+    """Raise ``error`` if a line read as by ``_open_dataset`` holds a non-UTF-8 byte."""
     if line.isascii():
         return
     try:
         line.encode("utf-8")
     except UnicodeEncodeError as exc:
         byte = ord(line[exc.start]) - 0xDC00
-        raise DatasetFormatError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
+        raise error(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
 
 
 def _non_finite(path: str, lineno: int, value: float, where: str) -> DatasetFormatError:

@@ -322,6 +322,13 @@ def monotone_restart(
     accepted one. Only accepted-iterate values feed the test, never line
     search candidates. A cycle in which no value increases runs out the
     budget, which ends the run.
+
+    The comparison is exact. Once a run has converged, consecutive values
+    tie to rounding level, so its restart decisions follow the last bits
+    of the arithmetic: two evaluation paths for the same problem (an
+    oracle with a declared quadratic form and the same oracle with
+    ``quadratic=None``) can restart at different iterates and a different
+    number of times, though their final values agree.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")

@@ -17,21 +17,20 @@ f0(x) = x^T Q x / 2 - h^T x + c (``ProximalOracle.quadratic``), the UFGM
 spends one product per line-search trial and tests the descent condition
 in its exact difference form d^T Q d / 2 <= L_hat/2 ||d||^2 +
 tau * epsilon / 2 for the step d = y - x, which no rounding of f0's
-constant term disturbs. On a smooth form (no prox) it carries the
-gradients g_y = Q y - h and g_z = Q z - h beside its iterates
-(``_ufgm_on_smooth_form``). The gradient at x = tau z + (1 - tau) y is
-affine in tau, g = g_y + tau (g_z - g_y), so a trial forms g, the step
-d = -g / L_hat, Q d, d^T Q d and ||d||^2, and neither x nor the candidate.
-An accepted step updates y+ = x + d, g_y+ = g + Q d, z+ = z - a g and
-g_z+ = g_z + Q d / tau (a step d = -g / L_hat gives a Q g = -Q d / tau),
-and evaluates f0(y+) = y+^T (g_y+ - h) / 2 + c from them. On a composite
-form the prox of z needs z itself, so the UFGM carries Q y and Q z
-instead (``_quadratic_trial``): Q x = tau Q z + (1 - tau) Q y and the
-gradient Q x - h cost no product, Q z takes one product after the prox
-of z, and f0 is evaluated only at accepted points, from Q y. Rounding
-makes both paths differ from the generic one in the last bits; tests
-hold them to the generic path (the same oracle with ``quadratic=None``)
-within stated tolerances. Gradient descent on a quadratic form likewise
+constant term disturbs. Every form, smooth or composite, runs one loop
+(``_ufgm_on_form``) that carries the gradients g_y = Q y - h and
+g_z = Q z - h beside its iterates. The gradient at x = tau z + (1 - tau) y
+is affine in tau, g = g_y + tau (g_z - g_y), so a trial forms g, the step
+d, Q d, d^T Q d and ||d||^2. Without a prox d = -g / L_hat, and a trial
+forms neither x nor the candidate; with one the candidate is
+y = prox(x - g / L_hat, 1 / L_hat) and d = y - x. An accepted step takes
+y+ = x + d (the candidate, with a prox), g_y+ = g + Q d and
+f0(y+) = y+^T (g_y+ - h) / 2 + c. Without a prox it also updates
+z+ = z - a g and g_z+ = g_z + Q d / tau at no product; with one, the
+next step takes z = prox(x0 - sum_i a_i g_i, A) and pays one product for
+g_z. Rounding makes the loop differ from the generic one in the last
+bits; tests hold it to the generic path (the same oracle with
+``quadratic=None``) within stated tolerances. Gradient descent on a form
 carries Q x, takes its gradient Q x - h at no product, runs every trial
 through ``_quadratic_trial`` and updates Q x by the accepted Q d, so a
 run costs one product per trial plus one for x0.
@@ -389,8 +388,10 @@ def universal_fast_gradient(
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
-    run = _ufgm_on_smooth_form if oracle.quadratic is not None and oracle.prox is None else _ufgm
-    y, L_hat = run(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
+    if oracle.quadratic is None:
+        y, L_hat = _ufgm(oracle, x0, epsilon, float(L0), budget, stop, trace)
+    else:
+        y, L_hat = _ufgm_on_form(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
     trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
     trace.final_point = y
     trace.final_L_hat = L_hat
@@ -407,19 +408,17 @@ def _coupling(A: float, L_hat: float) -> tuple[float, float]:
 def _ufgm(
     oracle: ProximalOracle,
     anchor: Vector,
-    Q_anchor: Optional[Vector],
     epsilon: float,
     L_hat: float,
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
 ) -> tuple[Vector, float]:
-    """The UFGM loop for generic oracles and composite quadratic forms.
+    """The UFGM loop for oracles without a declared quadratic form.
 
     Returns the last accepted iterate and the final estimate.
     """
-    form = oracle.quadratic
-    y, Qy, Qz = anchor, Q_anchor, Q_anchor
+    y = anchor
     A = 0.0
     grad_sum = np.zeros_like(anchor)
 
@@ -428,36 +427,23 @@ def _ufgm(
         if oracle.prox is not None and A > 0.0:
             z = np.asarray(oracle.prox(z, A), dtype=float)
             trace.n_prox += 1
-            if form is not None:
-                Qz = form.Q @ z
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
             a, tau = _coupling(A, L_hat)
             slack = tau * epsilon / 2.0
             x = tau * z + (1.0 - tau) * y
             trace.n_grad += 1
             trace.n_value += 1
-            if form is None:
-                f0_x, g = oracle.smooth_eval(x)
-                g = np.asarray(g, dtype=float)
-                finite = math.isfinite(f0_x) and _finite_vector(g)
-                if finite:
-                    y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
-            else:
-                Qx = tau * Qz + (1.0 - tau) * Qy
-                g = Qx - form.h
-                finite = _finite_vector(g)
-                if finite:
-                    y_cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, slack, trace)
+            f0_x, g = oracle.smooth_eval(x)
+            g = np.asarray(g, dtype=float)
+            finite = math.isfinite(f0_x) and _finite_vector(g)
+            if finite:
+                y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
             if finite and ok:
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
         grad_sum = grad_sum + a * g
         y = y_cand
-        if form is not None:
-            Qy = Qx + Qd
-            f0_y = form.value(y, Qy)
-            _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
         f_full = f0_y + oracle.psi(y)
         trace.values.append(f_full)
@@ -466,7 +452,7 @@ def _ufgm(
     return y, L_hat
 
 
-def _ufgm_on_smooth_form(
+def _ufgm_on_form(
     oracle: ProximalOracle,
     x0: Vector,
     Qx0: Vector,
@@ -476,28 +462,40 @@ def _ufgm_on_smooth_form(
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
 ) -> tuple[Vector, float]:
-    """The UFGM on a smooth quadratic form, carrying g_y and g_z.
+    """The UFGM on a declared quadratic form, carrying g_y and g_z.
 
-    See the module docstring. Each trial spends one product, Q d, and
-    counts as one gradient and two smooth values, as on the other paths.
-    A non-finite g makes d, and with it d^T Q d, non-finite, so the
-    finiteness of d^T Q d covers the gradient too. d is formed before its
+    See the module docstring. A trial spends one product, Q d, and counts
+    one gradient and two smooth values, as on the generic path. A
+    non-finite g makes d^T Q d non-finite, or, through a clipping prox,
+    f0(y+), so those checks cover the gradient too. d is formed before its
     product, so finite data near the overflow threshold stays finite.
     Returns the last accepted iterate and the final estimate.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
-    y = z = x0
+    prox = oracle.prox
+    # v = x0 - sum_i a_i g_i; z is its prox with step A, or v itself
+    y = z = v = x0
     g_y = g_z = Qx0 - h
     A = 0.0
     trials = 0
 
     for t in range(1, budget + 1):
+        if prox is not None and A > 0.0:
+            z = np.asarray(prox(v, A), dtype=float)
+            trace.n_prox += 1
+            g_z = Q @ z - h
         dg = g_z - g_y
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
             trials += 1
             a, tau = _coupling(A, L_hat)
             g = g_y + tau * dg
-            d = g / -L_hat
+            if prox is None:
+                d = g / -L_hat
+            else:
+                x = tau * z + (1.0 - tau) * y
+                y_cand = np.asarray(prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
+                d = y_cand - x
+                trace.n_prox += 1
             Qd = Q @ d
             curvature = float(np.vdot(d, Qd))
             finite = math.isfinite(curvature)
@@ -507,11 +505,12 @@ def _ufgm_on_smooth_form(
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
-        y = tau * z + (1.0 - tau) * y + d
+        y = tau * z + (1.0 - tau) * y + d if prox is None else y_cand
         g_y = g + Qd
-        z = z - a * g
-        # g = -L_hat d and a L_hat = 1 / tau, so -a Q g = Q d / tau.
-        g_z = g_z + Qd / tau
+        v = v - a * g
+        if prox is None:
+            # g = -L_hat d and a L_hat = 1 / tau, so -a Q g = Q d / tau.
+            z, g_z = v, g_z + Qd / tau
         f0_y = 0.5 * float(np.vdot(y, g_y - h)) + c
         _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)

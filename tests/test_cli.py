@@ -1,6 +1,7 @@
 """Command-line behavior: trace files, summaries, determinism, errors."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -621,6 +622,29 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"problem=quadratic\n# caf\xe9\nmethod=acc\nN=5\n")
+        out = tmp_path / "trace.csv"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"error: {cfg}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_utf8_comment_reads_under_an_ascii_locale(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# café\nproblem=quadratic\nmethod=acc\nN=5\n", encoding="utf-8")
+        out = tmp_path / "trace.csv"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "restartopt.cli", "run", "--config", str(cfg),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 class TestAbbreviatedFlags:

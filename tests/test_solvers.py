@@ -541,8 +541,8 @@ class TestQuadraticImages:
     """The UFGM on a declared quadratic form against its reference path.
 
     The reference path is the same oracle with ``quadratic=None``: the
-    generic loop with fused evaluations. Carrying Q y and Q z changes
-    rounding, so the contract is a tolerance, not bitwise equality.
+    generic loop with fused evaluations. Carrying the gradients g_y and g_z
+    changes rounding, so the contract is a tolerance, not bitwise equality.
     """
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
@@ -590,7 +590,7 @@ class TestQuadraticImages:
         # rounding level, so the last bits decide each restart.
         + [
             pytest.param(FORM_INSTANCES[name], "mono", id=f"{name}-mono")
-            for name in ["quadratic", "least_squares"]
+            for name in ["quadratic", "least_squares", "lasso"]
         ],
     )
     def test_cached_path_matches_reference_path(self, make, method):
@@ -639,7 +639,7 @@ class TestQuadraticImages:
         ids=["least_squares", "lasso"],
     )
     def test_reported_value_matches_the_oracle_after_a_long_cycle(self, make):
-        # Q y drifts from Q @ y by rounding over one long cycle
+        # g_y drifts from Q @ y - h by rounding over one long cycle
         inst = make()
         y, trace = accelerated(inst.oracle, inst.x0, 1.0, 3000)
         f = trace.final_f
@@ -687,8 +687,9 @@ class TestQuadraticImages:
         with pytest.raises(DivergenceError, match="Lipschitz estimate overflowed"):
             universal_fast_gradient(oracle, np.full(2, 1e-10), epsilon, 1e300, 5)
 
-    def test_stop_ends_the_run_at_the_first_iterate_where_it_holds(self):
-        inst = make_least_squares(*synthetic_regression(80, 20, cond=1e3, seed=24))
+    @pytest.mark.parametrize("name", ["least_squares", "lasso"])
+    def test_stop_ends_the_run_at_the_first_iterate_where_it_holds(self, name):
+        inst = FORM_INSTANCES[name]()
         _, full = accelerated(inst.oracle, inst.x0, 1.0, 60)
         threshold = full.values[29]
         first = next(i for i, f in enumerate(full.values) if f <= threshold)
@@ -703,6 +704,9 @@ class TestQuadraticImages:
         assert trace.cycles == [(first + 1, None)]
         assert [fy for _, fy in seen] == trace.values
         assert y is seen[-1][0] is trace.final_point
+        # no prox of z for a step the stopped run does not take
+        trials = trace.accepted + trace.backtracks
+        assert trace.n_prox == (0 if inst.oracle.prox is None else trials + trace.accepted - 1)
 
 
 class TestGradientDescentQuadraticImages:
