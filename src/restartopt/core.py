@@ -33,9 +33,11 @@ class QuadraticForm:
     """The smooth part f0(x) = x^T Q x / 2 - h^T x + c, with Q symmetric.
 
     ``Q`` is anything that supports ``Q @ x``. Knowing the form lets the
-    UFGM carry the gradients Q y - h and Q z - h beside its iterates and
-    spend one product per line-search trial (plus one per step for z after
-    its prox, on composite problems).
+    UFGM carry the gradients Q y - h and Q z - h beside its iterates. On a
+    smooth form (no prox) it also carries their images under Q, tests each
+    line-search trial on scalars and spends one product per accepted step
+    (plus four every 32 steps to re-anchor them); on a composite form it
+    spends one product per trial, plus one per step for z after its prox.
     """
 
     Q: Any

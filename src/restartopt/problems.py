@@ -95,8 +95,10 @@ def make_quadratic(n: int, kappa_target: float, seed: int = 0) -> ProblemInstanc
     rng = np.random.default_rng(seed)
     eigenvalues = np.geomspace(1.0, kappa_target, n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    A = (q * eigenvalues) @ q.T
-    A = 0.5 * (A + A.T)
+    # A = q diag(eigenvalues) q^T; numpy computes q @ q.T as a symmetric
+    # product, so A is exactly symmetric without a second pass
+    q *= np.sqrt(eigenvalues)
+    A = q @ q.T
     x0 = _unit_vector(rng, n)
     reg = RegularityParams(
         s=2.0, L=float(eigenvalues[-1]), r=2.0, mu=float(eigenvalues[0]) / 2.0,

@@ -14,26 +14,41 @@ common work when the oracle supplies a fused evaluation.
 
 When the oracle declares its smooth part as a quadratic form
 f0(x) = x^T Q x / 2 - h^T x + c (``ProximalOracle.quadratic``), the UFGM
-spends one product per line-search trial and tests the descent condition
-in its exact difference form d^T Q d / 2 <= L_hat/2 ||d||^2 +
-tau * epsilon / 2 for the step d = y - x, which no rounding of f0's
-constant term disturbs. Every form, smooth or composite, runs one loop
-(``_ufgm_on_form``) that carries the gradients g_y = Q y - h and
-g_z = Q z - h beside its iterates. The gradient at x = tau z + (1 - tau) y
-is affine in tau, g = g_y + tau (g_z - g_y), so a trial forms g, the step
-d, Q d, d^T Q d and ||d||^2. Without a prox d = -g / L_hat, and a trial
-forms neither x nor the candidate; with one the candidate is
-y = prox(x - g / L_hat, 1 / L_hat) and d = y - x. An accepted step takes
-y+ = x + d (the candidate, with a prox), g_y+ = g + Q d and
-f0(y+) = y+^T (g_y+ - h) / 2 + c. Without a prox it also updates
-z+ = z - a g and g_z+ = g_z + Q d / tau at no product; with one, the
-next step takes z = prox(x0 - sum_i a_i g_i, A) and pays one product for
-g_z. Rounding makes the loop differ from the generic one in the last
-bits; tests hold it to the generic path (the same oracle with
-``quadratic=None``) within stated tolerances. Gradient descent on a form
-carries Q x, takes its gradient Q x - h at no product, runs every trial
-through ``_quadratic_trial`` and updates Q x by the accepted Q d, so a
-run costs one product per trial plus one for x0.
+tests the descent condition in its exact difference form
+d^T Q d <= L_hat ||d||^2 + tau * epsilon for the step d = y - x, which no
+rounding of f0's constant term disturbs. It carries the gradients
+g_y = Q y - h and g_z = Q z - h beside its iterates; the gradient at
+x = tau z + (1 - tau) y is their tau-mix g = (1 - tau) g_y + tau g_z, and
+f0(y) = y^T (g_y - h) / 2 + c.
+
+On a smooth form (no prox, ``_ufgm_on_smooth_form``) d = -g / L_hat, and
+the loop also carries the images Q g_y and Q g_z. Then d^T Q d and ||d||^2
+are quadratics in tau whose coefficients are dot products among g_y, g_z,
+Q g_y and Q g_z, taken once per step, so a trial is a few scalar
+operations and a failed one costs no array pass and no product. An
+accepted step updates the three two-row blocks [y; z], [g_y; g_z] and
+[Q g_y; Q g_z] alike: the first row becomes the block's tau-mix minus the
+next block's mix over L_hat, the second row itself minus a times the next
+block's mix. For the images the next mix is Q applied to their own mix,
+the step's one product. The gradient and image blocks are stored over L0
+and L0^2, L0 the cycle's starting estimate, so they stay on the scale of
+a step and overflow no sooner than the step would. After every 32nd step
+(``_REANCHOR_STEPS``) fresh products replace the gradient and image rows,
+so their rounding drift stays bounded however long the cycle. A cycle
+costs two products at its start (Q x0 and Q g0), one per accepted step
+and four per re-anchor.
+
+On a composite form (``_ufgm_on_form``) the prox is not linear, so a
+trial forms x, the candidate y = prox(x - g / L_hat, 1 / L_hat), d = y - x
+and one product Q d, and an accepted step takes g_y+ = g + Q d. Each step
+after the first takes z = prox(x0 - sum_i a_i g_i, A) and pays one product
+for g_z. Both loops round differently from the generic one; tests hold
+them to the generic path (the same oracle with ``quadratic=None``) within
+stated tolerances.
+
+Gradient descent on a form carries Q x, takes its gradient Q x - h at no
+product, runs every trial through ``_quadratic_trial`` and updates Q x by
+the accepted Q d, so a run costs one product per trial plus one for x0.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -69,6 +84,20 @@ _MAX_DOUBLINGS_PER_STEP = 120
 _L_HAT_MIN = 1e-280
 
 _GAP_FLOOR = -1e-12
+
+# The smooth-form UFGM recomputes its gradients and images from fresh
+# products after every this-many-th step but the last.
+_REANCHOR_STEPS = 32
+
+# The entries of the smooth-form UFGM's step matrix that change from step
+# to step, in the order ``_ufgm_on_smooth_form`` fills them: the tau-mix of
+# each block's two rows, the next block's mix into the first rows and into
+# the second rows, and the product row into the image rows.
+_STEP_ENTRIES = np.ravel_multi_index(
+    ([0, 2, 4, 0, 2, 4, 0, 2, 0, 2, 1, 3, 1, 3, 4, 5],
+     [0, 2, 4, 1, 3, 5, 2, 4, 3, 5, 2, 4, 3, 5, 6, 6]),
+    (7, 7),
+)
 
 
 class TraceEntry(NamedTuple):
@@ -391,7 +420,8 @@ def universal_fast_gradient(
     if oracle.quadratic is None:
         y, L_hat = _ufgm(oracle, x0, epsilon, float(L0), budget, stop, trace)
     else:
-        y, L_hat = _ufgm_on_form(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
+        loop = _ufgm_on_form if oracle.prox is not None else _ufgm_on_smooth_form
+        y, L_hat = loop(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
     trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
     trace.final_point = y
     trace.final_L_hat = L_hat
@@ -452,6 +482,84 @@ def _ufgm(
     return y, L_hat
 
 
+def _ufgm_on_smooth_form(
+    oracle: ProximalOracle,
+    x0: Vector,
+    Qx0: Vector,
+    epsilon: float,
+    L_hat: float,
+    budget: int,
+    stop: Optional[Callable[[Vector, float], bool]],
+    trace: Trace,
+) -> tuple[Vector, float]:
+    """The UFGM on a quadratic form without a prox, with scalar trials.
+
+    See the module docstring. ``rows`` holds y, z, g_y / L0, g_z / L0,
+    Q g_y / L0^2 and Q g_z / L0^2, with L0 the starting estimate, and a
+    last row for the step's product Q m, where m is the tau-mix of the
+    image rows. An accepted step is one product with the 7x7 matrix
+    ``step``. ``gram`` holds the dot products of y, z and the gradient
+    rows with the gradient and image rows. A trial counts one gradient and
+    two smooth values, as on the generic path; a non-finite gradient or
+    image makes d^T Q d non-finite. Returns the last accepted iterate and
+    the final estimate.
+    """
+    Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
+    L0 = L_hat
+    rows = np.zeros((7, x0.shape[0]))
+    rows[0] = rows[1] = x0
+    rows[2] = rows[3] = (Qx0 - h) / L0
+    rows[4] = rows[5] = (Q @ rows[2]) / L0
+    step = np.zeros((7, 7))
+    step[1, 1] = step[3, 3] = step[5, 5] = 1.0
+    gram = (rows[:4] @ rows[2:6].T).tolist()
+    A = 0.0
+    trials = 0
+
+    for t in range(1, budget + 1):
+        _, _, (gyy, gyz, hyy, hyz), (_, gzz, hzy, hzz) = gram
+        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+            trials += 1
+            a, tau = _coupling(A, L_hat)
+            u = 1.0 - tau
+            # the step d = -g / L_hat is -s times the mix of the gradient rows
+            s = L0 / L_hat
+            gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
+            gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
+            # d^T Q d; L_hat ||d||^2 is L0 s gg
+            curvature = L0 * s * s * gQg
+            finite = math.isfinite(curvature)
+            if finite and curvature <= L0 * s * gg + tau * epsilon:
+                break
+            L_hat = _double(trace, L_hat, doublings, finite, t)
+        A += a
+        rows[6] = (Q @ (u * rows[4] + tau * rows[5])) / L0
+        # in each block the first row becomes its mix - s (next block's mix)
+        # and the second row itself - a L0 (next block's mix); the product
+        # row is the next block of the images
+        aL0 = a * L0
+        su, st, au, at = s * u, s * tau, aL0 * u, aL0 * tau
+        step.put(_STEP_ENTRIES, [u, u, u, tau, tau, tau, -su, -su, -st, -st,
+                                 -au, -au, -at, -at, -s, -aL0])
+        rows = step @ rows
+        if t % _REANCHOR_STEPS == 0 and t < budget:
+            for k in (2, 3):
+                rows[k] = (Q @ rows[k - 2] - h) / L0
+            for k in (4, 5):
+                rows[k] = (Q @ rows[k - 2]) / L0
+        gram = (rows[:4] @ rows[2:6].T).tolist()
+        y = rows[0]
+        f0_y = 0.5 * (L0 * gram[0][0] - float(y @ h)) + c
+        _check_finite(math.isfinite(f0_y))
+        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
+        trace.values.append(f0_y)
+        if stop is not None and stop(y, f0_y):
+            break
+    trace.n_grad += trials
+    trace.n_value += 2 * trials
+    return y, L_hat
+
+
 def _ufgm_on_form(
     oracle: ProximalOracle,
     x0: Vector,
@@ -462,7 +570,7 @@ def _ufgm_on_form(
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
 ) -> tuple[Vector, float]:
-    """The UFGM on a declared quadratic form, carrying g_y and g_z.
+    """The UFGM on a composite quadratic form, carrying g_y and g_z.
 
     See the module docstring. A trial spends one product, Q d, and counts
     one gradient and two smooth values, as on the generic path. A
@@ -473,14 +581,14 @@ def _ufgm_on_form(
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
     prox = oracle.prox
-    # v = x0 - sum_i a_i g_i; z is its prox with step A, or v itself
+    # v = x0 - sum_i a_i g_i; z is its prox with step A
     y = z = v = x0
     g_y = g_z = Qx0 - h
     A = 0.0
     trials = 0
 
     for t in range(1, budget + 1):
-        if prox is not None and A > 0.0:
+        if A > 0.0:
             z = np.asarray(prox(v, A), dtype=float)
             trace.n_prox += 1
             g_z = Q @ z - h
@@ -489,13 +597,10 @@ def _ufgm_on_form(
             trials += 1
             a, tau = _coupling(A, L_hat)
             g = g_y + tau * dg
-            if prox is None:
-                d = g / -L_hat
-            else:
-                x = tau * z + (1.0 - tau) * y
-                y_cand = np.asarray(prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
-                d = y_cand - x
-                trace.n_prox += 1
+            x = tau * z + (1.0 - tau) * y
+            y_cand = np.asarray(prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
+            trace.n_prox += 1
+            d = y_cand - x
             Qd = Q @ d
             curvature = float(np.vdot(d, Qd))
             finite = math.isfinite(curvature)
@@ -505,12 +610,9 @@ def _ufgm_on_form(
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
-        y = tau * z + (1.0 - tau) * y + d if prox is None else y_cand
+        y = y_cand
         g_y = g + Qd
         v = v - a * g
-        if prox is None:
-            # g = -L_hat d and a L_hat = 1 / tau, so -a Q g = Q d / tau.
-            z, g_z = v, g_z + Qd / tau
         f0_y = 0.5 * float(np.vdot(y, g_y - h)) + c
         _check_finite(math.isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)

@@ -57,6 +57,11 @@ class TestQuadratic:
             inst.oracle, inst.regularity, points, inst.x_star_distance
         )
 
+    @pytest.mark.parametrize("n", [1, 7, 50, 301])
+    def test_matrix_is_exactly_symmetric(self, n):
+        Q = make_quadratic(n, 1e4, seed=5).oracle.quadratic.Q
+        assert np.array_equal(Q, Q.T)
+
     def test_reproducible(self):
         a = make_quadratic(7, 12.0, seed=4)
         b = make_quadratic(7, 12.0, seed=4)
