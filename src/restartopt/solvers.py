@@ -22,21 +22,24 @@ x = tau z + (1 - tau) y is their tau-mix g = (1 - tau) g_y + tau g_z, and
 f0(y) = y^T (g_y - h) / 2 + c.
 
 On a smooth form (no prox, ``_ufgm_on_smooth_form``) d = -g / L_hat, and
-the loop also carries the images Q g_y and Q g_z. Then d^T Q d and ||d||^2
-are quadratics in tau whose coefficients are dot products among g_y, g_z,
-Q g_y and Q g_z, taken once per step, so a trial is a few scalar
-operations and a failed one costs no array pass and no product. An
-accepted step updates the three two-row blocks [y; z], [g_y; g_z] and
-[Q g_y; Q g_z] alike: the first row becomes the block's tau-mix minus the
-next block's mix over L_hat, the second row itself minus a times the next
-block's mix. For the images the next mix is Q applied to their own mix,
-the step's one product. The gradient and image blocks are stored over L0
-and L0^2, L0 the cycle's starting estimate, so they stay on the scale of
-a step and overflow no sooner than the step would. After every 32nd step
-(``_REANCHOR_STEPS``) fresh products replace the gradient and image rows,
-so their rounding drift stays bounded however long the cycle. A cycle
-costs two products at its start (Q x0 and Q g0), one per accepted step
-and four per re-anchor.
+the loop also carries the images Q g_y and Q g_z and the constant h, in
+an 8-row state with a row for the step's product. Then d^T Q d, ||d||^2
+(quadratics in tau) and f0(y) = (y^T g_y - y^T h) / 2 + c come from one
+4x5 Gram matrix per step, of y, z, g_y and g_z against g_y, g_z, Q g_y,
+Q g_z and h, so a trial is a few scalar operations and a failed one costs
+no array pass and no product. An accepted step updates the three two-row
+blocks [y; z], [g_y; g_z] and [Q g_y; Q g_z] alike: the first row becomes
+the block's tau-mix minus the next block's mix over L_hat, the second row
+itself minus a times the next block's mix. For the images the next mix is
+Q applied to their own mix, the step's one product; h stays as it is. The
+gradient, h and image rows are stored over S and S^2, S the smallest
+power-of-two multiple of the cycle's starting estimate L0 at least the
+curvature g0^T Q g0 / ||g0||^2 along the first gradient (L0 when g0 = 0),
+so they stay on the scale of a step however small L0 is. After every 32nd
+step (``_REANCHOR_STEPS``) fresh products replace the gradient and image
+rows, so their rounding drift stays bounded however long the cycle. A
+cycle costs two products at its start (Q x0 and Q g0), one per accepted
+step and four per re-anchor.
 
 On a composite form (``_ufgm_on_form``) the prox is not linear, so a
 trial forms x, the candidate y = prox(x - g / L_hat, 1 / L_hat), d = y - x
@@ -89,14 +92,15 @@ _GAP_FLOOR = -1e-12
 # products after every this-many-th step but the last.
 _REANCHOR_STEPS = 32
 
-# The entries of the smooth-form UFGM's step matrix that change from step
-# to step, in the order ``_ufgm_on_smooth_form`` fills them: the tau-mix of
-# each block's two rows, the next block's mix into the first rows and into
-# the second rows, and the product row into the image rows.
+# The smooth-form UFGM's step matrix at a cycle's start (it keeps z, g_z,
+# Q g_z and h) and the entries each step fills, in ``_ufgm_on_smooth_form``'s
+# order: each block's tau-mix, the next block's mix into the first rows and
+# into the second rows, and the product row into the image rows.
+_STEP_START = np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
 _STEP_ENTRIES = np.ravel_multi_index(
     ([0, 2, 4, 0, 2, 4, 0, 2, 0, 2, 1, 3, 1, 3, 4, 5],
-     [0, 2, 4, 1, 3, 5, 2, 4, 3, 5, 2, 4, 3, 5, 6, 6]),
-    (7, 7),
+     [0, 2, 4, 1, 3, 5, 2, 4, 3, 5, 2, 4, 3, 5, 7, 7]),
+    (8, 8),
 )
 
 
@@ -494,63 +498,69 @@ def _ufgm_on_smooth_form(
 ) -> tuple[Vector, float]:
     """The UFGM on a quadratic form without a prox, with scalar trials.
 
-    See the module docstring. ``rows`` holds y, z, g_y / L0, g_z / L0,
-    Q g_y / L0^2 and Q g_z / L0^2, with L0 the starting estimate, and a
-    last row for the step's product Q m, where m is the tau-mix of the
-    image rows. An accepted step is one product with the 7x7 matrix
-    ``step``. ``gram`` holds the dot products of y, z and the gradient
-    rows with the gradient and image rows. A trial counts one gradient and
-    two smooth values, as on the generic path; a non-finite gradient or
-    image makes d^T Q d non-finite. Returns the last accepted iterate and
-    the final estimate.
+    See the module docstring. ``rows``, the 8-row state, holds y, z,
+    g_y / S, g_z / S, Q g_y / S^2, Q g_z / S^2, h / S and the step's
+    product Q m / S, m the tau-mix of the image rows. ``gram``, the 4x5
+    Gram matrix of the first four rows against the next five, gives the
+    trial scalars and f0(y). A trial counts one gradient and two smooth
+    values, as on the generic path; a non-finite gradient or image makes
+    d^T Q d non-finite. Returns the last accepted iterate and the final
+    estimate.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
-    L0 = L_hat
-    rows = np.zeros((7, x0.shape[0]))
-    rows[0] = rows[1] = x0
-    rows[2] = rows[3] = (Qx0 - h) / L0
-    rows[4] = rows[5] = (Q @ rows[2]) / L0
-    step = np.zeros((7, 7))
-    step[1, 1] = step[3, 3] = step[5, 5] = 1.0
-    gram = (rows[:4] @ rows[2:6].T).tolist()
+    dot, sqrt, isfinite = np.dot, math.sqrt, math.isfinite
+    g0 = (Qx0 - h) / L_hat
+    Qg0 = Q @ g0
+    S, gg, gQg = L_hat, float(dot(g0, g0)), float(dot(g0, Qg0))
+    while S * gg < gQg and isfinite(2.0 * S):
+        S *= 2.0
+    rows = np.empty((8, x0.shape[0]))
+    rows[:2] = x0
+    rows[2:4] = g0 * (L_hat / S)
+    rows[4:6] = Qg0 / S * (L_hat / S)
+    rows[6] = h / S
+    gram = dot(rows[:4], rows[2:7].T).tolist()
+    step = _STEP_START.copy()
+    put = step.put
+    w = np.empty(2)
     A = 0.0
     trials = 0
 
     for t in range(1, budget + 1):
-        _, _, (gyy, gyz, hyy, hyz), (_, gzz, hzy, hzz) = gram
+        _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
         for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
             trials += 1
-            a, tau = _coupling(A, L_hat)
+            a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
+            tau = a / (A + a)
             u = 1.0 - tau
             # the step d = -g / L_hat is -s times the mix of the gradient rows
-            s = L0 / L_hat
+            s = S / L_hat
             gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
             gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
-            # d^T Q d; L_hat ||d||^2 is L0 s gg
-            curvature = L0 * s * s * gQg
-            finite = math.isfinite(curvature)
-            if finite and curvature <= L0 * s * gg + tau * epsilon:
+            # d^T Q d; L_hat ||d||^2 is S s gg
+            curvature = S * s * s * gQg
+            finite = isfinite(curvature)
+            if finite and curvature <= S * s * gg + tau * epsilon:
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
-        rows[6] = (Q @ (u * rows[4] + tau * rows[5])) / L0
+        w[0], w[1] = u / S, tau / S
+        rows[7] = Q @ dot(w, rows[4:6])
         # in each block the first row becomes its mix - s (next block's mix)
-        # and the second row itself - a L0 (next block's mix); the product
+        # and the second row itself - a S (next block's mix); the product
         # row is the next block of the images
-        aL0 = a * L0
-        su, st, au, at = s * u, s * tau, aL0 * u, aL0 * tau
-        step.put(_STEP_ENTRIES, [u, u, u, tau, tau, tau, -su, -su, -st, -st,
-                                 -au, -au, -at, -at, -s, -aL0])
-        rows = step @ rows
+        aS = a * S
+        su, st, au, at = s * u, s * tau, aS * u, aS * tau
+        put(_STEP_ENTRIES, [u, u, u, tau, tau, tau, -su, -su, -st, -st,
+                            -au, -au, -at, -at, -s, -aS])
+        rows = dot(step, rows)
         if t % _REANCHOR_STEPS == 0 and t < budget:
-            for k in (2, 3):
-                rows[k] = (Q @ rows[k - 2] - h) / L0
-            for k in (4, 5):
-                rows[k] = (Q @ rows[k - 2]) / L0
-        gram = (rows[:4] @ rows[2:6].T).tolist()
+            for k in (2, 3, 4, 5):
+                rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
+        gram = dot(rows[:4], rows[2:7].T).tolist()
         y = rows[0]
-        f0_y = 0.5 * (L0 * gram[0][0] - float(y @ h)) + c
-        _check_finite(math.isfinite(f0_y))
+        f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
+        _check_finite(isfinite(f0_y))
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
         trace.values.append(f0_y)
         if stop is not None and stop(y, f0_y):

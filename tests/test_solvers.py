@@ -27,6 +27,8 @@ from restartopt import (
     make_sharp_norm,
     monotone_restart,
     reference_solve,
+    restart_scheduled,
+    restarts,
     soft_threshold,
     synthetic_classification,
     synthetic_regression,
@@ -666,6 +668,41 @@ class TestQuadraticImages:
         assert trace.accepted == 3
         assert trace.final_f == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_small_starting_estimate_does_not_overflow(self):
+        # the rows are scaled by a power-of-two multiple of L0 at least the
+        # curvature along g0; scaled by L0 = 1e-100 itself, the step's
+        # product would overflow at step 2
+        inst = FORM_INSTANCES["least_squares"]()
+        _, trace = accelerated(inst.oracle, inst.x0, 1e-100, 50)
+        assert trace.accepted == 50
+        assert math.isfinite(trace.final_f)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("budget", [31, 32, 33, 64])
+    @pytest.mark.parametrize(
+        "make, at_minimizer",
+        [
+            (FORM_INSTANCES["quadratic"], False),
+            (FORM_INSTANCES["least_squares"], False),
+            (FORM_INSTANCES["quadratic"], True),
+        ],
+        ids=["quadratic", "least_squares", "quadratic-at-minimizer"],
+    )
+    def test_reported_value_matches_the_oracle_around_a_reanchor(
+        self, make, at_minimizer, budget
+    ):
+        # f0(y) comes from the carried rows, h among them (h = 0 on the
+        # quadratic), which are re-anchored after every 32nd step but the
+        # last; at the minimizer g0 = 0
+        inst = make()
+        x0 = np.zeros_like(inst.x0) if at_minimizer else inst.x0
+        y, trace = accelerated(inst.oracle, x0, 1.0, budget)
+        f = trace.final_f
+        assert abs(f - inst.oracle.value(y)) <= 1e-12 * max(1.0, abs(f))
+        if at_minimizer:
+            assert trace.values == [0.0] * budget
+
     def test_non_finite_value_signals_divergence(self):
         oracle = ProximalOracle.from_quadratic(QuadraticForm(np.eye(2), np.zeros(2), math.nan))
         with pytest.raises(DivergenceError):
@@ -779,3 +816,50 @@ class TestGradientDescentQuadraticImages:
         inst = noiseless_least_squares()
         trace = gradient_descent(inst.oracle, inst.x0, 1.0, 3000, f_star=inst.f_star)
         assert trace.max_L_hat <= 2 * inst.regularity.L
+
+
+ALIASING_PATHS = {
+    "smooth_form": lambda: FORM_INSTANCES["least_squares"]().oracle,
+    "composite_form": lambda: FORM_INSTANCES["lasso"]().oracle,
+    "generic": lambda: dataclasses.replace(FORM_INSTANCES["least_squares"]().oracle,
+                                           quadratic=None),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ALIASING_PATHS))
+class TestHandedOutPointsStayPut:
+    """A point a run hands out is never written to afterwards.
+
+    The runs cross the smooth-form loop's re-anchors after steps 32, 64
+    and 96, which rewrite rows of its state in place.
+    """
+
+    def test_points_passed_to_stop(self, path):
+        oracle = ALIASING_PATHS[path]()
+        x0 = np.zeros(oracle.dimension)
+        seen = []
+
+        def stop(y, _fy):
+            seen.append((y, y.copy()))
+            return False
+
+        _, trace = accelerated(oracle, x0, 1.0, 100, stop=stop)
+        assert len(seen) == trace.accepted == 100
+        assert all(np.array_equal(y, copy) for y, copy in seen)
+        assert trace.final_point is seen[-1][0]
+
+    def test_final_point_of_every_cycle(self, path, monkeypatch):
+        oracle = ALIASING_PATHS[path]()
+        solve = restarts.universal_fast_gradient
+        points = []
+
+        def recording(*args, **kwargs):
+            y, trace = solve(*args, **kwargs)
+            points.append((trace.final_point, trace.final_point.copy()))
+            return y, trace
+
+        monkeypatch.setattr(restarts, "universal_fast_gradient", recording)
+        trace = restart_scheduled(oracle, np.zeros(oracle.dimension), Schedule(C=40.0), 120, 1.0)
+        assert len(points) == 3
+        assert all(np.array_equal(p, copy) for p, copy in points)
+        assert np.array_equal(trace.final_point, points[-1][1])
