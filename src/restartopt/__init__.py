@@ -56,6 +56,7 @@ from .restarts import (
     Schedule,
     adaptive_grid,
     criterion_restart,
+    cycle_plan,
     grid_schedule,
     h_restart,
     monotone_restart,

@@ -14,13 +14,13 @@ restarts are accuracy-scheduled restarts with eps0 = 0, whose targets
 stay 0.
 
 Budget semantics: the budget counts accepted inner iterations across all
-cycles. A scheduled run stops once the budget is used, and truncates a
-cycle where it would pass ``cap`` accepted iterations. The cap defaults
-to the budget, so method comparisons happen at equal N; grid-search runs
-use cap = 2N, so they complete their final cycle (stopping at the first
-cycle boundary past N, or at 2N), matching how the grid's guarantee is
-stated. The Lipschitz estimate is warm-started across cycles: each cycle
-starts from the last estimate of the previous one.
+cycles. ``cycle_plan`` plans a scheduled run's cycles until the budget is
+used, truncating a cycle where it would pass ``cap`` accepted iterations.
+The cap defaults to the budget, so method comparisons happen at equal N;
+grid-search runs use cap = 2N, so they complete their final cycle
+(stopping at the first cycle boundary past N, or at 2N), matching how the
+grid's guarantee is stated. The Lipschitz estimate is warm-started across
+cycles: each cycle starts from the last estimate of the previous one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
-from .solvers import Trace, universal_fast_gradient
+from .solvers import Trace, _check_finite, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,16 @@ def _new_trace(x0: Vector, L0: float, f_star: Optional[float]) -> Trace:
                  f_star=f_star, max_L_hat=float(L0))
 
 
+def _record_start(trace: Trace, oracle: ProximalOracle, budget: int) -> Trace:
+    """Check the budget and record f(x0) as ``f_initial``; DivergenceError if not finite."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    trace.f_initial = oracle.smooth_value(trace.final_point) + oracle.psi(trace.final_point)
+    trace.n_value += 1
+    _check_finite(math.isfinite(trace.f_initial))
+    return trace
+
+
 def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations: int,
                stop: Optional[Callable[[Vector, float], bool]] = None) -> None:
     """Run one cycle of the universal method and append it to the scheme's trace.
@@ -115,28 +125,43 @@ def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations:
     trace.final_L_hat = sub.final_L_hat
 
 
+def cycle_plan(schedule: Schedule, budget: int, cap: int, eps0: float = 0.0,
+               gamma: float = 0.0) -> list[tuple[float, int, float]]:
+    """``(planned, length, target)`` of each cycle k = 1, 2, ... of a scheduled run.
+
+    planned is ceil(t_k) (inf where t_k overflows), length is planned cut where
+    the run would pass ``cap`` >= budget, target is eps_k = e^(-gamma) eps_{k-1}.
+    A cycle without a stop runs exactly its length, so this is ``Trace.cycles``.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if cap < budget:
+        raise ValueError(f"cap must be >= the budget {budget}, got {cap}")
+    plan, used, eps_k = [], 0, float(eps0)
+    while used < budget:
+        eps_k *= math.exp(-gamma)
+        try:
+            planned = schedule.iterations(len(plan) + 1)
+        except OverflowError:  # longer than any budget: the cycle runs what is left
+            planned = math.inf
+        plan.append((planned, min(planned, cap - used), eps_k))
+        used += plan[-1][1]
+    return plan
+
+
 def _scheduled(oracle: ProximalOracle, x0: Vector, eps0: float, gamma: float,
                schedule: Schedule, budget: int, cap: int, L0: float,
                f_star: Optional[float]) -> Trace:
-    """Cycles of ceil(t_k) iterations at target e^(-gamma k) eps0 until the budget.
-
-    A cycle is truncated where it would pass ``cap`` (>= budget) iterations;
-    its note names the cap when the cap exceeds the budget.
-    """
+    """Run the cycles of ``cycle_plan``; a truncated one's note names its limit."""
     trace = _new_trace(x0, L0, f_star)
     limit = "the cap" if cap > budget else "the budget"
-    eps_k = float(eps0)
-    k = 0
-    while (used := trace.accepted) < budget:
-        k += 1
-        eps_k *= math.exp(-gamma)
-        t_k = schedule.iterations(k)
-        t_eff = min(t_k, cap - used)
-        if t_eff < t_k:
+    plan = cycle_plan(schedule, budget, cap, eps0, gamma)
+    for k, (planned, length, target) in enumerate(plan, start=1):
+        if length < planned:
             trace.notes.append(
-                f"cycle {k} truncated from {t_k} to {t_eff} iterations by {limit}"
+                f"cycle {k} truncated from {planned} to {length} iterations by {limit}"
             )
-        _run_cycle(trace, oracle, eps_k, t_eff)
+        _run_cycle(trace, oracle, target, length)
     return trace
 
 
@@ -152,17 +177,11 @@ def restart_scheduled(
 ) -> Trace:
     """Scheduled restarts of the accelerated method.
 
-    Runs cycles k = 1, 2, ... of ceil(t_k) accelerated iterations, each
-    warm-started from the previous cycle's output point and Lipschitz
-    estimate, until the budget of accepted inner iterations is used. A
-    cycle is truncated where it would pass ``cap`` (default: the budget)
-    accepted iterations; the grid search passes 2 * budget.
+    Runs the cycles of ``cycle_plan(schedule, budget, cap)``, each warm-started
+    from the previous cycle's output point and Lipschitz estimate. ``cap``
+    defaults to the budget; the grid search passes 2 * budget.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     cap = budget if cap is None else cap
-    if cap < budget:
-        raise ValueError(f"cap must be >= the budget {budget}, got {cap}")
     return _scheduled(oracle, x0, 0.0, 0.0, schedule, budget, cap, L0, f_star)
 
 
@@ -184,8 +203,6 @@ def h_restart(
     caller asserts eps0 >= f(x0) - f*; the final cycle is truncated at
     the budget.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     require_finite(eps0=eps0, gamma=gamma)
     if eps0 <= 0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
@@ -212,17 +229,12 @@ def criterion_restart(
     fire the criterion spuriously; one below it makes cycles exhaust the
     budget — both situations are surfaced in the trace notes.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     require_finite(f_star=f_star, gamma=gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    trace = _new_trace(x0, L0, f_star)
-    x = trace.final_point
-    f0 = oracle.smooth_value(x) + oracle.psi(x)
-    trace.n_value += 1
-    trace.f_initial = f0
-    eps_k = f0 - f_star
+    trace = _record_start(_new_trace(x0, L0, f_star), oracle, budget)
+    eps_k = trace.f_initial - f_star
+    require_finite(starting_gap=eps_k)  # an infinite target would never shrink
     if eps_k <= 0.0:
         trace.notes.append("starting gap is nonpositive; no cycles run")
         return trace
@@ -260,8 +272,7 @@ class GridOutcome:
 
     Every scheme of the grid runs; none can be skipped (see
     ``adaptive_grid``). ``best`` minimizes the final objective value,
-    ties broken by smaller i then smaller j. Each run's own total N'
-    satisfies N <= N' <= 2N.
+    ties broken by smaller i then smaller j.
     """
 
     runs: dict[tuple[int, int], Trace]
@@ -286,9 +297,9 @@ def adaptive_grid(
     Runs the schemes ``grid_schedule(i, j)``: constant schedules t_k = 2^i
     for i in [1, floor(log2 N)] (j = 0) and geometric schedules
     t_k = 2^i e^(2^-j k) for j in [1, ceil(log2 N)], each stopped at the
-    first cycle boundary past N and capped at 2N. Every first cycle fits
-    in the cap: 2^i <= N and alpha <= 1/2 give ceil(t_1) <= ceil(e^(1/2) N)
-    <= 2N. Runs are mutually independent; the reduction to ``best`` is
+    first cycle boundary past N and capped at 2N. Each run's ``cycle_plan``
+    gives its N <= N' <= 2N without running it, and its first cycle fits in
+    the cap. Runs are mutually independent; the reduction to ``best`` is
     deterministic regardless of execution order.
     """
     if budget < 4:
@@ -330,12 +341,7 @@ def monotone_restart(
     ``quadratic=None``) can restart at different iterates and a different
     number of times, though their final values agree.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    trace = _new_trace(x0, L0, f_star)
-    x = trace.final_point
-    trace.f_initial = oracle.smooth_value(x) + oracle.psi(x)
-    trace.n_value += 1
+    trace = _record_start(_new_trace(x0, L0, f_star), oracle, budget)
     while (used := trace.accepted) < budget:
         f_prev = trace.final_f
 

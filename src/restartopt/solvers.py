@@ -42,12 +42,12 @@ cycle costs two products at its start (Q x0 and Q g0), one per accepted
 step and four per re-anchor.
 
 On a composite form (``_ufgm_on_form``) the prox is not linear, so a
-trial forms x, the candidate y = prox(x - g / L_hat, 1 / L_hat), d = y - x
-and one product Q d, and an accepted step takes g_y+ = g + Q d. Each step
-after the first takes z = prox(x0 - sum_i a_i g_i, A) and pays one product
-for g_z. Both loops round differently from the generic one; tests hold
-them to the generic path (the same oracle with ``quadratic=None``) within
-stated tolerances.
+trial forms x and runs ``_quadratic_trial`` (shared with gradient descent):
+y = prox(x - g / L_hat, 1 / L_hat), d = y - x and one product Q d. An
+accepted step takes g_y+ = g + Q d. Each step after the first takes
+z = prox(x0 - sum_i a_i g_i, A) and pays one product for g_z. Both loops
+round differently from the generic one; tests hold them to the generic
+path (the same oracle with ``quadratic=None``) within stated tolerances.
 
 Gradient descent on a form carries Q x, takes its gradient Q x - h at no
 product, runs every trial through ``_quadratic_trial`` and updates Q x by
@@ -582,15 +582,13 @@ def _ufgm_on_form(
 ) -> tuple[Vector, float]:
     """The UFGM on a composite quadratic form, carrying g_y and g_z.
 
-    See the module docstring. A trial spends one product, Q d, and counts
-    one gradient and two smooth values, as on the generic path. A
-    non-finite g makes d^T Q d non-finite, or, through a clipping prox,
-    f0(y+), so those checks cover the gradient too. d is formed before its
-    product, so finite data near the overflow threshold stays finite.
-    Returns the last accepted iterate and the final estimate.
+    See the module docstring. A trial is ``_quadratic_trial`` at slack
+    tau * epsilon / 2, one product Q d; it counts one gradient and two smooth
+    values, as on the generic path. A non-finite g makes d^T Q d non-finite,
+    or, through a clipping prox, f0(y+), so those checks cover the gradient
+    too. Returns the last accepted iterate and the final estimate.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
-    prox = oracle.prox
     # v = x0 - sum_i a_i g_i; z is its prox with step A
     y = z = v = x0
     g_y = g_z = Qx0 - h
@@ -599,7 +597,7 @@ def _ufgm_on_form(
 
     for t in range(1, budget + 1):
         if A > 0.0:
-            z = np.asarray(prox(v, A), dtype=float)
+            z = np.asarray(oracle.prox(v, A), dtype=float)
             trace.n_prox += 1
             g_z = Q @ z - h
         dg = g_z - g_y
@@ -608,15 +606,9 @@ def _ufgm_on_form(
             a, tau = _coupling(A, L_hat)
             g = g_y + tau * dg
             x = tau * z + (1.0 - tau) * y
-            y_cand = np.asarray(prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
-            trace.n_prox += 1
-            d = y_cand - x
-            Qd = Q @ d
-            curvature = float(np.vdot(d, Qd))
-            finite = math.isfinite(curvature)
-            if finite and 0.5 * curvature <= (
-                0.5 * L_hat * float(np.vdot(d, d)) + tau * epsilon / 2.0
-            ):
+            y_cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat,
+                                                      tau * epsilon / 2.0, trace)
+            if ok:
                 break
             L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
@@ -631,7 +623,7 @@ def _ufgm_on_form(
         if stop is not None and stop(y, f_full):
             break
     trace.n_grad += trials
-    trace.n_value += 2 * trials
+    trace.n_value += trials
     return y, L_hat
 
 

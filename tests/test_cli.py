@@ -277,6 +277,28 @@ class TestRun:
         assert code == 0
         assert all(np.isfinite(float(row[1])) for row in trace_rows(out))
 
+    @pytest.mark.parametrize("schedule", [
+        ("--method", "restart", "--C", "1", "--alpha", "800"),  # e^(alpha k) overflows
+        ("--method", "restart", "--C", "1e308", "--alpha", "1"),  # C e^(alpha k) is inf
+        ("--method", "h-restart", "--C", "1e308", "--alpha", "1", "--gamma", "1"),
+    ], ids=["restart-exp", "restart-product", "h-restart"])
+    def test_overflowing_schedule_runs_the_budget(self, tmp_path, capsys, schedule):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--problem", "quadratic", "--dim", "5", *schedule,
+                       "--N", "10", "--out", str(out))
+        assert code == 0
+        assert len(trace_rows(out)) == 10
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note")]
+        assert notes == ["note: cycle 1 truncated from inf to 10 iterations by the budget"]
+
+    def test_non_finite_start_value_fails_criterion(self, tmp_path, capsys):
+        # f(x0) = inf; this used to loop forever on targets that never shrink
+        code = run_cli("run", "--problem", "norm-power", "--power", "4", "--radius", "1e78",
+                       "--dim", "3", "--method", "criterion", "--N", "10",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite objective or gradient encountered\n"
+
     def test_libsvm_dataset_run(self, tmp_path):
         data = tmp_path / "d.svm"
         data.write_text("1 1:0.5 2:1.0\n-1 1:-0.3 3:0.8\n1 2:0.9\n-1 1:0.1 3:-0.4\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from restartopt import (
+    DivergenceError,
     Schedule,
     accelerated,
     adaptive_grid,
@@ -13,10 +14,12 @@ from restartopt import (
     bound_holder,
     bound_smooth,
     criterion_restart,
+    cycle_plan,
     derive_conditioning,
     gradient_descent,
     grid_schedule,
     h_restart,
+    make_least_squares,
     make_norm_power,
     make_quadratic,
     make_sharp_norm,
@@ -25,11 +28,19 @@ from restartopt import (
     optimal_schedule_smooth,
     restart_scheduled,
     schedule_threshold,
+    synthetic_regression,
     ufgm_constant,
     universal_fast_gradient,
 )
 
 E = math.e
+
+
+def grid_indices(N):
+    """The (i, j) of every scheme of the grid search at budget N."""
+    i_max = int(math.floor(math.log2(N)))
+    j_max = int(math.ceil(math.log2(N)))
+    return [(i, j) for i in range(1, i_max + 1) for j in range(0, j_max + 1)]
 
 
 class TestSchedules:
@@ -308,6 +319,14 @@ class TestCriterionRestart:
         trace = criterion_restart(inst.oracle, inst.x0, -1.0, 2.0, 50, 1.0)
         assert any("budget exhausted" in note for note in trace.notes)
 
+    def test_overflowing_starting_gap_is_rejected(self):
+        # f(x0) is about 1e308, so f(x0) - f_star overflows; an infinite
+        # target would never shrink below the start value
+        inst = make_norm_power(3, 4.0, 1e77, seed=0)
+        assert math.isfinite(inst.oracle.value(inst.x0))
+        with pytest.raises(ValueError, match="^starting_gap must be finite"):
+            criterion_restart(inst.oracle, inst.x0, -1.7e308, 1.0, 10, 1.0)
+
     def test_f_star_above_true_optimum_surfaces_diagnostic(self):
         inst = make_quadratic(8, 10.0, seed=33)
         f_true = 0.0
@@ -326,11 +345,15 @@ class TestAdaptiveGrid:
         # 2^i <= N and alpha <= 1/2 give ceil(t_1) <= ceil(e^(1/2) N) <= 2N,
         # so the 2N cap never leaves a scheme of the grid without a cycle
         for N in range(4, 4097):
-            i_max = int(math.floor(math.log2(N)))
-            j_max = int(math.ceil(math.log2(N)))
-            for i in range(1, i_max + 1):
-                for j in range(0, j_max + 1):
-                    assert grid_schedule(i, j).iterations(1) <= 2 * N, (N, i, j)
+            for i, j in grid_indices(N):
+                assert grid_schedule(i, j).iterations(1) <= 2 * N, (N, i, j)
+        # the plans alone, with no solver run, give each run N <= N' <= 2N
+        for N in (4, 5, 77, 500, 3000):
+            for i, j in grid_indices(N):
+                plan = cycle_plan(grid_schedule(i, j), N, 2 * N)
+                planned, length, _ = plan[0]
+                assert length == planned <= 2 * N, (N, i, j)
+                assert N <= sum(length for _, length, _ in plan) <= 2 * N, (N, i, j)
 
     def test_cap_truncation_is_named(self):
         # at N = 77 scheme (6, 3) runs cycles of ceil(64 e^(k/8)) = 73 and 83
@@ -457,6 +480,79 @@ class TestMonotoneRestart:
         trace = monotone_restart(inst.oracle, inst.x0, 1, 1.0, f_star=0.0)
         assert trace.accepted == 1
         assert trace.restart_count == 0
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [lambda o, x0: criterion_restart(o, x0, 0.0, 1.0, 10, 1.0),
+     lambda o, x0: monotone_restart(o, x0, 10, 1.0)],
+    ids=["criterion", "mono"],
+)
+def test_non_finite_start_value_diverges(scheme):
+    # f(x0) = inf: every criterion target would be inf, met before any cycle
+    inst = make_norm_power(3, 4.0, 1e78, seed=0)
+    with pytest.raises(DivergenceError, match="^non-finite objective or gradient encountered$"):
+        scheme(inst.oracle, inst.x0)
+
+
+class TestCyclePlan:
+    """A scheduled run's cycles are its plan, known before the run."""
+
+    def test_plan_is_every_grid_runs_cycles(self):
+        # the Figure-1 instance at N = 500, where every run has cap 2N
+        inst = make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=1))
+        out = adaptive_grid(inst.oracle, inst.x0, 500, 1.0)
+        assert sorted(out.runs) == grid_indices(500)
+        planned_work = 0
+        for (i, j), trace in out.runs.items():
+            plan = cycle_plan(grid_schedule(i, j), 500, 1000)
+            assert [(length, target or None) for _, length, target in plan] == trace.cycles
+            planned_work += sum(length for _, length, _ in plan)
+        assert out.total_inner_iterations == planned_work
+
+    def test_plan_is_the_h_restart_cycles(self):
+        # ceil(3 e^(0.3 k)) = 5, 6, 8, 10, 14: the budget of 40 cuts cycle 5 to 11
+        inst = make_sharp_norm(4, seed=29)
+        eps0, gamma, sched = 2.0, 0.7, Schedule(C=3.0, alpha=0.3)
+        trace = h_restart(inst.oracle, inst.x0, eps0, gamma, sched, 40, 1.0, f_star=0.0)
+        plan = cycle_plan(sched, 40, 40, eps0, gamma)
+        assert [(planned, length) for planned, length, _ in plan] == [
+            (5, 5), (6, 6), (8, 8), (10, 10), (14, 11)
+        ]
+        assert [(length, target) for _, length, target in plan] == trace.cycles
+        assert trace.notes == ["cycle 5 truncated from 14 to 11 iterations by the budget"]
+
+    @pytest.mark.parametrize(
+        "schedule, expected",
+        [
+            (Schedule(1.0, 800.0), [(math.inf, 10, 0.0)]),  # e^800 overflows
+            (Schedule(1e308, 1.0), [(math.inf, 10, 0.0)]),  # C e^1 is inf
+            (Schedule(1e-300, 400.0), [(1, 1, 0.0), (math.inf, 9, 0.0)]),  # e^800 at k = 2
+        ],
+        ids=["exp", "product", "second-cycle"],
+    )
+    def test_overflowing_term_runs_what_is_left(self, schedule, expected):
+        assert cycle_plan(schedule, 10, 10) == expected
+        inst = make_quadratic(5, 10.0, seed=0)
+        trace = restart_scheduled(inst.oracle, inst.x0, schedule, 10, 1.0)
+        assert trace.cycles == [(length, None) for _, length, _ in expected]
+        k = len(expected)
+        assert trace.notes == [
+            f"cycle {k} truncated from inf to {expected[-1][1]} iterations by the budget"
+        ]
+        h = h_restart(inst.oracle, inst.x0, 1.0, 0.5, schedule, 10, 1.0)
+        assert [length for length, _ in h.cycles] == [length for _, length, _ in expected]
+
+    def test_validation_keeps_its_texts(self):
+        inst = make_quadratic(5, 10.0, seed=0)
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
+            cycle_plan(Schedule(2.0), 0, 0)
+        with pytest.raises(ValueError, match="^cap must be >= the budget 5, got 4$"):
+            cycle_plan(Schedule(2.0), 5, 4)
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
+            restart_scheduled(inst.oracle, inst.x0, Schedule(2.0), 0, 1.0)
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
+            h_restart(inst.oracle, inst.x0, 1.0, 0.5, Schedule(2.0), 0, 1.0)
 
 
 class TestCycleRecord:
