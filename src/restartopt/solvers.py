@@ -6,7 +6,10 @@ accelerated method is the UFGM run with target accuracy 0. All three
 share one line search: each trial takes a (proximal) gradient step at
 1/L_hat and tests the quadratic descent condition, relaxed by
 tau * epsilon / 2 in the UFGM (``_trial``); a failed trial doubles the
-estimate (``_double``). The estimate is halved after every accepted
+estimate. Every loop doubles in place and counts backtracks and the
+largest estimate in locals, which it adds to the trace at its end; only
+a doubling that would overflow, or a step's last allowed one, goes
+through ``_double``. The estimate is halved after every accepted
 step, and the final one is reported so restart schemes can warm-start
 the next cycle. The UFGM evaluates f0 and its gradient at each trial
 point with one ``ProximalOracle.smooth_eval`` call, which shares their
@@ -35,11 +38,18 @@ Q applied to their own mix, the step's one product; h stays as it is. The
 gradient, h and image rows are stored over S and S^2, S the smallest
 power-of-two multiple of the cycle's starting estimate L0 at least the
 curvature g0^T Q g0 / ||g0||^2 along the first gradient (L0 when g0 = 0),
-so they stay on the scale of a step however small L0 is. After every 32nd
-step (``_REANCHOR_STEPS``) fresh products replace the gradient and image
-rows, so their rounding drift stays bounded however long the cycle. A
-cycle costs two products at its start (Q x0 and Q g0), one per accepted
-step and four per re-anchor.
+so they stay on the scale of a step however small L0 is; S is found on
+g0 / P, P = L0 2^j with j >= 0 just large enough to keep its entries
+below 2 (j = 0 unless L0 is tiny against g0), which rescales exactly.
+After every 32nd step (``_REANCHOR_STEPS``) fresh products replace the
+gradient and image rows, so their rounding drift stays bounded however
+long the cycle. A cycle costs two products at its start (Q x0 and Q g0),
+one per accepted step and four per re-anchor. The state lives in two
+preallocated buffers, each step writing the step matrix times one into
+the other; the views a step reads are made once per cycle, the step
+matrix's entries are set through a memoryview, and the iterate is copied
+out only when handed out (to ``stop`` after every step, else once at the
+end), so a trace's final point owns its data.
 
 On a composite form (``_ufgm_on_form``) the prox is not linear, so a
 trial forms x and runs ``_quadratic_trial`` (shared with gradient descent):
@@ -86,22 +96,18 @@ _MAX_DOUBLINGS_PER_STEP = 120
 # subnormals (or exactly 0 once iterates sit at the optimum).
 _L_HAT_MIN = 1e-280
 
+# Doubling an estimate this large overflows to inf.
+_L_HAT_OVERFLOW = 2.0 ** 1023
+
 _GAP_FLOOR = -1e-12
 
 # The smooth-form UFGM recomputes its gradients and images from fresh
 # products after every this-many-th step but the last.
 _REANCHOR_STEPS = 32
 
-# The smooth-form UFGM's step matrix at a cycle's start (it keeps z, g_z,
-# Q g_z and h) and the entries each step fills, in ``_ufgm_on_smooth_form``'s
-# order: each block's tau-mix, the next block's mix into the first rows and
-# into the second rows, and the product row into the image rows.
+# The smooth-form UFGM's step matrix at a cycle's start: it keeps z, g_z,
+# Q g_z and h. Each step fills the other entries (see the loop).
 _STEP_START = np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
-_STEP_ENTRIES = np.ravel_multi_index(
-    ([0, 2, 4, 0, 2, 4, 0, 2, 0, 2, 1, 3, 1, 3, 4, 5],
-     [0, 2, 4, 1, 3, 5, 2, 4, 3, 5, 2, 4, 3, 5, 7, 7]),
-    (8, 8),
-)
 
 
 class TraceEntry(NamedTuple):
@@ -306,6 +312,9 @@ def _quadratic_trial(
 def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
     """Double the estimate after the ``doublings``-th failed trial of a step.
 
+    The solvers double in place, counting backtracks and the largest
+    estimate in locals, and call this only for a doubling that overflows
+    (at or above ``_L_HAT_OVERFLOW``) or is a step's last allowed one.
     An estimate that overflows to inf raises DivergenceError. At the last
     allowed doubling the caller accepts the last candidate: this raises if
     that candidate's value was non-finite, and otherwise records that the
@@ -347,6 +356,7 @@ def gradient_descent(
     form = oracle.quadratic
     x, trace, f0_x, Qx = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
+    backtracks, top = 0, trace.max_L_hat
 
     for t in range(1, budget + 1):
         if form is None:
@@ -362,7 +372,13 @@ def gradient_descent(
                 cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, 0.0, trace)
             if ok:
                 break
-            L_hat = _double(trace, L_hat, doublings, finite, t)
+            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
+            else:
+                L_hat = _double(trace, L_hat, doublings, finite, t)
         x = cand
         if form is not None:
             Qx = Qx + Qd
@@ -373,6 +389,8 @@ def gradient_descent(
         L_hat = max(L_hat / 2.0, _L_HAT_MIN)
         trace.values.append(f_full)
 
+    trace.backtracks += backtracks
+    trace.max_L_hat = max(trace.max_L_hat, top)
     trace.cycles.append((trace.accepted, None))
     trace.final_point = x
     trace.final_L_hat = L_hat
@@ -455,6 +473,7 @@ def _ufgm(
     y = anchor
     A = 0.0
     grad_sum = np.zeros_like(anchor)
+    backtracks, top = 0, trace.max_L_hat
 
     for t in range(1, budget + 1):
         z = anchor - grad_sum
@@ -474,7 +493,13 @@ def _ufgm(
                 y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
             if finite and ok:
                 break
-            L_hat = _double(trace, L_hat, doublings, finite, t)
+            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
+            else:
+                L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
         grad_sum = grad_sum + a * g
         y = y_cand
@@ -483,6 +508,8 @@ def _ufgm(
         trace.values.append(f_full)
         if stop is not None and stop(y, f_full):
             break
+    trace.backtracks += backtracks
+    trace.max_L_hat = max(trace.max_L_hat, top)
     return y, L_hat
 
 
@@ -498,37 +525,60 @@ def _ufgm_on_smooth_form(
 ) -> tuple[Vector, float]:
     """The UFGM on a quadratic form without a prox, with scalar trials.
 
-    See the module docstring. ``rows``, the 8-row state, holds y, z,
-    g_y / S, g_z / S, Q g_y / S^2, Q g_z / S^2, h / S and the step's
-    product Q m / S, m the tau-mix of the image rows. ``gram``, the 4x5
-    Gram matrix of the first four rows against the next five, gives the
-    trial scalars and f0(y). A trial counts one gradient and two smooth
-    values, as on the generic path; a non-finite gradient or image makes
-    d^T Q d non-finite. Returns the last accepted iterate and the final
-    estimate.
+    See the module docstring. The 8-row state holds y, z, g_y / S, g_z / S,
+    Q g_y / S^2, Q g_z / S^2, h / S and the step's product Q m / S, m the
+    tau-mix of the image rows. It lives in two preallocated buffers: each
+    step writes the step matrix times one into the other, and the views a
+    step reads (the image rows, the product row and the two sides of the
+    Gram matrix) are made once per cycle for both. The product Q @ m is
+    assigned into the product row, since Q need only support ``@``. The
+    step matrix's entries are set through ``cell``, a memoryview of it,
+    which costs no numpy call. ``gram``, the 4x5 Gram matrix of the first
+    four rows against the next five, gives the trial scalars and f0(y). A
+    trial counts one gradient and two smooth values, as on the generic
+    path; a non-finite gradient or image makes d^T Q d non-finite. Trials,
+    backtracks and the largest estimate are counted in locals and added to
+    the trace at the end. The iterate is copied out of the state only when
+    it is handed out: to ``stop`` after every step (the last copy is the
+    one returned), else once at the end. Returns the last accepted iterate
+    and the final estimate.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
-    dot, sqrt, isfinite = np.dot, math.sqrt, math.isfinite
-    g0 = (Qx0 - h) / L_hat
-    Qg0 = Q @ g0
-    S, gg, gQg = L_hat, float(dot(g0, g0)), float(dot(g0, Qg0))
-    while S * gg < gQg and isfinite(2.0 * S):
+    sqrt, isfinite = math.sqrt, math.isfinite
+    g0 = Qx0 - h
+    # the first gradient over P = L0 2^j, j >= 0 just large enough to keep
+    # its entries below 2, so that a tiny L0 overflows none of its products
+    # (np.vdot reads a curvature past the range as inf, with no warning)
+    j = max(math.frexp(float(abs(g0).max()))[1] - math.frexp(L_hat)[1], 0)
+    P = math.ldexp(L_hat, j)
+    v = g0 / P
+    Qv = Q @ v
+    S, vv, vQv = L_hat, float(np.vdot(v, v)), float(np.vdot(v, Qv))
+    while S * vv < vQv and isfinite(2.0 * S):
         S *= 2.0
-    rows = np.empty((8, x0.shape[0]))
+    views = []
+    for rows in np.empty((2, 8, x0.shape[0])):
+        views.append((rows, rows[4:6], rows[7], rows[:4].dot, rows[2:7].T))
+    rows, images, prod, head_dot, tail = views[0]
     rows[:2] = x0
-    rows[2:4] = g0 * (L_hat / S)
-    rows[4:6] = Qg0 / S * (L_hat / S)
+    rows[2:4] = v * (P / S)
+    rows[4:6] = Qv / S * (P / S)
     rows[6] = h / S
-    gram = dot(rows[:4], rows[2:7].T).tolist()
+    gram = head_dot(tail).tolist()
     step = _STEP_START.copy()
-    put = step.put
+    advance = step.dot
+    cell = memoryview(step.reshape(-1))
     w = np.empty(2)
+    mix = w.dot
+    append = trace.values.append
     A = 0.0
-    trials = 0
+    trials = backtracks = 0
+    top = trace.max_L_hat
+    tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
 
     for t in range(1, budget + 1):
         _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
-        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+        for doublings in tries:
             trials += 1
             a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
             tau = a / (A + a)
@@ -542,31 +592,51 @@ def _ufgm_on_smooth_form(
             finite = isfinite(curvature)
             if finite and curvature <= S * s * gg + tau * epsilon:
                 break
-            L_hat = _double(trace, L_hat, doublings, finite, t)
+            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
+            else:
+                L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
         w[0], w[1] = u / S, tau / S
-        rows[7] = Q @ dot(w, rows[4:6])
+        prod[...] = Q @ mix(images)
         # in each block the first row becomes its mix - s (next block's mix)
         # and the second row itself - a S (next block's mix); the product
         # row is the next block of the images
         aS = a * S
-        su, st, au, at = s * u, s * tau, aS * u, aS * tau
-        put(_STEP_ENTRIES, [u, u, u, tau, tau, tau, -su, -su, -st, -st,
-                            -au, -au, -at, -at, -s, -aS])
-        rows = dot(step, rows)
+        # entry (r, k) of the step matrix is cell[8 r + k]
+        cell[0] = cell[18] = cell[36] = u
+        cell[1] = cell[19] = cell[37] = tau
+        cell[2] = cell[20] = -s * u
+        cell[3] = cell[21] = -s * tau
+        cell[10] = cell[28] = -aS * u
+        cell[11] = cell[29] = -aS * tau
+        cell[39], cell[47] = -s, -aS
+        new = views[t & 1]
+        advance(rows, out=new[0])
+        rows, images, prod, head_dot, tail = new
         if t % _REANCHOR_STEPS == 0 and t < budget:
             for k in (2, 3, 4, 5):
                 rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
-        gram = dot(rows[:4], rows[2:7].T).tolist()
-        y = rows[0]
+        gram = head_dot(tail).tolist()
         f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
         _check_finite(isfinite(f0_y))
-        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
-        trace.values.append(f0_y)
-        if stop is not None and stop(y, f0_y):
-            break
+        L_hat /= 2.0
+        if L_hat < _L_HAT_MIN:
+            L_hat = _L_HAT_MIN
+        append(f0_y)
+        if stop is not None:
+            y = rows[0].copy()
+            if stop(y, f0_y):
+                break
+    if stop is None:
+        y = rows[0].copy()
     trace.n_grad += trials
     trace.n_value += 2 * trials
+    trace.backtracks += backtracks
+    trace.max_L_hat = max(trace.max_L_hat, top)
     return y, L_hat
 
 
@@ -593,7 +663,8 @@ def _ufgm_on_form(
     y = z = v = x0
     g_y = g_z = Qx0 - h
     A = 0.0
-    trials = 0
+    trials = backtracks = 0
+    top = trace.max_L_hat
 
     for t in range(1, budget + 1):
         if A > 0.0:
@@ -610,7 +681,13 @@ def _ufgm_on_form(
                                                       tau * epsilon / 2.0, trace)
             if ok:
                 break
-            L_hat = _double(trace, L_hat, doublings, finite, t)
+            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
+            else:
+                L_hat = _double(trace, L_hat, doublings, finite, t)
         A += a
         y = y_cand
         g_y = g + Qd
@@ -624,6 +701,8 @@ def _ufgm_on_form(
             break
     trace.n_grad += trials
     trace.n_value += trials
+    trace.backtracks += backtracks
+    trace.max_L_hat = max(trace.max_L_hat, top)
     return y, L_hat
 
 

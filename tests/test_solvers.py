@@ -679,6 +679,26 @@ class TestQuadraticImages:
         assert math.isfinite(trace.final_f)
 
     @pytest.mark.filterwarnings("error")
+    def test_tiny_starting_estimate_fails_typed(self):
+        # at L0 = 1e-200 a step at 1/L0 has non-finite curvature through all
+        # 120 doublings; the set-up must not overflow on the way there
+        inst = FORM_INSTANCES["least_squares"]()
+        with pytest.raises(DivergenceError, match=r"stayed non-finite .* \(step 1\)"):
+            accelerated(inst.oracle, inst.x0, 1e-200, 50)
+
+    @pytest.mark.filterwarnings("error")
+    def test_line_search_stall_accepts_with_note(self):
+        # 120 doublings from L0 = 1e-60 stay far below the curvature: the
+        # first step stalls and is accepted, later steps double on
+        inst = FORM_INSTANCES["least_squares"]()
+        _, trace = accelerated(inst.oracle, inst.x0, 1e-60, 50)
+        assert trace.accepted == 50
+        assert trace.backtracks == 258
+        assert trace.max_L_hat == 1645.504557321206
+        assert (trace.n_grad, trace.n_value) == (307, 615)
+        assert trace.notes == ["line search stalled at numerical precision (step 1); accepted"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("budget", [31, 32, 33, 64])
     @pytest.mark.parametrize(
         "make, at_minimizer",
@@ -847,6 +867,16 @@ class TestHandedOutPointsStayPut:
         assert len(seen) == trace.accepted == 100
         assert all(np.array_equal(y, copy) for y, copy in seen)
         assert trace.final_point is seen[-1][0]
+        assert trace.final_point.base is None
+
+    def test_final_point_owns_its_data(self, path):
+        # a view would keep the run's whole state alive in the trace
+        oracle = ALIASING_PATHS[path]()
+        x0 = np.zeros(oracle.dimension)
+        y, trace = accelerated(oracle, x0, 1.0, 40)
+        assert y is trace.final_point
+        assert trace.final_point.base is None
+        assert gradient_descent(oracle, x0, 1.0, 40).final_point.base is None
 
     def test_final_point_of_every_cycle(self, path, monkeypatch):
         oracle = ALIASING_PATHS[path]()
