@@ -205,9 +205,25 @@ def make_sharp_norm(n: int, seed: int = 0) -> ProblemInstance:
 _RANK_TOL = 1e-10
 
 
+def _aligned(M: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of M whose data starts on a 64-byte boundary.
+
+    numpy aligns its arrays to 16 bytes only (a large one starts 16 bytes
+    past a page boundary), and BLAS multiplies a matrix at such an offset
+    more slowly than an aligned one, to the same bits: with OpenBLAS's
+    Haswell kernels and one thread, a 300x300 matrix-vector product takes
+    about 15.5 us at offset 16 and 11.5 us aligned.
+    """
+    raw = np.empty(M.size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    out = raw[start:start + M.size].reshape(M.shape)
+    out[...] = M
+    return out
+
+
 def _least_squares_form(A: np.ndarray, b: np.ndarray) -> QuadraticForm:
     """||A x - b||^2 / 2 in Gram form: G = A^T A, h = A^T b, c = ||b||^2 / 2."""
-    return QuadraticForm(A.T @ A, A.T @ b, 0.5 * float(b @ b))
+    return QuadraticForm(_aligned(A.T @ A), A.T @ b, 0.5 * float(b @ b))
 
 
 def _require_columns(A: np.ndarray) -> None:
@@ -336,8 +352,13 @@ def make_logistic(A: np.ndarray, y: np.ndarray) -> ProblemInstance:
 
 
 def soft_threshold(v: Vector, threshold: float) -> Vector:
-    """Proximal operator of threshold * ||.||_1."""
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    """Proximal operator of threshold * ||.||_1.
+
+    v minus v clamped to [-threshold, threshold], in three array passes.
+    It equals sign(v) max(|v| - threshold, 0) but for the sign of a zero
+    entry.
+    """
+    return v - np.minimum(np.maximum(v, -threshold), threshold)
 
 
 def make_lasso(A: np.ndarray, b: np.ndarray, lam: float = 1.0) -> ProblemInstance:
@@ -374,10 +395,11 @@ def make_dual_svm(A: np.ndarray, y: np.ndarray, regularization: float = 1.0) -> 
     y = _map_labels(np.asarray(y, dtype=float))
     m, n = A.shape
     K = np.outer(y, y) * (A @ A.T) / regularization
-    K = 0.5 * (K + K.T)
+    K = _aligned(0.5 * (K + K.T))
 
     def prox(v: Vector, t: float) -> Vector:
-        return np.clip(v, 0.0, 1.0)
+        # np.clip(v, 0, 1) up to the sign of zero, at about half its cost
+        return np.minimum(np.maximum(v, 0.0), 1.0)
 
     def nonsmooth(alpha: Vector) -> float:
         inside = np.all(alpha >= -1e-9) and np.all(alpha <= 1.0 + 1e-9)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartopt import (
     DatasetFormatError,
@@ -24,10 +26,11 @@ from restartopt import (
     make_sharp_norm,
     reference_solve,
     sample_validation_points,
+    soft_threshold,
     synthetic_classification,
     synthetic_regression,
 )
-from restartopt.problems import _parse_csv_lines, _read_csv_fast
+from restartopt.problems import _aligned, _parse_csv_lines, _read_csv_fast
 from conftest import reference_optimum
 
 
@@ -329,6 +332,65 @@ class TestDualSvm:
         y_out, trace = universal_fast_gradient(inst.oracle, inst.x0, 1e-4, 1.0, 200)
         assert np.all(y_out >= 0.0) and np.all(y_out <= 1.0)
         assert all(math.isfinite(e.f_value) for e in trace.entries)
+
+
+# Every kind of double, with the edge cases drawn often.
+EDGE_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan])
+
+
+def assert_equal_but_for_sign_of_zero(new, old):
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    same = ((new.view(np.uint64) == old.view(np.uint64))
+            | ((new == 0.0) & (old == 0.0)) | (np.isnan(new) & np.isnan(old)))
+    assert same.all(), (new[~same], old[~same])
+
+
+class TestBuiltInProxes:
+    """The proxes against the formulas they replaced: equal but for the sign of zero."""
+
+    @given(st.lists(EDGE_FLOATS, min_size=1, max_size=20),
+           st.floats(min_value=0.0, allow_nan=False, allow_subnormal=True) | st.sampled_from(
+               [0.0, 5e-324, math.inf]))
+    @settings(max_examples=300)
+    def test_soft_threshold(self, values, threshold):
+        v = np.array(values)
+        with np.errstate(invalid="ignore"):
+            old = np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+            assert_equal_but_for_sign_of_zero(soft_threshold(v, threshold), old)
+
+    @given(st.lists(EDGE_FLOATS, min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_dual_svm_box(self, values):
+        v = np.array(values)
+        prox = make_dual_svm(np.eye(len(v)), np.ones(len(v))).oracle.prox
+        assert_equal_but_for_sign_of_zero(prox(v, 1.0), np.clip(v, 0.0, 1.0))
+
+    def test_zeros_come_out_positive(self):
+        v = np.array([-0.0, -0.25, 0.25, 0.0])
+        assert np.signbit(soft_threshold(v, 0.5)).sum() == 0
+        box = make_dual_svm(np.eye(4), np.ones(4)).oracle.prox
+        assert np.signbit(box(v, 1.0)).sum() == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda A: make_least_squares(A, np.ones(len(A))),
+    lambda A: make_lasso(A, np.ones(len(A))),
+    lambda A: make_dual_svm(A, np.sign(A[:, 0])),
+], ids=["least_squares", "lasso", "dual_svm"])
+def test_gram_matrices_are_cache_line_aligned(make):
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((90, 60))
+    Q = make(A).oracle.quadratic.Q
+    assert Q.ctypes.data % 64 == 0 and Q.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (300, 300)])
+def test_aligned_copy_is_exact(shape):
+    M = np.random.default_rng(22).standard_normal(shape)
+    out = _aligned(M)
+    assert out.ctypes.data % 64 == 0 and out.shape == shape and out.tobytes() == M.tobytes()
 
 
 class TestReferenceSolve:

@@ -564,16 +564,24 @@ class TestQuadraticImages:
         assert trace.n_grad == trials
         assert trace.n_value == 1 + 2 * trials
 
-    def test_composite_adds_one_matvec_per_step_after_the_first(self):
+    @pytest.mark.parametrize("prox", ["l1", "box"])
+    def test_composite_adds_one_matvec_per_step_after_the_first(self, prox):
         rng = np.random.default_rng(23)
         A = rng.standard_normal((40, 20))
-        b = 3.0 * rng.standard_normal(40)
-        M = CountingMatrix(A.T @ A)
-        oracle = ProximalOracle.from_quadratic(
-            QuadraticForm(M, A.T @ b, 0.5 * float(b @ b)),
-            prox=lambda v, t: soft_threshold(v, 0.5 * t),
-            nonsmooth_value=lambda x: 0.5 * float(np.abs(x).sum()),
-        )
+        if prox == "l1":
+            b = 3.0 * rng.standard_normal(40)
+            M = CountingMatrix(A.T @ A)
+            oracle = ProximalOracle.from_quadratic(
+                QuadraticForm(M, A.T @ b, 0.5 * float(b @ b)),
+                prox=lambda v, t: soft_threshold(v, 0.5 * t),
+                nonsmooth_value=lambda x: 0.5 * float(np.abs(x).sum()),
+            )
+        else:
+            # the dual SVM's own box prox, on its Gram matrix behind a counter
+            svm = make_dual_svm(A[:20], np.sign(rng.standard_normal(20))).oracle
+            M = CountingMatrix(svm.quadratic.Q)
+            oracle = ProximalOracle.from_quadratic(
+                dataclasses.replace(svm.quadratic, Q=M), svm.prox, svm.nonsmooth_value)
         _, trace = universal_fast_gradient(oracle, np.zeros(20), 0.0, 1.0, 60)
         trials = trace.accepted + trace.backtracks
         # Q x0, Q d per trial, and Q z after the prox of z in every step but
@@ -844,6 +852,31 @@ ALIASING_PATHS = {
     "generic": lambda: dataclasses.replace(FORM_INSTANCES["least_squares"]().oracle,
                                            quadratic=None),
 }
+
+
+def test_composite_identity_prox_matches_a_copying_one():
+    # The identity prox hands back its argument, a work buffer of the
+    # composite loop; were that buffer to become an iterate, the next trial
+    # would overwrite it and the two runs would part.
+    form = FORM_INSTANCES["lasso"]().oracle.quadratic
+    runs = []
+    for prox in (lambda v, t: v, lambda v, t: v.copy()):
+        oracle = ProximalOracle.from_quadratic(form, prox)
+        seen = []
+
+        def stop(y, _fy):
+            seen.append(y)
+            return False
+
+        _, trace = universal_fast_gradient(oracle, np.zeros(oracle.dimension), 1e-3, 1.0, 60,
+                                           stop=stop)
+        runs.append((trace, seen))
+    (a, seen_a), (b, seen_b) = runs
+    assert a.accepted == 60 and a.backtracks > 0
+    assert_traces_equal(a, b)
+    assert a.final_point.tobytes() == b.final_point.tobytes()
+    assert [y.tobytes() for y in seen_a] == [y.tobytes() for y in seen_b]
+    assert a.final_point.base is None
 
 
 @pytest.mark.parametrize("path", sorted(ALIASING_PATHS))

@@ -1,14 +1,21 @@
-"""Time the Figure-1 grid search of two source trees in alternating pairs.
+"""Time the grid searches of two source trees in alternating pairs.
 
 Usage: python tools/grid_pairs.py SRC_A SRC_B [--pairs 10]
 
-Each timing runs ``adaptive_grid`` in process on the Figure-1 instance
-(least squares 208x60, cond 1e4, seed 1, N = 500, L0 = 1) in a fresh
+Each timing runs ``adaptive_grid`` at L0 = 1 in process, in a fresh
 subprocess with the tree on PYTHONPATH and one BLAS thread; the instance is
-built before the clock starts. Pair k runs A first when k is even and B
-first when k is odd, so drift in the machine's load falls on both sides.
-Prints each timing, then each side's median and quartiles and the number of
-pairs each side won (the lower time wins).
+built before the clock starts. Two instances are timed, one after the
+other:
+
+* ``fig1``: the Figure-1 least squares (208x60, cond 1e4, seed 1), N = 500;
+* ``lasso``: the LASSO of the benchmark's ``lasso-csv-grid`` workload, its
+  design from ``perfbench/workloads.lasso_design(1)`` (2000x300, imported
+  read-only, no bytecode written), N = 100.
+
+Pair k runs A first when k is even and B first when k is odd, so drift in
+the machine's load falls on both sides. Prints each timing, then for each
+instance each side's median and quartiles and the number of pairs each side
+won (the lower time wins).
 """
 
 import argparse
@@ -17,21 +24,37 @@ import statistics
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+INSTANCES = {
+    "fig1": """
+from restartopt import make_least_squares, synthetic_regression
+inst = make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=1))
+N = 500
+""",
+    "lasso": """
+from perfbench.workloads import lasso_design
+from restartopt import make_lasso
+inst = make_lasso(*lasso_design(1))
+N = 100
+""",
+}
 CHILD = """
 import time
-from restartopt import adaptive_grid, make_least_squares, synthetic_regression
-inst = make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=1))
+from restartopt import adaptive_grid
+{setup}
 start = time.perf_counter()
-adaptive_grid(inst.oracle, inst.x0, 500, 1.0)
+adaptive_grid(inst.oracle, inst.x0, N, 1.0)
 print(time.perf_counter() - start)
 """
 
 
-def time_once(src: str) -> float:
-    env = {**os.environ, **dict.fromkeys(THREADS, "1"), "PYTHONPATH": os.path.abspath(src)}
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
+def time_once(src: str, instance: str) -> float:
+    env = {**os.environ, **dict.fromkeys(THREADS, "1"), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join([os.path.abspath(src), ROOT])}
+    child = CHILD.format(setup=INSTANCES[instance])
+    out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                          capture_output=True, text=True).stdout
     return float(out)
 
@@ -49,20 +72,21 @@ def main() -> None:
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    a, b = [], []
-    for k in range(args.pairs):
-        if k % 2 == 0:
-            a.append(time_once(args.src_a))
-            b.append(time_once(args.src_b))
-        else:
-            b.append(time_once(args.src_b))
-            a.append(time_once(args.src_a))
-        print(f"pair {k + 1}: A {a[-1]:.4f} s, B {b[-1]:.4f} s", flush=True)
-    print(f"A {args.src_a}: {summary(a)}")
-    print(f"B {args.src_b}: {summary(b)}")
-    b_wins = sum(tb < ta for ta, tb in zip(a, b))
-    a_wins = sum(ta < tb for ta, tb in zip(a, b))
-    print(f"pairs won: A {a_wins}, B {b_wins} of {args.pairs}")
+    for instance in INSTANCES:
+        a, b = [], []
+        for k in range(args.pairs):
+            if k % 2 == 0:
+                a.append(time_once(args.src_a, instance))
+                b.append(time_once(args.src_b, instance))
+            else:
+                b.append(time_once(args.src_b, instance))
+                a.append(time_once(args.src_a, instance))
+            print(f"{instance} pair {k + 1}: A {a[-1]:.4f} s, B {b[-1]:.4f} s", flush=True)
+        print(f"{instance} A {args.src_a}: {summary(a)}")
+        print(f"{instance} B {args.src_b}: {summary(b)}")
+        b_wins = sum(tb < ta for ta, tb in zip(a, b))
+        a_wins = sum(ta < tb for ta, tb in zip(a, b))
+        print(f"{instance} pairs won: A {a_wins}, B {b_wins} of {args.pairs}", flush=True)
 
 
 if __name__ == "__main__":
