@@ -26,6 +26,7 @@ cycles: each cycle starts from the last estimate of the previous one.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
-from .solvers import Trace, _check_finite, universal_fast_gradient
+from .solvers import Trace, _check_finite, _Cycle, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,18 @@ def _record_start(trace: Trace, oracle: ProximalOracle, budget: int) -> Trace:
 
 
 def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations: int,
-               stop: Optional[Callable[[Vector, float], bool]] = None) -> None:
+               stop: Optional[Callable[[Vector, float], bool]] = None,
+               shared: Optional[_Cycle] = None) -> None:
     """Run one cycle of the universal method and append it to the scheme's trace.
 
     The cycle is warm-started from the trace's final point and estimate.
     Its values and its one ``(length, target)`` record are appended, and
     the trace takes over its final point and estimate, from which the
-    next cycle starts.
+    next cycle starts. ``shared`` is the grid search's ``_Cycle`` for it.
     """
     _, sub = universal_fast_gradient(
         oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
-        f_star=trace.f_star,
+        f_star=trace.f_star, _cycle=shared,
     )
     if trace.f_initial is None:
         trace.f_initial = sub.f_initial
@@ -149,19 +151,20 @@ def cycle_plan(schedule: Schedule, budget: int, cap: int, eps0: float = 0.0,
     return plan
 
 
-def _scheduled(oracle: ProximalOracle, x0: Vector, eps0: float, gamma: float,
-               schedule: Schedule, budget: int, cap: int, L0: float,
-               f_star: Optional[float]) -> Trace:
-    """Run the cycles of ``cycle_plan``; a truncated one's note names its limit."""
+def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, float]],
+               limit: str, L0: float, f_star: Optional[float],
+               shared: Optional[list[_Cycle]] = None) -> Trace:
+    """Run the cycles of a ``cycle_plan``; a truncated one's note names its ``limit``.
+
+    ``shared``, from the grid search, holds each cycle's ``_Cycle``.
+    """
     trace = _new_trace(x0, L0, f_star)
-    limit = "the cap" if cap > budget else "the budget"
-    plan = cycle_plan(schedule, budget, cap, eps0, gamma)
     for k, (planned, length, target) in enumerate(plan, start=1):
         if length < planned:
             trace.notes.append(
                 f"cycle {k} truncated from {planned} to {length} iterations by {limit}"
             )
-        _run_cycle(trace, oracle, target, length)
+        _run_cycle(trace, oracle, target, length, shared=shared[k - 1] if shared else None)
     return trace
 
 
@@ -182,7 +185,8 @@ def restart_scheduled(
     defaults to the budget; the grid search passes 2 * budget.
     """
     cap = budget if cap is None else cap
-    return _scheduled(oracle, x0, 0.0, 0.0, schedule, budget, cap, L0, f_star)
+    limit = "the cap" if cap > budget else "the budget"
+    return _scheduled(oracle, x0, cycle_plan(schedule, budget, cap), limit, L0, f_star)
 
 
 def h_restart(
@@ -208,7 +212,8 @@ def h_restart(
         raise ValueError(f"eps0 must be positive, got {eps0}")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return _scheduled(oracle, x0, eps0, gamma, schedule, budget, budget, L0, f_star)
+    plan = cycle_plan(schedule, budget, budget, eps0, gamma)
+    return _scheduled(oracle, x0, plan, "the budget", L0, f_star)
 
 
 def criterion_restart(
@@ -306,12 +311,25 @@ def adaptive_grid(
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
     i_max = int(math.floor(math.log2(budget)))
     j_max = int(math.ceil(math.log2(budget)))
+    schemes = [(i, j) for i in range(1, i_max + 1) for j in range(0, j_max + 1)]
+    plans = [cycle_plan(grid_schedule(i, j), budget, 2 * budget) for i, j in schemes]
+    # Number each cycle start by the start before it and the cycle's length
+    # (every target is 0), and count the runs that take its cycle to each length.
+    starts: dict[Optional[tuple[int, int]], int] = {}
+    takers: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    paths = []
+    for plan in plans:
+        path, key = [], None
+        for _, length, _ in plan:
+            start = starts.setdefault(key, len(starts))
+            takers[start][length] += 1
+            path.append(start)
+            key = (start, length)
+        paths.append(path)
+    cycles = {start: _Cycle(counts) for start, counts in takers.items()}
     runs = {
-        (i, j): restart_scheduled(
-            oracle, x0, grid_schedule(i, j), budget, L0, f_star=f_star, cap=2 * budget
-        )
-        for i in range(1, i_max + 1)
-        for j in range(0, j_max + 1)
+        ij: _scheduled(oracle, x0, plan, "the cap", L0, f_star, [cycles[k] for k in path])
+        for ij, plan, path in zip(schemes, plans, paths)
     }
     best = min(runs, key=lambda ij: (runs[ij].final_f, ij))
     total = sum(tr.accepted for tr in runs.values())

@@ -86,8 +86,8 @@ marker, target) from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
 
@@ -411,6 +411,7 @@ def universal_fast_gradient(
     stop: Optional[Callable[[Vector, float], bool]] = None,
     *,
     f_star: Optional[float] = None,
+    _cycle: Optional[_Cycle] = None,
 ) -> tuple[Vector, Trace]:
     """Universal fast gradient method with target accuracy ``epsilon``.
 
@@ -439,20 +440,86 @@ def universal_fast_gradient(
     termination guarantee; the method simply runs out its budget.
 
     Returns the final point and its trace.
+
+    ``_cycle`` is for the grid search only: a ``_Cycle`` that other runs
+    take from the same start, estimate and target (see ``_Cycle``).
     """
     require_finite(epsilon=epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
-    if oracle.quadratic is None:
-        y, L_hat = _ufgm(oracle, x0, epsilon, float(L0), budget, stop, trace)
-    else:
-        loop = _ufgm_on_form if oracle.prox is not None else _ufgm_on_smooth_form
-        y, L_hat = loop(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace)
-    trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
-    trace.final_point = y
-    trace.final_L_hat = L_hat
-    return y, trace
+    cycle = _Cycle({budget: 1}) if _cycle is None else _cycle
+    return cycle.take(oracle, x0, epsilon, L0, budget, stop, f_star)
+
+
+class _Cycle:
+    """One UFGM cycle, run once for every caller that takes it.
+
+    ``takers`` maps each length at which the cycle is taken to the number
+    of callers that take it there; every caller passes the same start,
+    estimate and target. The first call starts the loop (``_start``) and
+    runs it to the shortest length. The loop then pauses at each length in
+    increasing order, and is resumed by the first call that asks for a
+    length it has not reached. At each pause the trace so far is kept,
+    with the cycle's record, final point and estimate; a later length
+    continues it bit for bit, since nothing a step computes depends on the
+    cycle's length (the smooth loop's last-step re-anchor is made up when
+    it resumes). Every taker of a length but the last gets a copy, so no
+    two share a list or a final point. The loop and its trace are dropped
+    at the last pause, and a kept trace when its last taker takes it.
+    """
+
+    def __init__(self, takers: dict[int, int]):
+        self._takers = dict(takers)
+        self._ahead = sorted(takers, reverse=True)  # lengths still to reach, next last
+        self._kept: dict[int, tuple[Trace, bool]] = {}
+        self._loop = None
+
+    def take(self, oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
+             budget: int, stop: Optional[Callable[[Vector, float], bool]],
+             f_star: Optional[float]) -> tuple[Vector, Trace]:
+        """The final point and trace of the cycle's first ``budget`` steps."""
+        while budget not in self._kept:
+            self._pause(oracle, x0, epsilon, L0, stop, f_star)
+        trace, finite = self._kept[budget]
+        self._takers[budget] -= 1
+        if self._takers[budget]:
+            trace = _copy(trace)
+        else:
+            del self._kept[budget]
+        # the loop leaves the check of a last step's value to its takers
+        _check_finite(finite)
+        return trace.final_point, trace
+
+    def _pause(self, oracle, x0, epsilon, L0, stop, f_star) -> None:
+        length = self._ahead.pop()
+        if self._loop is None:
+            x0, self._trace, _, Qx0 = _start(oracle, x0, L0, length, f_star)
+            self._target = epsilon if epsilon > 0 else None
+            if oracle.quadratic is None:
+                self._loop = _ufgm(oracle, x0, epsilon, float(L0), length, stop, self._trace)
+            else:
+                loop = _ufgm_on_form if oracle.prox is not None else _ufgm_on_smooth_form
+                self._loop = loop(oracle, x0, Qx0, epsilon, float(L0), length, stop,
+                                  self._trace)
+            y, L_hat, finite = next(self._loop)
+        else:
+            y, L_hat, finite = self._loop.send(length)
+        trace = self._trace
+        if self._ahead:  # the loop goes on: keep what it has so far
+            trace = _copy(trace)
+        else:
+            self._loop = self._trace = None
+        trace.cycles = [(trace.accepted, self._target)]
+        trace.final_point = y
+        trace.final_L_hat = L_hat
+        self._kept[length] = (trace, finite)
+
+
+def _copy(trace: Trace) -> Trace:
+    """A trace that shares no list and no final point with ``trace``."""
+    final = None if trace.final_point is None else trace.final_point.copy()
+    return replace(trace, values=trace.values.copy(), cycles=trace.cycles.copy(),
+                   notes=trace.notes.copy(), final_point=final)
 
 
 def _coupling(A: float, L_hat: float) -> tuple[float, float]:
@@ -470,52 +537,58 @@ def _ufgm(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> tuple[Vector, float]:
+) -> Generator[tuple[Vector, float, bool], int, None]:
     """The UFGM loop for oracles without a declared quadratic form.
 
-    Returns the last accepted iterate and the final estimate.
+    A generator, as are the two form loops. It runs to ``budget`` accepted
+    steps in all (fewer if ``stop`` fires), adds its counters to the trace
+    and yields the last accepted iterate, the final estimate and whether
+    the last value is finite, which this loop has already checked. Sent a
+    larger budget, it goes on from there.
     """
     y = anchor
     A = 0.0
     grad_sum = np.zeros_like(anchor)
     backtracks, top = 0, trace.max_L_hat
-
-    for t in range(1, budget + 1):
-        z = anchor - grad_sum
-        if oracle.prox is not None and A > 0.0:
-            z = np.asarray(oracle.prox(z, A), dtype=float)
-            trace.n_prox += 1
-        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
-            a, tau = _coupling(A, L_hat)
-            slack = tau * epsilon / 2.0
-            x = tau * z + (1.0 - tau) * y
-            trace.n_grad += 1
-            trace.n_value += 1
-            f0_x, g = oracle.smooth_eval(x)
-            g = np.asarray(g, dtype=float)
-            finite = math.isfinite(f0_x) and _finite_vector(g)
-            if finite:
-                y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
-            if finite and ok:
+    t = 0
+    while True:
+        for t in range(t + 1, budget + 1):
+            z = anchor - grad_sum
+            if oracle.prox is not None and A > 0.0:
+                z = np.asarray(oracle.prox(z, A), dtype=float)
+                trace.n_prox += 1
+            for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+                a, tau = _coupling(A, L_hat)
+                slack = tau * epsilon / 2.0
+                x = tau * z + (1.0 - tau) * y
+                trace.n_grad += 1
+                trace.n_value += 1
+                f0_x, g = oracle.smooth_eval(x)
+                g = np.asarray(g, dtype=float)
+                finite = math.isfinite(f0_x) and _finite_vector(g)
+                if finite:
+                    y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
+                if finite and ok:
+                    break
+                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                    L_hat *= 2.0
+                    backtracks += 1
+                    if L_hat > top:
+                        top = L_hat
+                else:
+                    L_hat = _double(trace, L_hat, doublings, finite, t)
+            A += a
+            grad_sum = grad_sum + a * g
+            y = y_cand
+            L_hat = max(L_hat / 2.0, _L_HAT_MIN)
+            f_full = f0_y + oracle.psi(y)
+            trace.values.append(f_full)
+            if stop is not None and stop(y, f_full):
                 break
-            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
-            else:
-                L_hat = _double(trace, L_hat, doublings, finite, t)
-        A += a
-        grad_sum = grad_sum + a * g
-        y = y_cand
-        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
-        f_full = f0_y + oracle.psi(y)
-        trace.values.append(f_full)
-        if stop is not None and stop(y, f_full):
-            break
-    trace.backtracks += backtracks
-    trace.max_L_hat = max(trace.max_L_hat, top)
-    return y, L_hat
+        trace.backtracks += backtracks
+        trace.max_L_hat = max(trace.max_L_hat, top)
+        backtracks = 0
+        budget = yield y, L_hat, True
 
 
 def _ufgm_on_smooth_form(
@@ -581,68 +654,85 @@ def _ufgm_on_smooth_form(
     top = trace.max_L_hat
     tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
 
-    for t in range(1, budget + 1):
-        _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
-        for doublings in tries:
-            trials += 1
-            a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
-            tau = a / (A + a)
-            u = 1.0 - tau
-            # the step d = -g / L_hat is -s times the mix of the gradient rows
-            s = S / L_hat
-            gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
-            gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
-            # d^T Q d; L_hat ||d||^2 is S s gg
-            curvature = S * s * s * gQg
-            finite = isfinite(curvature)
-            if finite and curvature <= S * s * gg + tau * epsilon:
-                break
-            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
-            else:
-                L_hat = _double(trace, L_hat, doublings, finite, t)
-        A += a
-        w[0], w[1] = u / S, tau / S
-        prod[...] = Q @ mix(images)
-        # in each block the first row becomes its mix - s (next block's mix)
-        # and the second row itself - a S (next block's mix); the product
-        # row is the next block of the images
-        aS = a * S
-        # entry (r, k) of the step matrix is cell[8 r + k]
-        cell[0] = cell[18] = cell[36] = u
-        cell[1] = cell[19] = cell[37] = tau
-        cell[2] = cell[20] = -s * u
-        cell[3] = cell[21] = -s * tau
-        cell[10] = cell[28] = -aS * u
-        cell[11] = cell[29] = -aS * tau
-        cell[39], cell[47] = -s, -aS
-        new = views[t & 1]
-        advance(rows, out=new[0])
-        rows, images, prod, head_dot, tail = new
-        if t % _REANCHOR_STEPS == 0 and t < budget:
-            for k in (2, 3, 4, 5):
-                rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
-        gram = head_dot(tail).tolist()
-        f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
-        _check_finite(isfinite(f0_y))
-        L_hat /= 2.0
-        if L_hat < _L_HAT_MIN:
-            L_hat = _L_HAT_MIN
-        append(f0_y)
-        if stop is not None:
+    t = 0
+    while True:
+        for t in range(t + 1, budget + 1):
+            _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
+            for doublings in tries:
+                trials += 1
+                a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
+                tau = a / (A + a)
+                u = 1.0 - tau
+                # the step d = -g / L_hat is -s times the mix of the gradient rows
+                s = S / L_hat
+                gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
+                gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
+                # d^T Q d; L_hat ||d||^2 is S s gg
+                curvature = S * s * s * gQg
+                finite = isfinite(curvature)
+                if finite and curvature <= S * s * gg + tau * epsilon:
+                    break
+                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                    L_hat *= 2.0
+                    backtracks += 1
+                    if L_hat > top:
+                        top = L_hat
+                else:
+                    L_hat = _double(trace, L_hat, doublings, finite, t)
+            A += a
+            w[0], w[1] = u / S, tau / S
+            prod[...] = Q @ mix(images)
+            # in each block the first row becomes its mix - s (next block's mix)
+            # and the second row itself - a S (next block's mix); the product
+            # row is the next block of the images
+            aS = a * S
+            # entry (r, k) of the step matrix is cell[8 r + k]
+            cell[0] = cell[18] = cell[36] = u
+            cell[1] = cell[19] = cell[37] = tau
+            cell[2] = cell[20] = -s * u
+            cell[3] = cell[21] = -s * tau
+            cell[10] = cell[28] = -aS * u
+            cell[11] = cell[29] = -aS * tau
+            cell[39], cell[47] = -s, -aS
+            new = views[t & 1]
+            advance(rows, out=new[0])
+            rows, images, prod, head_dot, tail = new
+            if t % _REANCHOR_STEPS == 0 and t < budget:
+                _reanchor(rows, Q, h, S)
+            gram = head_dot(tail).tolist()
+            f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
+            if t < budget or stop is not None:
+                _check_finite(isfinite(f0_y))
+            L_hat /= 2.0
+            if L_hat < _L_HAT_MIN:
+                L_hat = _L_HAT_MIN
+            append(f0_y)
+            if stop is not None:
+                y = rows[0].copy()
+                if stop(y, f0_y):
+                    break
+        if stop is None:
             y = rows[0].copy()
-            if stop(y, f0_y):
-                break
-    if stop is None:
-        y = rows[0].copy()
-    trace.n_grad += trials
-    trace.n_value += 2 * trials
-    trace.backtracks += backtracks
-    trace.max_L_hat = max(trace.max_L_hat, top)
-    return y, L_hat
+        trace.n_grad += trials
+        trace.n_value += 2 * trials
+        trace.backtracks += backtracks
+        trace.max_L_hat = max(trace.max_L_hat, top)
+        trials = backtracks = 0
+        budget = yield y, L_hat, isfinite(f0_y)
+        # resumed: step t is no longer the last, so it gets the re-anchor
+        # a last step skips, and its value is checked here
+        if t % _REANCHOR_STEPS == 0:
+            _reanchor(rows, Q, h, S)
+            gram = head_dot(tail).tolist()
+            f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
+            trace.values[-1] = f0_y
+        _check_finite(isfinite(f0_y))
+
+
+def _reanchor(rows: np.ndarray, Q, h: Vector, S: float) -> None:
+    """Recompute the smooth loop's gradient and image rows from fresh products."""
+    for k in (2, 3, 4, 5):
+        rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
 
 
 def _ufgm_on_form(
@@ -683,64 +773,67 @@ def _ufgm_on_form(
     top = trace.max_L_hat
     tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
 
-    for t in range(1, budget + 1):
-        if A > 0.0:
-            z = asarray(prox(v, A), dtype=float)
-            proxes += 1
-            g_z = Q @ z
-            g_z -= h
-        subtract(g_z, g_y, dg)
-        for doublings in tries:
-            trials += 1
-            a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
-            tau = a / (A + a)
-            # g = g_y + tau dg, x = tau z + (1 - tau) y, w = x - g / L_hat
-            multiply(dg, tau, g)
-            g += g_y
-            multiply(z, tau, x)
-            multiply(y, 1.0 - tau, tmp)
-            x += tmp
-            divide(g, L_hat, w)
-            subtract(x, w, w)
-            y_cand = asarray(prox(w, 1.0 / L_hat), dtype=float)
-            if y_cand.base is not None:
-                y_cand = y_cand.copy()
-            subtract(y_cand, x, d)
-            Qd = Q @ d
-            curvature = float(vdot(d, Qd))
-            finite = isfinite(curvature)
-            if finite and 0.5 * curvature <= (0.5 * L_hat * float(vdot(d, d))
-                                              + tau * epsilon / 2.0):
+    t = 0
+    while True:
+        for t in range(t + 1, budget + 1):
+            if A > 0.0:
+                z = asarray(prox(v, A), dtype=float)
+                proxes += 1
+                g_z = Q @ z
+                g_z -= h
+            subtract(g_z, g_y, dg)
+            for doublings in tries:
+                trials += 1
+                a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
+                tau = a / (A + a)
+                # g = g_y + tau dg, x = tau z + (1 - tau) y, w = x - g / L_hat
+                multiply(dg, tau, g)
+                g += g_y
+                multiply(z, tau, x)
+                multiply(y, 1.0 - tau, tmp)
+                x += tmp
+                divide(g, L_hat, w)
+                subtract(x, w, w)
+                y_cand = asarray(prox(w, 1.0 / L_hat), dtype=float)
+                if y_cand.base is not None:
+                    y_cand = y_cand.copy()
+                subtract(y_cand, x, d)
+                Qd = Q @ d
+                curvature = float(vdot(d, Qd))
+                finite = isfinite(curvature)
+                if finite and 0.5 * curvature <= (0.5 * L_hat * float(vdot(d, d))
+                                                  + tau * epsilon / 2.0):
+                    break
+                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+                    L_hat *= 2.0
+                    backtracks += 1
+                    if L_hat > top:
+                        top = L_hat
+                else:
+                    L_hat = _double(trace, L_hat, doublings, finite, t)
+            A += a
+            y = y_cand
+            Qd += g
+            g_y = Qd
+            multiply(g, a, tmp)
+            v -= tmp
+            subtract(g_y, h, tmp)
+            f0_y = 0.5 * float(vdot(y, tmp)) + c
+            _check_finite(isfinite(f0_y))
+            L_hat /= 2.0
+            if L_hat < _L_HAT_MIN:
+                L_hat = _L_HAT_MIN
+            f_full = f0_y + psi(y)
+            append(f_full)
+            if stop is not None and stop(y, f_full):
                 break
-            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
-            else:
-                L_hat = _double(trace, L_hat, doublings, finite, t)
-        A += a
-        y = y_cand
-        Qd += g
-        g_y = Qd
-        multiply(g, a, tmp)
-        v -= tmp
-        subtract(g_y, h, tmp)
-        f0_y = 0.5 * float(vdot(y, tmp)) + c
-        _check_finite(isfinite(f0_y))
-        L_hat /= 2.0
-        if L_hat < _L_HAT_MIN:
-            L_hat = _L_HAT_MIN
-        f_full = f0_y + psi(y)
-        append(f_full)
-        if stop is not None and stop(y, f_full):
-            break
-    trace.n_grad += trials
-    trace.n_value += 2 * trials
-    trace.n_prox += trials + proxes
-    trace.backtracks += backtracks
-    trace.max_L_hat = max(trace.max_L_hat, top)
-    return y, L_hat
+        trace.n_grad += trials
+        trace.n_value += 2 * trials
+        trace.n_prox += trials + proxes
+        trace.backtracks += backtracks
+        trace.max_L_hat = max(trace.max_L_hat, top)
+        trials = proxes = backtracks = 0
+        budget = yield y, L_hat, True
 
 
 def accelerated(

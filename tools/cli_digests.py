@@ -25,6 +25,7 @@ RUNS = {
                      "--methods grad,acc,mono,restart --C 4 --alpha 0.2",
     "grid-csv": "grid --problem lasso --rows 80 --cols 20 --N 60",
     "grid-dual-svm": "grid --problem dual-svm --rows 60 --cols 8 --N 60",
+    "grid-logistic": "grid --problem logistic --rows 60 --cols 8 --N 40",
     "grid-json": f"grid {QUAD} --N 77 --format json",
     "restart-explicit": f"run {QUAD} --method restart --C 3 --alpha 0.3 --N 60",
     "restart-derived": f"run {LS} --method restart --N 90 --format json",

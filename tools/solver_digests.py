@@ -1,0 +1,84 @@
+"""Print one sha256 per grid-search outcome and per scheduled run of a fixed matrix.
+
+Usage: python tools/solver_digests.py SRC
+
+Imports ``restartopt`` from the source tree SRC and, for every oracle below,
+every starting estimate L0 in {1e-100, 1, 1e100} and every budget N in
+{4, 33, 100}, prints one line for ``adaptive_grid`` and one line for each
+of its schemes run alone as ``restart_scheduled(..., cap=2N)``:
+
+* smooth form: least squares (40x10, cond 100);
+* composite forms: LASSO (the l1 prox) and dual SVM (the box prox);
+* generic: logistic, and the LASSO with ``quadratic=None``.
+
+A line digests the trace's values, cycles, oracle counters, backtracks,
+largest and final estimates, notes and final point (for the grid, every
+run's digest, the best index and the total), or the error's type and
+message. Run it once per tree and diff the two listings: equal lines mean
+bitwise-equal runs. Exits 1 after the listing if any run raised an error
+other than ``DivergenceError``, ``ConfigError`` or ``DatasetFormatError``.
+"""
+
+import dataclasses
+import hashlib
+import os
+import sys
+
+
+def trace_key(trace) -> str:
+    floats = [v.hex() for v in trace.values]
+    return repr((
+        floats, trace.cycles, trace.n_value, trace.n_grad, trace.n_prox,
+        trace.backtracks, trace.max_L_hat.hex(), trace.final_L_hat.hex(),
+        trace.notes, trace.final_point.tobytes().hex(),
+    ))
+
+
+def main(src: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    import restartopt as ro
+    from restartopt.cli import ConfigError
+
+    typed = (ro.DivergenceError, ConfigError, ro.DatasetFormatError)
+    lasso = ro.make_lasso(*ro.synthetic_regression(40, 10, cond=100.0, seed=2))
+    instances = {
+        "least-squares": ro.make_least_squares(*ro.synthetic_regression(40, 10, cond=100.0, seed=1)),
+        "lasso": lasso,
+        "dual-svm": ro.make_dual_svm(*ro.synthetic_classification(40, 6, cond=100.0, seed=3)),
+        "logistic": ro.make_logistic(*ro.synthetic_classification(40, 6, cond=10.0, seed=4)),
+        "lasso-generic": dataclasses.replace(
+            lasso, oracle=dataclasses.replace(lasso.oracle, quadratic=None)),
+    }
+    untyped = 0
+
+    def line(label: str, run) -> None:
+        nonlocal untyped
+        try:
+            key = run()
+        except Exception as exc:  # every failure is listed; untyped ones fail the tool
+            key = f"{type(exc).__name__}: {exc}"
+            untyped += not isinstance(exc, typed)
+        print(f"{hashlib.sha256(key.encode()).hexdigest()}  {label}", flush=True)
+
+    for name, inst in instances.items():
+        for L0 in (1e-100, 1.0, 1e100):
+            for N in (4, 33, 100):
+                tag = f"{name} L0={L0:g} N={N}"
+
+                def grid():
+                    out = ro.adaptive_grid(inst.oracle, inst.x0, N, L0)
+                    runs = [(ij, trace_key(tr)) for ij, tr in sorted(out.runs.items())]
+                    return repr((runs, out.best, out.total_inner_iterations))
+
+                line(f"{tag} grid", grid)
+                i_max, j_max = N.bit_length() - 1, (N - 1).bit_length()
+                for i in range(1, i_max + 1):
+                    for j in range(0, j_max + 1):
+                        line(f"{tag} run ({i}, {j})", lambda: trace_key(ro.restart_scheduled(
+                            inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, cap=2 * N)))
+    if untyped:
+        sys.exit(f"{untyped} run(s) failed with an untyped error")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])
