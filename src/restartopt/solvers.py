@@ -85,6 +85,7 @@ marker, target) from them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Generator, NamedTuple, Optional
@@ -314,6 +315,10 @@ def _quadratic_trial(
     return cand, Qd, True, 0.5 * curvature <= 0.5 * L_hat * float(np.vdot(d, d)) + slack
 
 
+def _overflow(step: int) -> DivergenceError:
+    return DivergenceError(f"Lipschitz estimate overflowed in the line search (step {step})")
+
+
 def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
     """Double the estimate after the ``doublings``-th failed trial of a step.
 
@@ -327,7 +332,7 @@ def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int)
     """
     L_hat *= 2.0
     if math.isinf(L_hat):
-        raise DivergenceError(f"Lipschitz estimate overflowed in the line search (step {step})")
+        raise _overflow(step)
     trace.backtracks += 1
     trace.max_L_hat = max(trace.max_L_hat, L_hat)
     if doublings == _MAX_DOUBLINGS_PER_STEP:
@@ -362,6 +367,9 @@ def gradient_descent(
     x, trace, f0_x, Qx = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
     backtracks, top = 0, trace.max_L_hat
+    # a difference-form test fails only on real curvature, so a form's
+    # line search has no doubling cap
+    tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1) if form is None else itertools.count(1)
 
     for t in range(1, budget + 1):
         if form is None:
@@ -370,14 +378,15 @@ def gradient_descent(
             g = Qx - form.h
         trace.n_grad += 1
         _check_finite(_finite_vector(g))
-        for doublings in range(1, _MAX_DOUBLINGS_PER_STEP + 1):
+        for doublings in tries:
             if form is None:
                 cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
             else:
                 cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, 0.0, trace)
             if ok:
                 break
-            if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
+            if L_hat < _L_HAT_OVERFLOW and (form is not None
+                                            or doublings < _MAX_DOUBLINGS_PER_STEP):
                 L_hat *= 2.0
                 backtracks += 1
                 if L_hat > top:
@@ -652,13 +661,12 @@ def _ufgm_on_smooth_form(
     A = 0.0
     trials = backtracks = 0
     top = trace.max_L_hat
-    tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
 
     t = 0
     while True:
         for t in range(t + 1, budget + 1):
             _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
-            for doublings in tries:
+            while True:
                 trials += 1
                 a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
                 tau = a / (A + a)
@@ -672,13 +680,12 @@ def _ufgm_on_smooth_form(
                 finite = isfinite(curvature)
                 if finite and curvature <= S * s * gg + tau * epsilon:
                     break
-                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                    L_hat *= 2.0
-                    backtracks += 1
-                    if L_hat > top:
-                        top = L_hat
-                else:
-                    L_hat = _double(trace, L_hat, doublings, finite, t)
+                if L_hat >= _L_HAT_OVERFLOW:
+                    raise _overflow(t)
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
             A += a
             w[0], w[1] = u / S, tau / S
             prod[...] = Q @ mix(images)
@@ -771,7 +778,6 @@ def _ufgm_on_form(
     A = 0.0
     trials = proxes = backtracks = 0
     top = trace.max_L_hat
-    tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
 
     t = 0
     while True:
@@ -782,7 +788,7 @@ def _ufgm_on_form(
                 g_z = Q @ z
                 g_z -= h
             subtract(g_z, g_y, dg)
-            for doublings in tries:
+            while True:
                 trials += 1
                 a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
                 tau = a / (A + a)
@@ -804,13 +810,12 @@ def _ufgm_on_form(
                 if finite and 0.5 * curvature <= (0.5 * L_hat * float(vdot(d, d))
                                                   + tau * epsilon / 2.0):
                     break
-                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                    L_hat *= 2.0
-                    backtracks += 1
-                    if L_hat > top:
-                        top = L_hat
-                else:
-                    L_hat = _double(trace, L_hat, doublings, finite, t)
+                if L_hat >= _L_HAT_OVERFLOW:
+                    raise _overflow(t)
+                L_hat *= 2.0
+                backtracks += 1
+                if L_hat > top:
+                    top = L_hat
             A += a
             y = y_cand
             Qd += g

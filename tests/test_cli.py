@@ -81,6 +81,23 @@ class TestRun:
         # L = kappa and d(x0, X*) = 1 for the synthetic quadratic
         assert final_gap <= 4 * 100.0 * 1.0 / 500**2
 
+    def test_tiny_starting_estimate_meets_envelope(self, tmp_path, capsys):
+        # from --L0 1e-60 the first step's line search needs more than 120
+        # doublings; capped there, the run accepted a stalled step and printed
+        # a final gap of 3.8e50 beside an envelope of 2.07
+        out = tmp_path / "trace.csv"
+        code = run_cli(
+            "run", "--problem", "least-squares", "--rows", "80", "--cols", "20",
+            "--cond", "1000", "--seed", "24", "--method", "acc", "--N", "50",
+            "--L0", "1e-60", "--out", str(out),
+        )
+        stdout = capsys.readouterr().out
+        assert code == 0
+        assert "stalled" not in stdout
+        [envelope] = envelope_lines(stdout)
+        final_gap = float(trace_rows(out)[-1][2])
+        assert 0.0 <= final_gap <= float(envelope.split(": ")[-1])
+
     def test_envelope_reported_when_regularity_known(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         run_cli(

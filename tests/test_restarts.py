@@ -1,5 +1,6 @@
 """Restart meta-schemes: schedules, bound tracking, grid search, baselines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from restartopt import (
     DivergenceError,
+    ProximalOracle,
     Schedule,
     accelerated,
     adaptive_grid,
@@ -19,7 +21,10 @@ from restartopt import (
     gradient_descent,
     grid_schedule,
     h_restart,
+    make_dual_svm,
+    make_lasso,
     make_least_squares,
+    make_logistic,
     make_norm_power,
     make_quadratic,
     make_sharp_norm,
@@ -28,6 +33,7 @@ from restartopt import (
     optimal_schedule_smooth,
     restart_scheduled,
     schedule_threshold,
+    synthetic_classification,
     synthetic_regression,
     ufgm_constant,
     universal_fast_gradient,
@@ -445,9 +451,104 @@ class TestAdaptiveGrid:
         with ThreadPoolExecutor(max_workers=4) as pool:
             concurrent = dict(pool.map(run_one, sequential.runs.keys()))
         for ij, trace in sequential.runs.items():
-            assert [e.f_value for e in concurrent[ij].entries] == [
-                e.f_value for e in trace.entries
-            ], ij
+            assert trace_state(concurrent[ij]) == trace_state(trace), ij
+
+
+def trace_state(trace):
+    """Everything a run reports, its final point as bytes."""
+    return (
+        trace.values, trace.cycles, trace.notes, trace.f_initial,
+        (trace.n_value, trace.n_grad, trace.n_prox), trace.backtracks,
+        trace.max_L_hat, trace.final_L_hat, trace.final_point.tobytes(),
+    )
+
+
+def generic(inst):
+    """The instance's oracle without its declared form: the generic UFGM loop."""
+    return dataclasses.replace(inst.oracle, quadratic=None)
+
+
+GRID_PATHS = {
+    # at N = 100 constant-schedule cycles end on steps 32 (i = 5) and 64
+    # (i = 6), where the smooth loop skips the re-anchor a longer cycle makes
+    "smooth-form": lambda: make_least_squares(
+        *synthetic_regression(80, 20, cond=1e3, seed=24)).oracle,
+    "lasso": lambda: make_lasso(*synthetic_regression(60, 15, cond=100.0, seed=27)).oracle,
+    "dual-svm": lambda: make_dual_svm(
+        *synthetic_classification(50, 8, cond=100.0, seed=26)).oracle,
+    "logistic": lambda: make_logistic(
+        *synthetic_classification(40, 6, cond=10.0, seed=4)).oracle,
+    "lasso-generic": lambda: generic(make_lasso(
+        *synthetic_regression(60, 15, cond=100.0, seed=27))),
+}
+
+
+class TestSharedGrid:
+    """The grid runs each shared cycle once; every run is its own scheduled run."""
+
+    @pytest.mark.parametrize("N", [4, 100])
+    @pytest.mark.parametrize("path", GRID_PATHS)
+    def test_every_run_is_bitwise_its_scheduled_run(self, path, N):
+        oracle = GRID_PATHS[path]()
+        x0 = np.zeros(oracle.dimension)
+        out = adaptive_grid(oracle, x0, N, 1.0)
+        assert sorted(out.runs) == grid_indices(N)
+        for (i, j), trace in out.runs.items():
+            ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
+            assert trace_state(trace) == trace_state(ref), (i, j)
+        if path == "smooth-form" and N == 100:
+            # a cycle that ends on step 32 or 64 reports another value there
+            # than one that goes on, and the shared cycle reproduces both
+            for i, k in ((5, 31), (6, 63)):
+                assert out.runs[(i, 0)].cycles[0] == (2**i, None)
+                assert out.runs[(i, 7)].cycles[0][0] > 2**i
+                assert out.runs[(i, 0)].values[k] != out.runs[(i, 7)].values[k]
+
+    def test_divergence_surfaces_as_in_per_run_order(self):
+        # the generic oracle raises once a value falls below 1e-10; runs
+        # reach that at different steps, and the grid must raise what the
+        # first of them in (i, j) order raises
+        Q = make_quadratic(10, 100.0, seed=3).oracle.quadratic.Q
+
+        def value(x):
+            v = 0.5 * float(x @ (Q @ x))
+            if v < 1e-10:
+                raise DivergenceError(f"value {v!r} fell below 1e-10")
+            return v
+
+        oracle = ProximalOracle(dimension=10, value=value, smooth_gradient=lambda x: Q @ x)
+        x0 = make_quadratic(10, 100.0, seed=3).x0
+        first = None
+        for i, j in grid_indices(100):
+            try:
+                restart_scheduled(oracle, x0, grid_schedule(i, j), 100, 1.0, cap=200)
+            except DivergenceError as exc:
+                first = (i, j), str(exc)
+                break
+        assert first is not None and first[0] != (1, 0)
+        with pytest.raises(DivergenceError) as raised:
+            adaptive_grid(oracle, x0, 100, 1.0)
+        assert str(raised.value) == first[1]
+
+    def test_two_grids_in_a_row_are_equal(self):
+        oracle = GRID_PATHS["lasso"]()
+        x0 = np.zeros(oracle.dimension)
+        first = adaptive_grid(oracle, x0, 100, 1.0)
+        second = adaptive_grid(oracle, x0, 100, 1.0)
+        assert (first.best, first.total_inner_iterations) == (
+            second.best, second.total_inner_iterations)
+        for ij, trace in first.runs.items():
+            assert trace_state(trace) == trace_state(second.runs[ij]), ij
+
+    @pytest.mark.parametrize("path", ["smooth-form", "lasso", "logistic"])
+    def test_no_two_runs_share_a_list_or_a_final_point(self, path):
+        oracle = GRID_PATHS[path]()
+        traces = list(adaptive_grid(oracle, np.zeros(oracle.dimension), 100, 1.0).runs.values())
+        for name in ("values", "cycles", "notes"):
+            assert len({id(getattr(tr, name)) for tr in traces}) == len(traces), name
+        for k, a in enumerate(traces):
+            for b in traces[k + 1:]:
+                assert not np.shares_memory(a.final_point, b.final_point)
 
 
 class TestMonotoneRestart:
