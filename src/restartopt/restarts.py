@@ -21,6 +21,13 @@ grid-search runs use cap = 2N, so they complete their final cycle
 (stopping at the first cycle boundary past N, or at 2N), matching how the
 grid's guarantee is stated. The Lipschitz estimate is warm-started across
 cycles: each cycle starts from the last estimate of the previous one.
+
+The grid search runs each distinct cycle of its schemes once. Every run
+starts from the same point and estimate, and a cycle's iterates do not
+depend on its length, so runs whose plans agree up to a cycle start share
+that start, and share the cycle from there up to the shorter length
+(``adaptive_grid``). Each run still reports exactly what it reports run
+alone.
 """
 
 from __future__ import annotations
@@ -275,9 +282,13 @@ def grid_schedule(i: int, j: int) -> Schedule:
 class GridOutcome:
     """All runs of the schedule grid search plus the winning index.
 
-    Every scheme of the grid runs; none can be skipped (see
-    ``adaptive_grid``). ``best`` minimizes the final objective value,
-    ties broken by smaller i then smaller j.
+    Every scheme of the grid has its run, bitwise the trace
+    ``restart_scheduled(..., cap=2N)`` gives it, though steps that runs
+    share are computed once (see ``adaptive_grid``).
+    ``total_inner_iterations`` is the paper's count, the sum of the runs'
+    accepted iterations, shared steps counted once per run. ``best``
+    minimizes the final objective value, ties broken by smaller i then
+    smaller j.
     """
 
     runs: dict[tuple[int, int], Trace]
@@ -287,6 +298,29 @@ class GridOutcome:
     @property
     def best_trace(self) -> Trace:
         return self.runs[self.best]
+
+
+def _plan_tree(plans: list[list[tuple[float, int, float]]]
+               ) -> tuple[list[list[int]], dict[int, Counter[int]]]:
+    """Number the cycle starts of the grid's plans and count who takes each.
+
+    A start is numbered by the start before it and the length of the cycle
+    in between (every grid target is 0), so runs whose plans agree up to a
+    start share its number. Returns each plan's starts, one per cycle, and
+    for each start the number of runs that take its cycle to each length.
+    """
+    starts: dict[Optional[tuple[int, int]], int] = {}
+    takers: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    paths = []
+    for plan in plans:
+        path, key = [], None
+        for _, length, _ in plan:
+            start = starts.setdefault(key, len(starts))
+            takers[start][length] += 1
+            path.append(start)
+            key = (start, length)
+        paths.append(path)
+    return paths, takers
 
 
 def adaptive_grid(
@@ -304,8 +338,26 @@ def adaptive_grid(
     t_k = 2^i e^(2^-j k) for j in [1, ceil(log2 N)], each stopped at the
     first cycle boundary past N and capped at 2N. Each run's ``cycle_plan``
     gives its N <= N' <= 2N without running it, and its first cycle fits in
-    the cap. Runs are mutually independent; the reduction to ``best`` is
-    deterministic regardless of execution order.
+    the cap.
+
+    Before any step runs, the plans give the tree of shared plan prefixes:
+    a cycle start is the start before it and the length of the cycle in
+    between, and runs whose plans agree up to a start share it. Each start's
+    cycle is one ``_Cycle``: it runs once, pausing at every length a run
+    takes it to, and each run takes its own copy of the trace there. This
+    is exact because every run starts from x0 and L0, every target is 0,
+    and nothing a step computes depends on the cycle's length (the smooth
+    loop's skipped last-step re-anchor is made up when a longer taker
+    resumes it). So each run's values, cycles, notes, oracle counters,
+    backtracks, estimates and final point are bitwise those of its own
+    ``restart_scheduled(..., cap=2N)``. Every cycle of every run is still
+    one ``universal_fast_gradient`` call. Runs are taken in (i, j) order
+    and a cycle runs only as far as the run at hand needs, so a
+    ``DivergenceError`` is the one the first failing run raises alone. The
+    shared state lives within this call: a ``_Cycle`` is made when the
+    first run reaches its start and dropped once every run has taken it;
+    within it, the loop is dropped at its last pause and a kept trace when
+    its last run takes it.
     """
     if budget < 4:
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
@@ -313,24 +365,18 @@ def adaptive_grid(
     j_max = int(math.ceil(math.log2(budget)))
     schemes = [(i, j) for i in range(1, i_max + 1) for j in range(0, j_max + 1)]
     plans = [cycle_plan(grid_schedule(i, j), budget, 2 * budget) for i, j in schemes]
-    # Number each cycle start by the start before it and the cycle's length
-    # (every target is 0), and count the runs that take its cycle to each length.
-    starts: dict[Optional[tuple[int, int]], int] = {}
-    takers: defaultdict[int, Counter[int]] = defaultdict(Counter)
-    paths = []
-    for plan in plans:
-        path, key = [], None
-        for _, length, _ in plan:
-            start = starts.setdefault(key, len(starts))
-            takers[start][length] += 1
-            path.append(start)
-            key = (start, length)
-        paths.append(path)
-    cycles = {start: _Cycle(counts) for start, counts in takers.items()}
-    runs = {
-        ij: _scheduled(oracle, x0, plan, "the cap", L0, f_star, [cycles[k] for k in path])
-        for ij, plan, path in zip(schemes, plans, paths)
-    }
+    paths, takers = _plan_tree(plans)
+    cycles: dict[int, _Cycle] = {}  # started, and still to be taken by a run
+    runs = {}
+    for ij, plan, path in zip(schemes, plans, paths):
+        for start in path:
+            if start not in cycles:
+                cycles[start] = _Cycle(takers.pop(start))
+        runs[ij] = _scheduled(oracle, x0, plan, "the cap", L0, f_star,
+                              [cycles[start] for start in path])
+        for start in path:
+            if cycles[start].done:
+                del cycles[start]
     best = min(runs, key=lambda ij: (runs[ij].final_f, ij))
     total = sum(tr.accepted for tr in runs.values())
     return GridOutcome(runs=runs, best=best, total_inner_iterations=total)

@@ -7,22 +7,27 @@ share one line search: each trial takes a (proximal) gradient step at
 1/L_hat and tests the quadratic descent condition, relaxed by
 tau * epsilon / 2 in the UFGM (``_trial``); a failed trial doubles the
 estimate. Every loop doubles in place and counts backtracks and the
-largest estimate in locals, which it adds to the trace at its end; only
-a doubling that would overflow, or a step's last allowed one, goes
-through ``_double``. The estimate is halved after every accepted
-step, and the final one is reported so restart schemes can warm-start
-the next cycle. The UFGM evaluates f0 and its gradient at each trial
-point with one ``ProximalOracle.smooth_eval`` call, which shares their
-common work when the oracle supplies a fused evaluation.
+largest estimate in locals, which it adds to the trace when it ends or
+pauses. The generic test compares values, which rounding alone can
+fail, so a step that has doubled 120 times is accepted with a note; only
+that doubling, or one that would overflow, goes through ``_double``. The
+estimate is halved after every accepted step, and the final one is
+reported so restart schemes can warm-start the next cycle. The UFGM
+evaluates f0 and its gradient at each trial point with one
+``ProximalOracle.smooth_eval`` call, which shares their common work when
+the oracle supplies a fused evaluation.
 
 When the oracle declares its smooth part as a quadratic form
 f0(x) = x^T Q x / 2 - h^T x + c (``ProximalOracle.quadratic``), the UFGM
 tests the descent condition in its exact difference form
 d^T Q d <= L_hat ||d||^2 + tau * epsilon for the step d = y - x, which no
-rounding of f0's constant term disturbs. It carries the gradients
-g_y = Q y - h and g_z = Q z - h beside its iterates; the gradient at
-x = tau z + (1 - tau) y is their tau-mix g = (1 - tau) g_y + tau g_z, and
-f0(y) = y^T (g_y - h) / 2 + c.
+rounding of f0's constant term disturbs. That test fails only while
+L_hat is below the curvature along d, so a form's line search, in the
+UFGM and in gradient descent, has no cap: it doubles until the test
+holds, or raises DivergenceError once the estimate would overflow. The
+UFGM carries the gradients g_y = Q y - h and g_z = Q z - h beside its
+iterates; the gradient at x = tau z + (1 - tau) y is their tau-mix
+g = (1 - tau) g_y + tau g_z, and f0(y) = y^T (g_y - h) / 2 + c.
 
 On a smooth form (no prox, ``_ufgm_on_smooth_form``) d = -g / L_hat, and
 the loop also carries the images Q g_y and Q g_z and the constant h, in
@@ -76,6 +81,20 @@ value-and-gradient call adds one to each, and a UFGM trial counts one
 gradient and two smooth values (at x and at the candidate, whose
 difference the descent test uses) on every path.
 
+The three UFGM loops are generators that can be resumed in place. Sent a
+budget, a loop runs to that many accepted steps in all, adds its counters
+to the trace and yields; sent a larger one, it goes on from there.
+``_Cycle`` drives them: ``universal_fast_gradient`` takes one cycle to its
+budget, and the grid search shares one ``_Cycle`` among the runs that
+start a cycle from the same point and estimate, each taking its own copy
+of the trace at its own length. Nothing a step computes depends on the
+cycle's length but one thing: the smooth loop skips its re-anchor after
+a cycle's last step, so a cycle that ends on a multiple of 32 reports a
+value there that differs in its last bits from the one a longer cycle
+reports. Resumed past such a step, the loop makes up the re-anchor and
+replaces that value. It also leaves the check of a last step's value to
+the runs that take the cycle there, since only they fail on it.
+
 Each solver call appends f at every accepted iterate to ``Trace.values``
 and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
 restart schemes concatenate both lists over their cycles. ``Trace.entries``
@@ -94,8 +113,9 @@ import numpy as np
 
 from .core import DivergenceError, ProximalOracle, Vector, require_finite
 
-# Doubling the estimate this many times within a single step means the
-# descent test is chasing rounding noise; we accept and record a note.
+# On the generic path, doubling the estimate this many times within a
+# single step means the descent test is chasing rounding noise; we accept
+# and record a note. A form's difference-form test has no such cap.
 _MAX_DOUBLINGS_PER_STEP = 120
 
 # Halving after every accepted step must not drive the estimate into
@@ -324,7 +344,8 @@ def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int)
 
     The solvers double in place, counting backtracks and the largest
     estimate in locals, and call this only for a doubling that overflows
-    (at or above ``_L_HAT_OVERFLOW``) or is a step's last allowed one.
+    (at or above ``_L_HAT_OVERFLOW``) or, on the generic path, is a step's
+    last allowed one.
     An estimate that overflows to inf raises DivergenceError. At the last
     allowed doubling the caller accepts the last candidate: this raises if
     that candidate's value was non-finite, and otherwise records that the
@@ -464,7 +485,8 @@ class _Cycle:
     """One UFGM cycle, run once for every caller that takes it.
 
     ``takers`` maps each length at which the cycle is taken to the number
-    of callers that take it there; every caller passes the same start,
+    of callers that take it there (the cycle counts them down in place);
+    every caller passes the same start,
     estimate and target. The first call starts the loop (``_start``) and
     runs it to the shortest length. The loop then pauses at each length in
     increasing order, and is resumed by the first call that asks for a
@@ -477,11 +499,18 @@ class _Cycle:
     at the last pause, and a kept trace when its last taker takes it.
     """
 
+    __slots__ = ("_takers", "_ahead", "_kept", "_loop", "_trace", "_target")
+
     def __init__(self, takers: dict[int, int]):
-        self._takers = dict(takers)
+        self._takers = takers
         self._ahead = sorted(takers, reverse=True)  # lengths still to reach, next last
         self._kept: dict[int, tuple[Trace, bool]] = {}
-        self._loop = None
+        self._loop = self._trace = self._target = None
+
+    @property
+    def done(self) -> bool:
+        """Whether every taker has taken the cycle."""
+        return not (self._ahead or self._kept)
 
     def take(self, oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
              budget: int, stop: Optional[Callable[[Vector, float], bool]],
@@ -609,7 +638,7 @@ def _ufgm_on_smooth_form(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> tuple[Vector, float]:
+) -> Generator[tuple[Vector, float, bool], int, None]:
     """The UFGM on a quadratic form without a prox, with scalar trials.
 
     See the module docstring. The 8-row state holds y, z, g_y / S, g_z / S,
@@ -625,10 +654,12 @@ def _ufgm_on_smooth_form(
     trial counts one gradient and two smooth values, as on the generic
     path; a non-finite gradient or image makes d^T Q d non-finite. Trials,
     backtracks and the largest estimate are counted in locals and added to
-    the trace at the end. The iterate is copied out of the state only when
-    it is handed out: to ``stop`` after every step (the last copy is the
-    one returned), else once at the end. Returns the last accepted iterate
-    and the final estimate.
+    the trace at each pause. The iterate is copied out of the state only
+    when it is handed out: to ``stop`` after every step (the last copy is
+    the one yielded), else once at each pause. A generator like ``_ufgm``.
+    Without ``stop`` its last step's value is left to the caller to check;
+    resumed, the loop re-anchors if that step skipped it, recomputes the
+    value and checks it itself.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
     sqrt, isfinite = math.sqrt, math.isfinite
@@ -751,7 +782,7 @@ def _ufgm_on_form(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> tuple[Vector, float]:
+) -> Generator[tuple[Vector, float, bool], int, None]:
     """The UFGM on a composite quadratic form, carrying g_y and g_z.
 
     See the module docstring. A trial forms g, x, w = x - g / L_hat and
@@ -763,8 +794,8 @@ def _ufgm_on_form(
     Q d and Q z become g_y and g_z in place. A prox may return its
     argument, or a view of it, so a candidate that does not own its data
     is copied: no work buffer becomes an iterate. Trials, prox calls and
-    backtracks are counted in locals and added to the trace at the end.
-    Returns the last accepted iterate and the final estimate.
+    backtracks are counted in locals and added to the trace at each pause.
+    A generator like ``_ufgm``.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
     prox, psi, append = oracle.prox, oracle.psi, trace.values.append
