@@ -13,6 +13,7 @@ L = lambda_max(A^T A)/4.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -458,33 +459,57 @@ def load_dataset(
     can; the line parser takes the files it rejects and gives the same
     array bit for bit. ``libsvm``: "label idx:val ..." lines with 1-based,
     strictly increasing indices; the dimension is the largest index seen
-    unless given. Files are read as UTF-8. In either format a malformed
-    line, a byte that is not UTF-8 or a non-finite value (nan, inf, or a
-    number that overflows) raises ``DatasetFormatError`` naming
-    ``path:line``. Two-valued targets are mapped onto {-1, +1}
-    (low -> -1); targets already in {-1, +1}, or with more than two
-    values, pass through unchanged.
+    unless given. Files are read as UTF-8 with universal newlines. In
+    either format a malformed line, a byte that is not UTF-8 or a
+    non-finite value (nan, inf, or a number that overflows) raises
+    ``DatasetFormatError`` naming ``path:line``. Two-valued targets are
+    mapped onto {-1, +1} (low -> -1); targets already in {-1, +1}, or with
+    more than two values, pass through unchanged.
+
+    A parsed array is kept in the ``datacache`` store, keyed by the
+    sha256 of the file's bytes with the format and ``dimension``. A later
+    load of the same bytes, under any name or modification time, takes
+    the stored array after checking its dtype, shape and finiteness, and
+    returns the same arrays bit for bit; such a hit holds no copy of the
+    file. A miss parses the bytes of one read of the file and stores the
+    array under the key of those bytes. A file that fails to parse stores
+    nothing, and a store that cannot be read or written leaves the load
+    to the parser, without a warning.
     """
-    if fmt == "csv":
-        X, y = _load_csv(path)
-    elif fmt == "libsvm":
-        X, y = _load_libsvm(path, dimension)
-    else:
+    if fmt not in ("csv", "libsvm"):
         raise ValueError(f"unknown dataset format {fmt!r}")
+    from . import datacache  # generated problems never import hashlib
+
+    with open(path, "rb") as fh:
+        name = datacache.key(fmt, dimension, fh)
+    data = datacache.load(name)
+    if data is None or not _is_parsed(data, fmt):
+        # One read gives both the parse and its key, so that a file changed
+        # since the lookup is stored under the bytes that were parsed.
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = _load_csv(path, raw) if fmt == "csv" else _load_libsvm(path, raw, dimension)
+        datacache.store(datacache.key(fmt, dimension, io.BytesIO(raw)), data)
+    X, y = data[:, :-1], data[:, -1]
     values = np.unique(y)
     if values.size == 2 and not set(values.tolist()) <= {-1.0, 1.0}:
         y = np.where(y == values[0], -1.0, 1.0)
     return X, y
 
 
-def _load_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    data = _read_csv_fast(path)
-    if data is None:
-        data = _parse_csv_lines(path)
-    return data[:, :-1], data[:, -1]
+def _is_parsed(data: np.ndarray, fmt: str) -> bool:
+    """Whether a stored array could be a parse of ``fmt``: rows, columns, finite values."""
+    rows, cols = data.shape
+    return rows >= 1 and cols >= (2 if fmt == "csv" else 1) and bool(np.isfinite(data).all())
 
 
-def _read_csv_fast(path: str) -> Optional[np.ndarray]:
+def _load_csv(path: str, raw: bytes) -> np.ndarray:
+    """A CSV dataset's rows as one array, the target in the last column."""
+    data = _read_csv_fast(path, raw)
+    return _parse_csv_lines(path, raw) if data is None else data
+
+
+def _read_csv_fast(path: str, raw: bytes) -> Optional[np.ndarray]:
     """Parse a CSV dataset with numpy's C reader, or return ``None``.
 
     ``None`` hands the file to ``_parse_csv_lines``, the reference parser
@@ -495,7 +520,7 @@ def _read_csv_fast(path: str) -> Optional[np.ndarray]:
     their arrays are bitwise equal. A file with no data line never reaches
     numpy, which would warn that it is empty.
     """
-    with _open_dataset(path) as fh:
+    with _dataset_text(raw) as fh:
         for first in fh:
             if not first.isspace():
                 break
@@ -513,11 +538,11 @@ def _read_csv_fast(path: str) -> Optional[np.ndarray]:
     return data
 
 
-def _parse_csv_lines(path: str) -> np.ndarray:
+def _parse_csv_lines(path: str, raw: bytes) -> np.ndarray:
     """Parse a CSV dataset line by line; every error names ``path:line``."""
     rows: list[list[float]] = []
     width = None
-    with _open_dataset(path) as fh:
+    with _dataset_text(raw) as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(path, lineno, line)
             line = line.strip()
@@ -547,19 +572,20 @@ def _parse_csv_lines(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _open_dataset(path: str) -> TextIO:
-    """Open a dataset as UTF-8 text, each byte that is not UTF-8 read as a surrogate.
+def _dataset_text(raw: bytes) -> TextIO:
+    """A dataset's bytes as ``open(path, encoding="utf-8", errors="surrogateescape")`` reads them.
 
-    The surrogates (U+DC80..U+DCFF) make numpy's reader reject the file,
-    and ``_check_utf8`` names the line that holds one.
+    Lines end at universal newlines, and each byte that is not UTF-8 reads
+    as a surrogate (U+DC80..U+DCFF): the surrogates make numpy's reader
+    reject the file, and ``_check_utf8`` names the line that holds one.
     """
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
 
 
 def _check_utf8(
     path: str, lineno: int, line: str, error: type[ValueError] = DatasetFormatError
 ) -> None:
-    """Raise ``error`` if a line read as by ``_open_dataset`` holds a non-UTF-8 byte."""
+    """Raise ``error`` if a line read as by ``_dataset_text`` holds a non-UTF-8 byte."""
     if line.isascii():
         return
     try:
@@ -573,11 +599,12 @@ def _non_finite(path: str, lineno: int, value: float, where: str) -> DatasetForm
     return DatasetFormatError(f"{path}:{lineno}: non-finite value {value!r} in {where}")
 
 
-def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.ndarray]:
+def _load_libsvm(path: str, raw: bytes, dimension: Optional[int]) -> np.ndarray:
+    """A LibSVM dataset as one dense array, the label in the last column."""
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    with _open_dataset(path) as fh:
+    with _dataset_text(raw) as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(path, lineno, line)
             line = line.strip()
@@ -625,11 +652,12 @@ def _load_libsvm(path: str, dimension: Optional[int]) -> tuple[np.ndarray, np.nd
         raise DatasetFormatError(
             f"{path}: feature index {max_index} exceeds dimension {d}"
         )
-    X = np.zeros((len(rows), d))
+    data = np.zeros((len(rows), d + 1))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
-            X[i, idx - 1] = val
-    return X, np.asarray(labels, dtype=float)
+            data[i, idx - 1] = val
+    data[:, -1] = labels
+    return data
 
 
 def reference_solve(

@@ -1,9 +1,12 @@
-"""Shared helpers: cached reference optima for problems without closed forms."""
+"""Shared helpers: cached reference optima for problems without closed forms,
+and a private dataset cache for every test."""
 
 from __future__ import annotations
 
 import json
 import os
+
+import pytest
 
 from restartopt import ProblemInstance, reference_solve
 
@@ -14,6 +17,12 @@ REFERENCE_PATH = os.path.join(FIXTURES, "reference_optima.json")
 # on the gradient-mapping norm. They are computed once, stored on disk,
 # and tests never assert tighter than the stored tolerance.
 REFERENCE_TOL = 1e-9
+
+
+@pytest.fixture(autouse=True)
+def private_dataset_cache(tmp_path_factory, monkeypatch):
+    """Point the dataset cache at a fresh directory: no test reads or writes the user's."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
 
 
 def reference_optimum(key: str, instance: ProblemInstance, L0: float = 1.0) -> tuple[float, float]:

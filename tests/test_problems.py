@@ -516,13 +516,19 @@ def write_exact(path, text):
     return str(path)
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestCsvFastPath:
     @pytest.mark.parametrize("name", sorted(CSV_FAST_CASES))
     def test_fast_path_is_bitwise_equal_to_line_parser(self, tmp_path, name):
         path = write_exact(tmp_path / f"{name}.csv", CSV_FAST_CASES[name])
-        fast = _read_csv_fast(path)
+        raw = read_bytes(path)
+        fast = _read_csv_fast(path, raw)
         assert fast is not None
-        reference = _parse_csv_lines(path)
+        reference = _parse_csv_lines(path, raw)
         assert fast.shape == reference.shape
         assert fast.tobytes() == reference.tobytes()
         X, _ = load_dataset(path, fmt="csv")
@@ -532,8 +538,9 @@ class TestCsvFastPath:
     def test_numpy_rejects_load_through_line_parser(self, tmp_path, name):
         text, expected = CSV_FALLBACK_CASES[name]
         path = write_exact(tmp_path / f"{name}.csv", text)
-        assert _read_csv_fast(path) is None
-        assert np.array_equal(_parse_csv_lines(path), expected)
+        raw = read_bytes(path)
+        assert _read_csv_fast(path, raw) is None
+        assert np.array_equal(_parse_csv_lines(path, raw), expected)
         X, _ = load_dataset(path, fmt="csv")
         assert np.array_equal(X, np.asarray(expected)[:, :-1])
 

@@ -8,6 +8,13 @@ at seeds 1 and 2. Every ``--out`` is relative, so no path of the tree
 reaches the outputs. Run it once per tree from the same directory and
 diff the two listings: equal lines mean byte-identical outputs. Exits 1
 after the listing if any run exited non-zero.
+
+The dataset runs read a CSV and a LibSVM file that the tool writes from
+the seed with 17 significant digits. Each runs twice, ``cold/`` then
+``warm/``, under one fresh private ``XDG_CACHE_HOME``, so the second run
+can take its arrays from the dataset cache the first one filled. Both
+runs use the same relative paths. The tool also exits 1 if any of their
+outputs or stdouts differ, or if a cold run left the cache empty.
 """
 
 import hashlib
@@ -15,6 +22,9 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+
+import numpy as np
 
 WORKDIR = "cli_digests_out"
 LS = "--problem least-squares --rows 60 --cols 20 --cond 100"
@@ -32,28 +42,82 @@ RUNS = {
     "h-restart-explicit": f"run {QUAD} --method h-restart --C 4 --alpha 0.2 --gamma 0.5 --N 60",
     "h-restart-derived": "run --problem norm-power --power 4 --dim 5 --method h-restart --N 70",
 }
+# Run from WORKDIR/cold and WORKDIR/warm, beside the files write_datasets makes.
+DATASET_RUNS = {
+    "grid-dataset-csv": "grid --dataset ../data-s{seed}.csv --loss lasso --N 60 --format json",
+    "grid-dataset-libsvm": "grid --dataset ../data-s{seed}.svm --dataset-format libsvm "
+                           "--loss logistic --N 40",
+}
+PHASES = ("cold", "warm")
+
+
+def write_datasets(seed: int) -> None:
+    """A dense regression CSV and a sparse two-class LibSVM file, from the seed."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((80, 20))
+    b = A @ rng.standard_normal(20) + 0.1 * rng.standard_normal(80)
+    np.savetxt(os.path.join(WORKDIR, f"data-s{seed}.csv"), np.column_stack([A, b]),
+               fmt="%.17g", delimiter=",")
+    X = rng.standard_normal((60, 8)) * (rng.uniform(size=(60, 8)) < 0.5)
+    labels = (X @ rng.standard_normal(8) + rng.standard_normal(60) > 0).astype(int)
+    with open(os.path.join(WORKDIR, f"data-s{seed}.svm"), "w") as fh:
+        for label, row in zip(labels, X):
+            feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(row, start=1) if v != 0.0)
+            fh.write(f"{label} {feats}\n")
+
+
+def run(args: str, seed: int, out: str, cwd: str, env: dict) -> tuple[str, int]:
+    """Run one CLI command; return its stdout's sha256 and its exit code."""
+    cmd = [sys.executable, "-m", "restartopt.cli", *args.split(), "--seed", str(seed),
+           "--out", out]
+    res = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True)
+    return hashlib.sha256(res.stdout).hexdigest(), res.returncode
 
 
 def main(src: str) -> None:
     shutil.rmtree(WORKDIR, ignore_errors=True)
-    os.makedirs(WORKDIR)
+    for phase in PHASES:
+        os.makedirs(os.path.join(WORKDIR, phase))
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    by_phase: dict[str, dict[str, str]] = {phase: {} for phase in PHASES}
     failed = 0
     for seed in (1, 2):
         for name, args in RUNS.items():
             out = f"{name}-s{seed}"  # a file for run, a directory for compare and grid
-            cmd = [sys.executable, "-m", "restartopt.cli", *args.split(),
-                   "--seed", str(seed), "--out", out]
-            res = subprocess.run(cmd, cwd=WORKDIR, env=env, capture_output=True)
-            print(f"{hashlib.sha256(res.stdout).hexdigest()}  {out}.stdout (exit {res.returncode})")
-            failed += res.returncode != 0
+            digest, rc = run(args, seed, out, WORKDIR, env)
+            print(f"{digest}  {out}.stdout (exit {rc})")
+            failed += rc != 0
+        write_datasets(seed)
+        for name, args in DATASET_RUNS.items():
+            out = f"{name}-s{seed}"
+            with tempfile.TemporaryDirectory() as cache:
+                for phase in PHASES:
+                    digest, rc = run(args.format(seed=seed), seed, out,
+                                     os.path.join(WORKDIR, phase),
+                                     {**env, "XDG_CACHE_HOME": cache})
+                    by_phase[phase][f"{out}.stdout"] = digest
+                    print(f"{digest}  {phase}/{out}.stdout (exit {rc})")
+                    failed += rc != 0
+                if not os.path.isdir(os.path.join(cache, "restartopt")):
+                    print(f"{out}: the cold run stored nothing in the dataset cache",
+                          file=sys.stderr)
+                    failed += 1
     for root, _, files in sorted(os.walk(WORKDIR)):
         for path in sorted(os.path.join(root, fname) for fname in files):
             with open(path, "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {os.path.relpath(path, WORKDIR)}")
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            name = os.path.relpath(path, WORKDIR)
+            print(f"{digest}  {name}")
+            phase, _, rest = name.partition(os.sep)
+            if phase in by_phase:
+                by_phase[phase][rest] = digest
+    cold, warm = by_phase.values()
+    differ = sorted(k for k in cold.keys() | warm.keys() if cold.get(k) != warm.get(k))
+    if differ:
+        sys.exit(f"cold and warm dataset runs differ in {len(differ)} files and stdouts, "
+                 f"first {', '.join(differ[:3])}")
     if failed:
-        sys.exit(f"{failed} run(s) exited non-zero")
-
+        sys.exit(f"{failed} run(s) exited non-zero or left the dataset cache empty")
 
 if __name__ == "__main__":
     main(sys.argv[1])
