@@ -34,7 +34,7 @@ MAX_BYTES = 1 << 30
 
 
 def key(fmt: str, dimension: Optional[int], fh: BinaryIO) -> str:
-    """The entry name of the array parsed as ``fmt`` at ``dimension`` from the bytes left in ``fh``.
+    """The entry name for the bytes left in ``fh``, parsed as ``fmt`` at ``dimension``.
 
     The bytes are hashed a chunk at a time, so a lookup holds no copy of the file.
     """

@@ -573,7 +573,7 @@ def _parse_csv_lines(path: str, raw: bytes) -> np.ndarray:
 
 
 def _dataset_text(raw: bytes) -> TextIO:
-    """A dataset's bytes as ``open(path, encoding="utf-8", errors="surrogateescape")`` reads them.
+    """A dataset's bytes as text, as ``open`` reads a file in UTF-8 with surrogateescape.
 
     Lines end at universal newlines, and each byte that is not UTF-8 reads
     as a surrogate (U+DC80..U+DCFF): the surrogates make numpy's reader

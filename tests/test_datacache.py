@@ -71,7 +71,8 @@ class TestHit:
         forbid_parsing(monkeypatch)
         X_hit, y_hit = load_dataset(path, fmt=fmt, dimension=dimension)
         for parsed, hit in ((X, X_hit), (y, y_hit)):
-            assert (hit.shape, hit.strides, hit.dtype) == (parsed.shape, parsed.strides, parsed.dtype)
+            assert hit.shape == parsed.shape and hit.strides == parsed.strides
+            assert hit.dtype == parsed.dtype
             assert hit.tobytes() == parsed.tobytes()
 
     def test_numpy_reader_entry_holds_the_line_parsers_array(self, tmp_path):
