@@ -95,54 +95,6 @@ def _csv_cell(column: str, val: object) -> str:
     return f'"{val}"' if column == "error" else val
 
 
-# Value types that the C encoder and the indented encoder write as one
-# identical token.
-_JSON_SCALARS = frozenset({int, float, bool, str, type(None)})
-
-
-def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=1)``, byte for byte, at about the C encoder's speed.
-
-    An indent makes ``json`` use its pure-Python encoder. So a value of
-    ``doc`` that is a list of records (dicts with one key order and scalar
-    values: trace entries, summary rows) is encoded a column at a time by
-    the C encoder, and the tokens are laid out as the indented encoder
-    lays them out. Other values go through ``json.dumps(value, indent=1)``,
-    shifted one level in.
-    """
-    if not doc or not all(type(key) is str for key in doc):
-        return json.dumps(doc, indent=1)
-    items = []
-    for key, value in doc.items():
-        text = _json_records(value)
-        if text is None:  # shift every line in; a JSON string escapes its newlines
-            text = json.dumps(value, indent=1).replace("\n", "\n ")
-        items.append(f" {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
-
-
-def _json_records(rows: object) -> Optional[str]:
-    """A list of records as the indented encoder writes it one level in, or None."""
-    if type(rows) is not list or not rows or type(rows[0]) is not dict or not rows[0]:
-        return None
-    keys = tuple(rows[0])
-    if not all(type(key) is str for key in keys) or not all(
-            type(row) is dict and tuple(row) == keys for row in rows):
-        return None
-    columns = []
-    for key in keys:
-        values = [row[key] for row in rows]
-        if not set(map(type, values)) <= _JSON_SCALARS:
-            return None
-        tokens = json.dumps(values)[1:-1].split(", ")
-        if len(tokens) != len(rows):  # a string held ", "
-            return None
-        columns.append(tokens)
-    fields = ",\n".join(f"   {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
-    record = "  {\n" + fields + "\n  }"
-    return "[\n" + ",\n".join([record % row for row in zip(*columns)]) + "\n ]"
-
-
 def _write_doc(path: str, fmt: str, doc: dict, rows: list[dict],
                columns: Sequence[str]) -> None:
     """Write one output file: ``doc`` as JSON, or ``rows`` over ``columns`` as CSV.
@@ -150,7 +102,7 @@ def _write_doc(path: str, fmt: str, doc: dict, rows: list[dict],
     A CSV cell is empty where a row lacks the column; the error text is quoted.
     """
     if fmt == "json":
-        text = _json_text(doc)
+        text = json.dumps(doc, indent=1)
     else:
         lines = [",".join(columns)]
         lines += [",".join([_csv_cell(col, row.get(col)) for col in columns]) for row in rows]

@@ -13,11 +13,12 @@ L = lambda_max(A^T A)/4.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, TextIO
+from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -467,29 +468,32 @@ def load_dataset(
     more than two values, pass through unchanged.
 
     A parsed array is kept in the ``datacache`` store, keyed by the
-    sha256 of the file's bytes with the format and ``dimension``. A later
-    load of the same bytes, under any name or modification time, takes
-    the stored array after checking its dtype, shape and finiteness, and
-    returns the same arrays bit for bit; such a hit holds no copy of the
-    file. A miss parses the bytes of one read of the file and stores the
-    array under the key of those bytes. A file that fails to parse stores
-    nothing, and a store that cannot be read or written leaves the load
-    to the parser, without a warning.
+    file's size and the sha256 of its bytes with the format and
+    ``dimension``. A later load of the same bytes, under any name or
+    modification time, takes the stored array after checking its dtype,
+    shape and finiteness, and returns the same arrays bit for bit. A miss
+    parses the file as it streams by, hashing the bytes it reads, and
+    stores the array under the key of those bytes; a file of a size that
+    no entry has is read once, by the parse. No load holds a copy of a
+    regular file; a pipe or another file that cannot be rewound is read
+    into memory once. A file that fails to parse stores nothing, and a
+    store that cannot be read or written leaves the load to the parser,
+    without a warning.
     """
     if fmt not in ("csv", "libsvm"):
         raise ValueError(f"unknown dataset format {fmt!r}")
     from . import datacache  # generated problems never import hashlib
 
     with open(path, "rb") as fh:
-        name = datacache.key(fmt, dimension, fh)
-    data = datacache.load(name)
-    if data is None or not _is_parsed(data, fmt):
-        # One read gives both the parse and its key, so that a file changed
-        # since the lookup is stored under the bytes that were parsed.
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        data = _load_csv(path, raw) if fmt == "csv" else _load_libsvm(path, raw, dimension)
-        datacache.store(datacache.key(fmt, dimension, io.BytesIO(raw)), data)
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        data = datacache.lookup(fmt, dimension, source)
+        if data is None or not _is_parsed(data, fmt):
+            source = datacache.Reader(fmt, dimension, source)
+            if fmt == "csv":
+                data = _load_csv(path, source)
+            else:
+                data = _load_libsvm(path, source, dimension)
+            datacache.store(source.key(), data)
     X, y = data[:, :-1], data[:, -1]
     values = np.unique(y)
     if values.size == 2 and not set(values.tolist()) <= {-1.0, 1.0}:
@@ -503,13 +507,13 @@ def _is_parsed(data: np.ndarray, fmt: str) -> bool:
     return rows >= 1 and cols >= (2 if fmt == "csv" else 1) and bool(np.isfinite(data).all())
 
 
-def _load_csv(path: str, raw: bytes) -> np.ndarray:
+def _load_csv(path: str, source: BinaryIO) -> np.ndarray:
     """A CSV dataset's rows as one array, the target in the last column."""
-    data = _read_csv_fast(path, raw)
-    return _parse_csv_lines(path, raw) if data is None else data
+    data = _read_csv_fast(path, source)
+    return _parse_csv_lines(path, source) if data is None else data
 
 
-def _read_csv_fast(path: str, raw: bytes) -> Optional[np.ndarray]:
+def _read_csv_fast(path: str, source: BinaryIO) -> Optional[np.ndarray]:
     """Parse a CSV dataset with numpy's C reader, or return ``None``.
 
     ``None`` hands the file to ``_parse_csv_lines``, the reference parser
@@ -520,7 +524,7 @@ def _read_csv_fast(path: str, raw: bytes) -> Optional[np.ndarray]:
     their arrays are bitwise equal. A file with no data line never reaches
     numpy, which would warn that it is empty.
     """
-    with _dataset_text(raw) as fh:
+    with _dataset_text(source) as fh:
         for first in fh:
             if not first.isspace():
                 break
@@ -538,11 +542,11 @@ def _read_csv_fast(path: str, raw: bytes) -> Optional[np.ndarray]:
     return data
 
 
-def _parse_csv_lines(path: str, raw: bytes) -> np.ndarray:
+def _parse_csv_lines(path: str, source: BinaryIO) -> np.ndarray:
     """Parse a CSV dataset line by line; every error names ``path:line``."""
     rows: list[list[float]] = []
     width = None
-    with _dataset_text(raw) as fh:
+    with _dataset_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(path, lineno, line)
             line = line.strip()
@@ -572,14 +576,21 @@ def _parse_csv_lines(path: str, raw: bytes) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _dataset_text(raw: bytes) -> TextIO:
-    """A dataset's bytes as text, as ``open`` reads a file in UTF-8 with surrogateescape.
+@contextlib.contextmanager
+def _dataset_text(source: BinaryIO) -> Iterator[TextIO]:
+    """``source`` from its start as text, as ``open`` reads a file in UTF-8 with surrogateescape.
 
     Lines end at universal newlines, and each byte that is not UTF-8 reads
     as a surrogate (U+DC80..U+DCFF): the surrogates make numpy's reader
     reject the file, and ``_check_utf8`` names the line that holds one.
+    ``source`` stays open, so that another parser can read it again.
     """
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    source.seek(0)
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+    try:
+        yield text
+    finally:
+        text.detach()
 
 
 def _check_utf8(
@@ -599,12 +610,12 @@ def _non_finite(path: str, lineno: int, value: float, where: str) -> DatasetForm
     return DatasetFormatError(f"{path}:{lineno}: non-finite value {value!r} in {where}")
 
 
-def _load_libsvm(path: str, raw: bytes, dimension: Optional[int]) -> np.ndarray:
+def _load_libsvm(path: str, source: BinaryIO, dimension: Optional[int]) -> np.ndarray:
     """A LibSVM dataset as one dense array, the label in the last column."""
     labels: list[float] = []
     rows: list[dict[int, float]] = []
     max_index = 0
-    with _dataset_text(raw) as fh:
+    with _dataset_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             _check_utf8(path, lineno, line)
             line = line.strip()

@@ -863,40 +863,6 @@ class TestFileBytes:
         assert (out / f"summary.{fmt}").read_text() == GOLDEN_SUMMARY[fmt]
 
 
-def json_entries(n):
-    specials = [None, True, False, float("nan"), float("inf"), float("-inf"), 5e-324, -0.0,
-                2**64, "a \"quoted\", note", "über ☃ café", ""]
-    return [{"iter": i, "f": 1.0 / (i + 1), "gap": specials[i % len(specials)],
-             "restart": i % 3 == 0, "eps_target": specials[-i % len(specials)]}
-            for i in range(n)]
-
-
-JSON_DOCS = {
-    "trace": {
-        "metadata": {"config": {"N": 3, "dataset": "déjà \"vu\".csv"},
-                     "final_gap": None, "final_L_hat": float("inf"),
-                     "notes": ["line search \"stalled\", once", "☃"]},
-        "entries": json_entries(40),
-    },
-    "no_entries": {"metadata": {}, "entries": []},
-    "empty": {},
-    "summary_with_failed_row": {"rows": [{"method": "acc", "final_f": 1.5},
-                                         {"method": "criterion", "error": "needs \"x\", y"}]},
-    "reordered_keys": {"rows": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]},
-    "nested_values": {"rows": [{"a": [1, 2]}, {"a": {"b": None}}], "x": [[], {}]},
-    "numpy_scalar": {"rows": [{"a": np.float64(0.1)}, {"a": np.float64(2.5)}]},
-    "percent_keys": {"rows": [{"%s": 1, "%%d": "%s"}]},
-    "non_string_key": {1: [{"a": 1}], "b": 2},
-    "records_then_scalars": {"best": [1, 0], "rows": [{"i": 1, "best": True}], "n": 7},
-}
-
-
-@pytest.mark.parametrize("name", sorted(JSON_DOCS))
-def test_json_text_matches_the_indented_encoder(name):
-    doc = JSON_DOCS[name]
-    assert cli._json_text(doc) == json.dumps(doc, indent=1)
-
-
 def test_module_entrypoint_help():
     proc = subprocess.run(
         [sys.executable, "-m", "restartopt.cli", "--help"],

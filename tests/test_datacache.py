@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestHit:
         path = write_exact(tmp_path / "d.csv", ROUND_TRIP)
         load_dataset(path)
         with open(path, "rb") as fh:
-            reference = problems._parse_csv_lines(path, fh.read())
+            reference = problems._parse_csv_lines(path, fh)
         assert np.load(entry_of(path)).tobytes() == reference.tobytes()
 
     def test_same_bytes_under_another_name_hit(self, tmp_path, monkeypatch):
@@ -112,19 +113,71 @@ class TestHit:
         self, tmp_path, monkeypatch
     ):
         path = write_exact(tmp_path / "d.csv", "1,2,3\n")
-        lookup = datacache.load
+        load_dataset(write_exact(tmp_path / "same-size.csv", "7,8,9\n"))
+        lookup = datacache.lookup
 
-        def edit_then_look_up(name):
+        def look_up_then_edit(*args):
+            data = lookup(*args)
             write_exact(path, "4,5,6\n")
-            return lookup(name)
+            return data
 
-        monkeypatch.setattr(datacache, "load", edit_then_look_up)
+        monkeypatch.setattr(datacache, "lookup", look_up_then_edit)
         assert np.array_equal(load_dataset(path)[0], [[4, 5]])
-        assert stored() == [os.path.basename(entry_of(path))]
+        assert os.path.basename(entry_of(path)) in stored()
+        assert len(stored()) == 2
+
+    def test_file_of_a_new_size_is_read_once(self, tmp_path, monkeypatch):
+        path = write_exact(tmp_path / "d.csv", "1,2,3\n")
+        load_dataset(write_exact(tmp_path / "longer.csv", "1,2,3\n4,5,6\n"))
+        entry = entry_of(path)
+
+        def fail(*args):
+            raise AssertionError("a lookup hashed a file of a size no entry has")
+
+        monkeypatch.setattr(datacache, "key", fail)
+        assert np.array_equal(load_dataset(path)[0], [[1, 2]])
+        assert os.path.basename(entry) in stored()
+
+    def test_reader_keys_the_bytes_of_its_last_pass(self, tmp_path):
+        path = write_exact(tmp_path / "d.csv", "1,2,3\n4,5,6\n")
+        with open(path, "rb") as fh:
+            reader = datacache.Reader("csv", None, fh)
+            assert reader.read(4) == b"1,2,"
+            reader.seek(0)
+            assert reader.read1(64) + reader.read() == b"1,2,3\n4,5,6\n"
+            assert os.path.basename(entry_of(path)) == reader.key() + ".npy"
+            with pytest.raises(OSError):
+                reader.seek(2)
 
     def test_directory_has_mode_0700(self, tmp_path):
         load_dataset(write_exact(tmp_path / "d.csv", "1,2\n"))
         assert stat.S_IMODE(os.stat(datacache.directory()).st_mode) == 0o700
+
+
+def fifo(path, data):
+    """A named pipe at ``path`` that one reader can read ``data`` from, once."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    threading.Thread(target=write, daemon=True).start()
+    return str(path)
+
+
+class TestPipe:
+    @pytest.mark.parametrize("name", ["numpy_reader", "line_parser", "libsvm"])
+    def test_pipe_loads_cold_and_warm(self, tmp_path, monkeypatch, name):
+        fmt, dimension, text, _ = CASES[name]
+        data = text.encode()
+        X, y = load_dataset(fifo(tmp_path / "cold", data), fmt=fmt, dimension=dimension)
+        regular = write_exact(tmp_path / "regular", text)
+        assert stored() == [os.path.basename(entry_of(regular, fmt, dimension))]
+        forbid_parsing(monkeypatch)
+        for path in (fifo(tmp_path / "warm", data), regular):
+            X_hit, y_hit = load_dataset(path, fmt=fmt, dimension=dimension)
+            assert X_hit.tobytes() == X.tobytes() and y_hit.tobytes() == y.tobytes()
 
 
 def truncate(entry):

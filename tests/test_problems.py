@@ -516,19 +516,14 @@ def write_exact(path, text):
     return str(path)
 
 
-def read_bytes(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 class TestCsvFastPath:
     @pytest.mark.parametrize("name", sorted(CSV_FAST_CASES))
     def test_fast_path_is_bitwise_equal_to_line_parser(self, tmp_path, name):
         path = write_exact(tmp_path / f"{name}.csv", CSV_FAST_CASES[name])
-        raw = read_bytes(path)
-        fast = _read_csv_fast(path, raw)
+        with open(path, "rb") as fh:
+            fast = _read_csv_fast(path, fh)
+            reference = _parse_csv_lines(path, fh)
         assert fast is not None
-        reference = _parse_csv_lines(path, raw)
         assert fast.shape == reference.shape
         assert fast.tobytes() == reference.tobytes()
         X, _ = load_dataset(path, fmt="csv")
@@ -538,9 +533,9 @@ class TestCsvFastPath:
     def test_numpy_rejects_load_through_line_parser(self, tmp_path, name):
         text, expected = CSV_FALLBACK_CASES[name]
         path = write_exact(tmp_path / f"{name}.csv", text)
-        raw = read_bytes(path)
-        assert _read_csv_fast(path, raw) is None
-        assert np.array_equal(_parse_csv_lines(path, raw), expected)
+        with open(path, "rb") as fh:
+            assert _read_csv_fast(path, fh) is None
+            assert np.array_equal(_parse_csv_lines(path, fh), expected)
         X, _ = load_dataset(path, fmt="csv")
         assert np.array_equal(X, np.asarray(expected)[:, :-1])
 

@@ -14,7 +14,12 @@ the seed with 17 significant digits. Each runs twice, ``cold/`` then
 ``warm/``, under one fresh private ``XDG_CACHE_HOME``, so the second run
 can take its arrays from the dataset cache the first one filled. Both
 runs use the same relative paths. The tool also exits 1 if any of their
-outputs or stdouts differ, or if a cold run left the cache empty.
+outputs or stdouts differ. On a tree that has the cache
+(``restartopt/datacache.py``) it exits 1 as well unless each warm run
+was a hit: the cold run stored an entry, and the warm run marked that
+entry used (its modification time, set back after the cold run, moved)
+without writing it again (same inode). On a tree without the cache the
+hit check is skipped, with a note on standard error.
 """
 
 import hashlib
@@ -66,6 +71,24 @@ def write_datasets(seed: int) -> None:
             fh.write(f"{label} {feats}\n")
 
 
+# The modification time a cold entry is set back to; a hit moves it to the present.
+UNUSED_NS = 10**9
+
+
+def cache_entries(cache: str) -> dict[str, os.stat_result]:
+    """The dataset cache's entries under ``XDG_CACHE_HOME=cache``, by name."""
+    root = os.path.join(cache, "restartopt")
+    names = os.listdir(root) if os.path.isdir(root) else []
+    return {name: os.stat(os.path.join(root, name)) for name in names if name.endswith(".npy")}
+
+
+def all_hit(cold: dict[str, os.stat_result], warm: dict[str, os.stat_result]) -> bool:
+    """Whether the warm run read every cold entry: marked it used and did not rewrite it."""
+    return bool(cold) and all(
+        name in warm and warm[name].st_ino == st.st_ino and warm[name].st_mtime_ns != UNUSED_NS
+        for name, st in cold.items())
+
+
 def run(args: str, seed: int, out: str, cwd: str, env: dict) -> tuple[str, int]:
     """Run one CLI command; return its stdout's sha256 and its exit code."""
     cmd = [sys.executable, "-m", "restartopt.cli", *args.split(), "--seed", str(seed),
@@ -79,8 +102,12 @@ def main(src: str) -> None:
     for phase in PHASES:
         os.makedirs(os.path.join(WORKDIR, phase))
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    has_cache = os.path.exists(os.path.join(src, "restartopt", "datacache.py"))
+    if not has_cache:
+        print("no dataset cache in this tree: warm runs are not checked for hits",
+              file=sys.stderr)
     by_phase: dict[str, dict[str, str]] = {phase: {} for phase in PHASES}
-    failed = 0
+    failed = misses = 0
     for seed in (1, 2):
         for name, args in RUNS.items():
             out = f"{name}-s{seed}"  # a file for run, a directory for compare and grid
@@ -92,16 +119,20 @@ def main(src: str) -> None:
             out = f"{name}-s{seed}"
             with tempfile.TemporaryDirectory() as cache:
                 for phase in PHASES:
+                    if phase == "warm":
+                        stored = cache_entries(cache)
+                        for entry in stored:
+                            os.utime(os.path.join(cache, "restartopt", entry), ns=(0, UNUSED_NS))
                     digest, rc = run(args.format(seed=seed), seed, out,
                                      os.path.join(WORKDIR, phase),
                                      {**env, "XDG_CACHE_HOME": cache})
                     by_phase[phase][f"{out}.stdout"] = digest
                     print(f"{digest}  {phase}/{out}.stdout (exit {rc})")
                     failed += rc != 0
-                if not os.path.isdir(os.path.join(cache, "restartopt")):
-                    print(f"{out}: the cold run stored nothing in the dataset cache",
+                if has_cache and not all_hit(stored, cache_entries(cache)):
+                    print(f"{out}: the warm run did not take the cold run's cache entry",
                           file=sys.stderr)
-                    failed += 1
+                    misses += 1
     for root, _, files in sorted(os.walk(WORKDIR)):
         for path in sorted(os.path.join(root, fname) for fname in files):
             with open(path, "rb") as fh:
@@ -116,8 +147,8 @@ def main(src: str) -> None:
     if differ:
         sys.exit(f"cold and warm dataset runs differ in {len(differ)} files and stdouts, "
                  f"first {', '.join(differ[:3])}")
-    if failed:
-        sys.exit(f"{failed} run(s) exited non-zero or left the dataset cache empty")
+    if failed or misses:
+        sys.exit(f"{failed} run(s) exited non-zero, {misses} warm run(s) missed the cache")
 
 if __name__ == "__main__":
     main(sys.argv[1])
