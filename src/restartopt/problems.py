@@ -421,10 +421,12 @@ def synthetic_regression(
 
     The singular values of A are log-spaced so that the condition number
     of A^T A equals ``cond``. Stands in for the benchmark datasets at
-    matched shapes. Needs rows m >= cols n >= 1.
+    matched shapes. Needs rows m >= cols n >= 1 and cond >= 1.
     """
     if not m >= n >= 1:
         raise ValueError(f"synthetic design needs rows >= cols >= 1, got rows={m}, cols={n}")
+    if not cond >= 1.0:
+        raise ValueError(f"synthetic design needs cond >= 1, got cond={cond}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -438,7 +440,12 @@ def synthetic_regression(
 def synthetic_classification(
     m: int, n: int, cond: float = 100.0, seed: int = 0, flip: float = 0.1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Controlled-conditioning design with planted, partially flipped labels."""
+    """Controlled-conditioning design with planted, partially flipped labels.
+
+    Each label is flipped with probability ``flip``, which must lie in [0, 1].
+    """
+    if not 0.0 <= flip <= 1.0:
+        raise ValueError(f"synthetic labels need flip in [0, 1], got flip={flip}")
     rng = np.random.default_rng(seed)
     A, _ = synthetic_regression(m, n, cond=cond, seed=seed, noise=0.0)
     w = rng.standard_normal(n)

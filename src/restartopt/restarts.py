@@ -41,7 +41,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
-from .solvers import Trace, _check_finite, _Cycle, universal_fast_gradient
+from .solvers import Trace, _check_finite, _Cycle, _grid_cycles, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,10 @@ def cycle_plan(schedule: Schedule, budget: int, cap: int, eps0: float = 0.0,
 
 def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, float]],
                limit: str, L0: float, f_star: Optional[float],
-               shared: Optional[list[_Cycle]] = None) -> Trace:
+               shared: Optional[Callable[[int], _Cycle]] = None) -> Trace:
     """Run the cycles of a ``cycle_plan``; a truncated one's note names its ``limit``.
 
-    ``shared``, from the grid search, holds each cycle's ``_Cycle``.
+    ``shared``, from the grid search, gives the ``_Cycle`` of each cycle k.
     """
     trace = _new_trace(x0, L0, f_star)
     for k, (planned, length, target) in enumerate(plan, start=1):
@@ -171,7 +171,7 @@ def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, 
             trace.notes.append(
                 f"cycle {k} truncated from {planned} to {length} iterations by {limit}"
             )
-        _run_cycle(trace, oracle, target, length, shared=shared[k - 1] if shared else None)
+        _run_cycle(trace, oracle, target, length, shared=shared(k) if shared else None)
     return trace
 
 
@@ -301,13 +301,15 @@ class GridOutcome:
 
 
 def _plan_tree(plans: list[list[tuple[float, int, float]]]
-               ) -> tuple[list[list[int]], dict[int, Counter[int]]]:
+               ) -> tuple[list[list[int]], dict[int, Counter[int]], dict[tuple[int, int], int]]:
     """Number the cycle starts of the grid's plans and count who takes each.
 
     A start is numbered by the start before it and the length of the cycle
     in between (every grid target is 0), so runs whose plans agree up to a
-    start share its number. Returns each plan's starts, one per cycle, and
-    for each start the number of runs that take its cycle to each length.
+    start share its number, and a start is numbered after the one before
+    it. Returns each plan's starts, one per cycle, for each start the number
+    of runs that take its cycle to each length, and the start that follows
+    each ``(start, length)`` some run goes on from.
     """
     starts: dict[Optional[tuple[int, int]], int] = {}
     takers: defaultdict[int, Counter[int]] = defaultdict(Counter)
@@ -320,7 +322,8 @@ def _plan_tree(plans: list[list[tuple[float, int, float]]]
             path.append(start)
             key = (start, length)
         paths.append(path)
-    return paths, takers
+    del starts[None]
+    return paths, takers, starts
 
 
 def adaptive_grid(
@@ -344,20 +347,23 @@ def adaptive_grid(
     a cycle start is the start before it and the length of the cycle in
     between, and runs whose plans agree up to a start share it. Each start's
     cycle is one ``_Cycle``: it runs once, pausing at every length a run
-    takes it to, and each run takes its own copy of the trace there. This
-    is exact because every run starts from x0 and L0, every target is 0,
-    and nothing a step computes depends on the cycle's length (the smooth
-    loop's skipped last-step re-anchor is made up when a longer taker
-    resumes it). So each run's values, cycles, notes, oracle counters,
+    takes it to, and each run takes its own trace there. This is exact
+    because every run starts from x0 and L0, every target is 0, and nothing
+    a step computes depends on the cycle's length but the smooth loop's
+    last-step re-anchor, which a cycle reproduces for the runs that end
+    there. So each run's values, cycles, notes, oracle counters,
     backtracks, estimates and final point are bitwise those of its own
-    ``restart_scheduled(..., cap=2N)``. Every cycle of every run is still
-    one ``universal_fast_gradient`` call. Runs are taken in (i, j) order
-    and a cycle runs only as far as the run at hand needs, so a
-    ``DivergenceError`` is the one the first failing run raises alone. The
-    shared state lives within this call: a ``_Cycle`` is made when the
-    first run reaches its start and dropped once every run has taken it;
-    within it, the loop is dropped at its last pause and a kept trace when
-    its last run takes it.
+    ``restart_scheduled(..., cap=2N)``. On a smooth form whose Q is an
+    array, the first take runs every distinct cycle of the tree at once,
+    one step per tick in stacked arrays (``solvers._lockstep``); on other
+    oracles a cycle runs only as far as the run at hand needs. Every cycle
+    of every run is still one ``universal_fast_gradient`` call, and runs
+    are taken in (i, j) order, so a ``DivergenceError`` is the one the
+    first failing run raises alone. The shared state lives within this
+    call: a ``_Cycle`` is made when the first run reaches its start (or by
+    the lockstep) and dropped once every run has taken it; within it, the
+    loop is dropped at its last pause and a kept trace when its last run
+    takes it.
     """
     if budget < 4:
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
@@ -365,15 +371,18 @@ def adaptive_grid(
     j_max = int(math.ceil(math.log2(budget)))
     schemes = [(i, j) for i in range(1, i_max + 1) for j in range(0, j_max + 1)]
     plans = [cycle_plan(grid_schedule(i, j), budget, 2 * budget) for i, j in schemes]
-    paths, takers = _plan_tree(plans)
-    cycles: dict[int, _Cycle] = {}  # started, and still to be taken by a run
+    paths, takers, children = _plan_tree(plans)
+    cycles = _grid_cycles(oracle, takers, children)  # started, and still to be taken
+
+    def cycle(start: int) -> _Cycle:
+        if start not in cycles:
+            cycles[start] = _Cycle(takers.pop(start))
+        return cycles[start]
+
     runs = {}
     for ij, plan, path in zip(schemes, plans, paths):
-        for start in path:
-            if start not in cycles:
-                cycles[start] = _Cycle(takers.pop(start))
         runs[ij] = _scheduled(oracle, x0, plan, "the cap", L0, f_star,
-                              [cycles[start] for start in path])
+                              lambda k: cycle(path[k - 1]))
         for start in path:
             if cycles[start].done:
                 del cycles[start]

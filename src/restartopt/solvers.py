@@ -81,19 +81,37 @@ value-and-gradient call adds one to each, and a UFGM trial counts one
 gradient and two smooth values (at x and at the candidate, whose
 difference the descent test uses) on every path.
 
-The three UFGM loops are generators that can be resumed in place. Sent a
-budget, a loop runs to that many accepted steps in all, adds its counters
-to the trace and yields; sent a larger one, it goes on from there.
-``_Cycle`` drives them: ``universal_fast_gradient`` takes one cycle to its
-budget, and the grid search shares one ``_Cycle`` among the runs that
-start a cycle from the same point and estimate, each taking its own copy
-of the trace at its own length. Nothing a step computes depends on the
-cycle's length but one thing: the smooth loop skips its re-anchor after
-a cycle's last step, so a cycle that ends on a multiple of 32 reports a
-value there that differs in its last bits from the one a longer cycle
-reports. Resumed past such a step, the loop makes up the re-anchor and
-replaces that value. It also leaves the check of a last step's value to
-the runs that take the cycle there, since only they fail on it.
+``_Cycle`` drives the loops: ``universal_fast_gradient`` takes one cycle
+to its budget, and the grid search shares one ``_Cycle`` among the runs
+that start a cycle from the same point and estimate, each taking its own
+copy of the trace at its own length. The generic and composite loops are
+generators that can be resumed in place: sent a budget, a loop runs to
+that many accepted steps in all, adds its counters to the trace and
+yields; sent a larger one, it goes on from there. The smooth loop runs
+once to its budget. Nothing a step computes depends on the cycle's length
+but one thing: the smooth loop skips its re-anchor after a cycle's last
+step, so a cycle that ends on a multiple of 32 reports a value there that
+differs in its last bits from the one a longer cycle reports.
+
+A grid on a smooth form whose Q is an array runs every distinct cycle of
+its plan tree in lockstep (``_lockstep``): one accepted step per tick for
+every active cycle, each a column of stacked arrays. It is bitwise the
+smooth loop. Its trial scalars are the loop's IEEE operations, done
+elementwise in the same order, for the estimates L_hat 2^m, m = 0..7, at
+once (doubling is exact); the first level that passes is the loop's. Its
+products are ``np.matmul`` over stacked operands, which make for each
+column the BLAS call the loop makes: the step, the Gram matrix, the mix
+and ``np.matmul(Q, M[..., None])`` for the images' product. A cycle's
+start and its re-anchors run the loop's own helpers on its column. When
+a cycle reaches a length a run takes it to, the run's trace is kept, with
+the value from before the re-anchor if the cycle goes on; an error is
+kept for the lengths at and past the step that raised it. Runs that
+share a cycle share the steps before it, and a run stops at the first
+cycle boundary past its budget, so either every run that takes a cycle
+to a length goes on from there or none does. A length runs go on from
+keeps no final point: the next cycle starts from the column's state, and
+its final point replaces that one in the run. Each kept trace is still
+handed out by a ``universal_fast_gradient`` call.
 
 Each solver call appends f at every accepted iterate to ``Trace.values``
 and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
@@ -106,7 +124,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
@@ -134,6 +153,13 @@ _REANCHOR_STEPS = 32
 # The smooth-form UFGM's step matrix at a cycle's start: it keeps z, g_z,
 # Q g_z and h. Each step fills the other entries (see the loop).
 _STEP_START = np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+
+# The lockstep grid tries each step at L_hat times these powers of two at once
+# when more than _SCALAR_TRIALS columns step. A ladder costs about as much as
+# eight scalar trials (27 us against 3.5 us a column, Figure-1 grid, shared
+# 2-core x86 machine), so a tick with fewer columns runs the scalar trial.
+_LADDER = 2.0 ** np.arange(8)
+_SCALAR_TRIALS = 8
 
 
 class TraceEntry(NamedTuple):
@@ -237,9 +263,12 @@ def _finite_vector(g: Vector) -> bool:
     return math.isfinite(float(np.vdot(g, g))) or bool(np.isfinite(g).all())
 
 
+_NON_FINITE = "non-finite objective or gradient encountered"
+
+
 def _check_finite(finite: bool) -> None:
     if not finite:
-        raise DivergenceError("non-finite objective or gradient encountered")
+        raise DivergenceError(_NON_FINITE)
 
 
 def _start(
@@ -481,22 +510,63 @@ def universal_fast_gradient(
     return cycle.take(oracle, x0, epsilon, L0, budget, stop, f_star)
 
 
+class _Snapshot(NamedTuple):
+    """A cycle's trace at one length, as ``_Cycle`` keeps it for its takers.
+
+    ``values`` is the cycle's list of values, which may have grown past
+    ``length`` since; the trace's values are its first ``length`` with the
+    last one ``last`` (the smooth loop's value before a re-anchor that a
+    longer cycle makes). The other fields are the trace's own.
+    """
+
+    values: list[float]
+    length: int
+    last: float
+    target: Optional[float]
+    final_point: Optional[Vector]
+    final_L_hat: float
+    f_star: Optional[float]
+    f_initial: Optional[float]
+    n_value: int
+    n_grad: int
+    n_prox: int
+    backtracks: int
+    max_L_hat: float
+    notes: tuple[str, ...]
+
+    def trace(self, copy_point: bool) -> Trace:
+        """A trace with lists of its own, and its own final point if ``copy_point``."""
+        values = self.values[:self.length]
+        values[-1] = self.last
+        point = self.final_point
+        if copy_point and point is not None:
+            point = point.copy()
+        return Trace(values=values, cycles=[(self.length, self.target)], final_point=point,
+                     final_L_hat=self.final_L_hat, f_star=self.f_star,
+                     f_initial=self.f_initial, n_value=self.n_value, n_grad=self.n_grad,
+                     n_prox=self.n_prox, backtracks=self.backtracks,
+                     max_L_hat=self.max_L_hat, notes=list(self.notes))
+
+
 class _Cycle:
     """One UFGM cycle, run once for every caller that takes it.
 
     ``takers`` maps each length at which the cycle is taken to the number
     of callers that take it there (the cycle counts them down in place);
-    every caller passes the same start,
-    estimate and target. The first call starts the loop (``_start``) and
-    runs it to the shortest length. The loop then pauses at each length in
-    increasing order, and is resumed by the first call that asks for a
-    length it has not reached. At each pause the trace so far is kept,
-    with the cycle's record, final point and estimate; a later length
-    continues it bit for bit, since nothing a step computes depends on the
-    cycle's length (the smooth loop's last-step re-anchor is made up when
-    it resumes). Every taker of a length but the last gets a copy, so no
-    two share a list or a final point. The loop and its trace are dropped
-    at the last pause, and a kept trace when its last taker takes it.
+    every caller passes the same start, estimate and target. The first
+    call starts the loop (``_start``) and runs it to the shortest length.
+    A resumable loop then pauses at each length in increasing order, and is
+    resumed by the first call that asks for a length it has not reached;
+    the smooth loop, which does not resume, runs again from the start for
+    each length. At each pause a ``_Snapshot`` of the trace so far is kept;
+    a later length continues the trace bit for bit, since nothing a generic
+    or composite step computes depends on the cycle's length. Each taker
+    gets a trace of its own, and every taker of a length but the last its
+    own copy of the final point, so no two share a list or a final point.
+    The loop and its trace are dropped at the last pause, and a snapshot
+    when its last taker takes it. A length may keep an error message
+    instead, which its takers raise as ``DivergenceError`` (only
+    ``_lockstep`` keeps one).
     """
 
     __slots__ = ("_takers", "_ahead", "_kept", "_loop", "_trace", "_target")
@@ -504,7 +574,7 @@ class _Cycle:
     def __init__(self, takers: dict[int, int]):
         self._takers = takers
         self._ahead = sorted(takers, reverse=True)  # lengths still to reach, next last
-        self._kept: dict[int, tuple[Trace, bool]] = {}
+        self._kept: dict[int, _Snapshot | str] = {}
         self._loop = self._trace = self._target = None
 
     @property
@@ -518,46 +588,89 @@ class _Cycle:
         """The final point and trace of the cycle's first ``budget`` steps."""
         while budget not in self._kept:
             self._pause(oracle, x0, epsilon, L0, stop, f_star)
-        trace, finite = self._kept[budget]
+        kept = self._kept[budget]
+        if isinstance(kept, str):
+            raise DivergenceError(kept)
         self._takers[budget] -= 1
-        if self._takers[budget]:
-            trace = _copy(trace)
-        else:
+        more = self._takers[budget] > 0
+        if not more:
             del self._kept[budget]
-        # the loop leaves the check of a last step's value to its takers
-        _check_finite(finite)
+        trace = kept.trace(copy_point=more)
         return trace.final_point, trace
 
     def _pause(self, oracle, x0, epsilon, L0, stop, f_star) -> None:
         length = self._ahead.pop()
-        if self._loop is None:
-            x0, self._trace, _, Qx0 = _start(oracle, x0, L0, length, f_star)
+        if self._loop is not None:
+            trace = self._trace
+            y, L_hat = self._loop.send(length)
+        else:
+            x0, trace, _, Qx0 = _start(oracle, x0, L0, length, f_star)
             self._target = epsilon if epsilon > 0 else None
             if oracle.quadratic is None:
-                self._loop = _ufgm(oracle, x0, epsilon, float(L0), length, stop, self._trace)
+                self._loop = _ufgm(oracle, x0, epsilon, float(L0), length, stop, trace)
+            elif oracle.prox is not None:
+                self._loop = _ufgm_on_form(oracle, x0, Qx0, epsilon, float(L0), length,
+                                           stop, trace)
+            if self._loop is None:
+                y, L_hat = _ufgm_on_smooth_form(oracle, x0, Qx0, epsilon, float(L0),
+                                                length, stop, trace)
             else:
-                loop = _ufgm_on_form if oracle.prox is not None else _ufgm_on_smooth_form
-                self._loop = loop(oracle, x0, Qx0, epsilon, float(L0), length, stop,
-                                  self._trace)
-            y, L_hat, finite = next(self._loop)
-        else:
-            y, L_hat, finite = self._loop.send(length)
-        trace = self._trace
-        if self._ahead:  # the loop goes on: keep what it has so far
-            trace = _copy(trace)
-        else:
+                self._trace = trace
+                y, L_hat = next(self._loop)
+        if not self._ahead:
             self._loop = self._trace = None
-        trace.cycles = [(trace.accepted, self._target)]
-        trace.final_point = y
-        trace.final_L_hat = L_hat
-        self._kept[length] = (trace, finite)
+        values = trace.values
+        self._kept[length] = _Snapshot(
+            values, len(values), values[-1], self._target, y, L_hat, trace.f_star,
+            trace.f_initial, trace.n_value, trace.n_grad, trace.n_prox, trace.backtracks,
+            trace.max_L_hat, tuple(trace.notes))
+
+    def _fill(self, kept: dict[int, _Snapshot | str]) -> None:
+        """Keep a snapshot or an error for every length, so no take runs a loop."""
+        self._ahead, self._kept = [], kept
 
 
-def _copy(trace: Trace) -> Trace:
-    """A trace that shares no list and no final point with ``trace``."""
-    final = None if trace.final_point is None else trace.final_point.copy()
-    return replace(trace, values=trace.values.copy(), cycles=trace.cycles.copy(),
-                   notes=trace.notes.copy(), final_point=final)
+class _Lockstep(_Cycle):
+    """The first cycle of a grid on a smooth form whose Q is an array.
+
+    Its first take runs every cycle of the plan tree in lockstep
+    (``_lockstep``) and fills this cycle and each other start's ``_Cycle``
+    in ``cycles``, so every take that follows hands out a kept snapshot.
+    ``takers`` and ``children`` are the tree (see ``_lockstep``).
+    """
+
+    __slots__ = ("_tree", "_cycles")
+
+    def __init__(self, takers: dict[int, dict[int, int]],
+                 children: dict[tuple[int, int], int], cycles: dict[int, _Cycle]):
+        super().__init__(takers[0])
+        self._tree = takers, children
+        self._cycles = cycles
+
+    def _pause(self, oracle, x0, epsilon, L0, stop, f_star) -> None:
+        takers, children = self._tree
+        kept = _lockstep(oracle, x0, epsilon, float(L0), f_star, takers, children)
+        self._fill(kept.pop(0))
+        for start, snapshots in kept.items():
+            cycle = self._cycles[start] = _Cycle(takers[start])
+            cycle._fill(snapshots)
+
+
+def _grid_cycles(oracle: ProximalOracle, takers: dict[int, dict[int, int]],
+                 children: dict[tuple[int, int], int]) -> dict[int, _Cycle]:
+    """The grid's cycles by start: start 0's if the grid runs in lockstep.
+
+    A grid runs in lockstep on a smooth form (no prox) whose Q is an
+    ``np.ndarray``. Then start 0, the cycle every run takes first, is a
+    ``_Lockstep``, whose first take puts every other start's cycle in the
+    returned dict. Otherwise the dict is empty and the grid makes each
+    ``_Cycle`` when a run first reaches its start.
+    """
+    form = oracle.quadratic
+    cycles: dict[int, _Cycle] = {}
+    if form is not None and oracle.prox is None and isinstance(form.Q, np.ndarray):
+        cycles[0] = _Lockstep(takers, children, cycles)
+    return cycles
 
 
 def _coupling(A: float, L_hat: float) -> tuple[float, float]:
@@ -575,13 +688,12 @@ def _ufgm(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> Generator[tuple[Vector, float, bool], int, None]:
+) -> Generator[tuple[Vector, float], int, None]:
     """The UFGM loop for oracles without a declared quadratic form.
 
-    A generator, as are the two form loops. It runs to ``budget`` accepted
+    A generator, as is the composite loop. It runs to ``budget`` accepted
     steps in all (fewer if ``stop`` fires), adds its counters to the trace
-    and yields the last accepted iterate, the final estimate and whether
-    the last value is finite, which this loop has already checked. Sent a
+    and yields the last accepted iterate and the final estimate. Sent a
     larger budget, it goes on from there.
     """
     y = anchor
@@ -626,7 +738,7 @@ def _ufgm(
         trace.backtracks += backtracks
         trace.max_L_hat = max(trace.max_L_hat, top)
         backtracks = 0
-        budget = yield y, L_hat, True
+        budget = yield y, L_hat
 
 
 def _ufgm_on_smooth_form(
@@ -638,50 +750,36 @@ def _ufgm_on_smooth_form(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> Generator[tuple[Vector, float, bool], int, None]:
+) -> tuple[Vector, float]:
     """The UFGM on a quadratic form without a prox, with scalar trials.
 
     See the module docstring. The 8-row state holds y, z, g_y / S, g_z / S,
     Q g_y / S^2, Q g_z / S^2, h / S and the step's product Q m / S, m the
-    tau-mix of the image rows. It lives in two preallocated buffers: each
-    step writes the step matrix times one into the other, and the views a
-    step reads (the image rows, the product row and the two sides of the
-    Gram matrix) are made once per cycle for both. The product Q @ m is
-    assigned into the product row, since Q need only support ``@``. The
-    step matrix's entries are set through ``cell``, a memoryview of it,
-    which costs no numpy call. ``gram``, the 4x5 Gram matrix of the first
-    four rows against the next five, gives the trial scalars and f0(y). A
-    trial counts one gradient and two smooth values, as on the generic
-    path; a non-finite gradient or image makes d^T Q d non-finite. Trials,
-    backtracks and the largest estimate are counted in locals and added to
-    the trace at each pause. The iterate is copied out of the state only
-    when it is handed out: to ``stop`` after every step (the last copy is
-    the one yielded), else once at each pause. A generator like ``_ufgm``.
-    Without ``stop`` its last step's value is left to the caller to check;
-    resumed, the loop re-anchors if that step skipped it, recomputes the
-    value and checks it itself.
+    tau-mix of the image rows (``_smooth_start`` fills it). It lives in two
+    preallocated buffers: each step writes the step matrix times one into
+    the other, and the views a step reads (the image rows, the product row
+    and the two sides of the Gram matrix) are made once per cycle for both.
+    The product Q @ m is assigned into the product row, since Q need only
+    support ``@``. The step matrix's entries are set through ``cell``, a
+    memoryview of it, which costs no numpy call. ``gram``, the 4x5 Gram
+    matrix of the first four rows against the next five, gives the trial
+    scalars and f0(y). A trial counts one gradient and two smooth values,
+    as on the generic path; a non-finite gradient or image makes d^T Q d
+    non-finite. The line search is ``_smooth_trial``'s. Backtracks and the
+    largest estimate are counted in locals and added to the trace at the
+    end, with one trial per step and per backtrack. The iterate is copied out of
+    the state only when it is handed out: to ``stop`` after every step (the
+    last copy is the one returned), else once at the end. Runs to
+    ``budget`` accepted steps (fewer if ``stop`` fires) and returns the last
+    accepted iterate and the final estimate.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
-    sqrt, isfinite = math.sqrt, math.isfinite
-    g0 = Qx0 - h
-    # the first gradient over P = L0 2^j, j >= 0 just large enough to keep
-    # its entries below 2, so that a tiny L0 overflows none of its products
-    # (np.vdot reads a curvature past the range as inf, with no warning)
-    j = max(math.frexp(float(abs(g0).max()))[1] - math.frexp(L_hat)[1], 0)
-    P = math.ldexp(L_hat, j)
-    v = g0 / P
-    Qv = Q @ v
-    S, vv, vQv = L_hat, float(np.vdot(v, v)), float(np.vdot(v, Qv))
-    while S * vv < vQv and isfinite(2.0 * S):
-        S *= 2.0
+    isfinite, trial = math.isfinite, _smooth_trial
     views = []
     for rows in np.empty((2, 8, x0.shape[0])):
         views.append((rows, rows[4:6], rows[7], rows[:4].dot, rows[2:7].T))
     rows, images, prod, head_dot, tail = views[0]
-    rows[:2] = x0
-    rows[2:4] = v * (P / S)
-    rows[4:6] = Qv / S * (P / S)
-    rows[6] = h / S
+    S, = _smooth_start(Q, h, x0[None], Qx0[None], [L_hat], rows[None])
     gram = head_dot(tail).tolist()
     step = _STEP_START.copy()
     advance = step.dot
@@ -690,87 +788,363 @@ def _ufgm_on_smooth_form(
     mix = w.dot
     append = trace.values.append
     A = 0.0
-    trials = backtracks = 0
+    backtracks = 0
     top = trace.max_L_hat
 
-    t = 0
-    while True:
-        for t in range(t + 1, budget + 1):
-            _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
-            while True:
-                trials += 1
-                a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
-                tau = a / (A + a)
-                u = 1.0 - tau
-                # the step d = -g / L_hat is -s times the mix of the gradient rows
-                s = S / L_hat
-                gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
-                gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
-                # d^T Q d; L_hat ||d||^2 is S s gg
-                curvature = S * s * s * gQg
-                finite = isfinite(curvature)
-                if finite and curvature <= S * s * gg + tau * epsilon:
-                    break
-                if L_hat >= _L_HAT_OVERFLOW:
-                    raise _overflow(t)
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
-            A += a
-            w[0], w[1] = u / S, tau / S
-            prod[...] = Q @ mix(images)
-            # in each block the first row becomes its mix - s (next block's mix)
-            # and the second row itself - a S (next block's mix); the product
-            # row is the next block of the images
-            aS = a * S
-            # entry (r, k) of the step matrix is cell[8 r + k]
-            cell[0] = cell[18] = cell[36] = u
-            cell[1] = cell[19] = cell[37] = tau
-            cell[2] = cell[20] = -s * u
-            cell[3] = cell[21] = -s * tau
-            cell[10] = cell[28] = -aS * u
-            cell[11] = cell[29] = -aS * tau
-            cell[39], cell[47] = -s, -aS
-            new = views[t & 1]
-            advance(rows, out=new[0])
-            rows, images, prod, head_dot, tail = new
-            if t % _REANCHOR_STEPS == 0 and t < budget:
-                _reanchor(rows, Q, h, S)
-            gram = head_dot(tail).tolist()
-            f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
-            if t < budget or stop is not None:
-                _check_finite(isfinite(f0_y))
-            L_hat /= 2.0
-            if L_hat < _L_HAT_MIN:
-                L_hat = _L_HAT_MIN
-            append(f0_y)
-            if stop is not None:
-                y = rows[0].copy()
-                if stop(y, f0_y):
-                    break
-        if stop is None:
-            y = rows[0].copy()
-        trace.n_grad += trials
-        trace.n_value += 2 * trials
-        trace.backtracks += backtracks
-        trace.max_L_hat = max(trace.max_L_hat, top)
-        trials = backtracks = 0
-        budget = yield y, L_hat, isfinite(f0_y)
-        # resumed: step t is no longer the last, so it gets the re-anchor
-        # a last step skips, and its value is checked here
-        if t % _REANCHOR_STEPS == 0:
+    for t in range(1, budget + 1):
+        u, tau, s, a, L_hat, doublings = trial(gram, A, S, L_hat, epsilon, t)
+        if doublings:
+            backtracks += doublings
+            top = max(top, L_hat)
+        A += a
+        w[0], w[1] = u / S, tau / S
+        prod[...] = Q @ mix(images)
+        # in each block the first row becomes its mix - s (next block's mix)
+        # and the second row itself - a S (next block's mix); the product
+        # row is the next block of the images
+        aS = a * S
+        # entry (r, k) of the step matrix is cell[8 r + k]
+        cell[0] = cell[18] = cell[36] = u
+        cell[1] = cell[19] = cell[37] = tau
+        cell[2] = cell[20] = -s * u
+        cell[3] = cell[21] = -s * tau
+        cell[10] = cell[28] = -aS * u
+        cell[11] = cell[29] = -aS * tau
+        cell[39], cell[47] = -s, -aS
+        new = views[t & 1]
+        advance(rows, out=new[0])
+        rows, images, prod, head_dot, tail = new
+        if t % _REANCHOR_STEPS == 0 and t < budget:
             _reanchor(rows, Q, h, S)
-            gram = head_dot(tail).tolist()
-            f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
-            trace.values[-1] = f0_y
+        gram = head_dot(tail).tolist()
+        f0_y = 0.5 * S * (gram[0][0] - gram[0][4]) + c
         _check_finite(isfinite(f0_y))
+        L_hat /= 2.0
+        if L_hat < _L_HAT_MIN:
+            L_hat = _L_HAT_MIN
+        append(f0_y)
+        if stop is not None:
+            y = rows[0].copy()
+            if stop(y, f0_y):
+                break
+    if stop is None:
+        y = rows[0].copy()
+    trials = t + backtracks  # one per step and one per doubling
+    trace.n_grad += trials
+    trace.n_value += 2 * trials
+    trace.backtracks += backtracks
+    trace.max_L_hat = max(trace.max_L_hat, top)
+    return y, L_hat
+
+
+def _smooth_trial(gram: list, A: float, S: float, L_hat: float, epsilon: float,
+                  t: int) -> tuple[float, float, float, float, float, int]:
+    """The smooth loop's line search at step t, on the scalars of its Gram matrix.
+
+    Doubles L_hat until the descent test holds, and raises DivergenceError
+    when it fails at an estimate at the overflow threshold. Returns u = 1 -
+    tau, tau, s = S / L_hat, a and L_hat where the test held, and the number
+    of doublings.
+    """
+    _, _, (gyy, gyz, hyy, hyz, _), (_, gzz, hzy, hzz, _) = gram
+    doublings = 0
+    while True:
+        a = (1.0 + math.sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
+        tau = a / (A + a)
+        u = 1.0 - tau
+        # the step d = -g / L_hat is -s times the mix of the gradient rows
+        s = S / L_hat
+        gg = u * (u * gyy + 2.0 * tau * gyz) + tau * tau * gzz
+        gQg = u * (u * hyy + tau * (hyz + hzy)) + tau * tau * hzz
+        # d^T Q d; L_hat ||d||^2 is S s gg
+        curvature = S * s * s * gQg
+        if math.isfinite(curvature) and curvature <= S * s * gg + tau * epsilon:
+            return u, tau, s, a, L_hat, doublings
+        if L_hat >= _L_HAT_OVERFLOW:
+            raise _overflow(t)
+        L_hat *= 2.0
+        doublings += 1
+
+
+def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
+                  rows: np.ndarray) -> list[float]:
+    """Fill rows 0-6 of the smooth loop's state at k cycle starts; return each S.
+
+    ``X`` and ``QX`` hold the starts and their images, ``L0`` their
+    estimates and ``rows`` their states. Every operation acts on each start
+    as the loop's would on it alone: the products of Q are one ``Q @`` each,
+    or one ``np.matmul`` over the stack when Q is an array.
+    """
+    G = QX - h
+    # each first gradient over P = L0 2^j, j >= 0 just large enough to keep
+    # its entries below 2, so that a tiny L0 overflows none of its products
+    # (np.vdot reads a curvature past the range as inf, with no warning)
+    P = np.array([[math.ldexp(L, max(math.frexp(g)[1] - math.frexp(L)[1], 0))]
+                  for g, L in zip(np.abs(G).max(axis=1).tolist(), L0)])
+    V = G / P
+    if isinstance(Q, np.ndarray):
+        QV = np.matmul(Q, V[:, :, None])[:, :, 0]
+    else:
+        QV = np.array([Q @ v for v in V])
+    S = []
+    for L, v, Qv in zip(L0, V, QV):
+        vv, vQv = float(np.vdot(v, v)), float(np.vdot(v, Qv))
+        while L * vv < vQv and math.isfinite(2.0 * L):
+            L *= 2.0
+        S.append(L)
+    scale = np.array(S)[:, None]
+    ratio = P / scale
+    rows[:, :2] = X[:, None]
+    rows[:, 2:4] = (V * ratio)[:, None]
+    rows[:, 4:6] = (QV / scale * ratio)[:, None]
+    rows[:, 6] = h / scale
+    return S
 
 
 def _reanchor(rows: np.ndarray, Q, h: Vector, S: float) -> None:
     """Recompute the smooth loop's gradient and image rows from fresh products."""
     for k in (2, 3, 4, 5):
         rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
+
+
+def _ladder(gram: np.ndarray, AS: np.ndarray, L_hat: np.ndarray, epsilon: float,
+            out: np.ndarray) -> np.ndarray:
+    """The smooth loop's trials of k columns at L_hat 2^m, m = 0, ..., 7.
+
+    ``gram`` holds the columns' 4x5 Gram matrices, ``AS`` their A and S
+    and ``L_hat`` their estimates. ``out``, (14, k, 8), receives u = 1 - tau,
+    tau, s, a and the estimate at every level, then the inputs spread over
+    the levels, so that no operation broadcasts. Each is the loop's scalar,
+    operation for operation, so bitwise the loop's. Returns where the test
+    holds.
+    """
+    u, tau, s, a, Lm, A, S, gyy, gyz, hyy, hyz, gzz, hzy, hzz = out
+    np.multiply(L_hat[:, None], _LADDER, out=Lm)
+    out[5:7] = AS[:, :, None]
+    out[7:11] = gram[:, 2, :4].T[:, :, None]
+    out[11:] = gram[:, 3, 1:4].T[:, :, None]
+    np.multiply(4.0, A, out=a)
+    a *= Lm
+    a += 1.0
+    np.sqrt(a, out=a)
+    a += 1.0
+    a /= 2.0
+    a /= Lm
+    np.divide(a, A + a, out=tau)
+    np.subtract(1.0, tau, out=u)
+    np.divide(S, Lm, out=s)
+    tt = tau * tau
+    gg = u * (u * gyy + 2.0 * tau * gyz) + tt * gzz
+    gQg = u * (u * hyy + tau * (hyz + hzy)) + tt * hzz
+    Ss = S * s
+    curvature = Ss * s * gQg
+    bound = Ss * gg
+    if epsilon:  # adding tau * 0 changes no comparison
+        bound += tau * epsilon
+    return np.isfinite(curvature) & (curvature <= bound)
+
+
+# where the step matrix's entries set at each step (see the smooth loop) are
+# among the products of [1, -s, -a S] with [u, tau, 1]
+_STEP_CELLS = np.array([0, 18, 36, 1, 19, 37, 2, 20, 3, 21, 10, 28, 11, 29, 39, 47])
+_STEP_SOURCES = np.array([0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 6, 6, 7, 7, 5, 8])
+
+
+def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
+              f_star: Optional[float], takers: dict[int, dict[int, int]],
+              children: dict[tuple[int, int], int]
+              ) -> dict[int, dict[int, _Snapshot | str]]:
+    """Run every cycle of a grid's plan tree on a smooth form, one step per tick.
+
+    ``takers[start]`` maps each length that runs take the cycle from
+    ``start`` to, to their number, and ``children[start, length]`` is the
+    start of the cycle that runs going on from there take next. Start 0
+    runs from x0 and L0 at target ``epsilon``, as does every cycle. See the
+    module docstring. Each cycle is a column of the stacked state, the
+    smooth loop's two buffers for every column; columns are kept in the
+    first slots, the last one moving into the slot of one that retires.
+    A cycle's column is made when its parent takes its length (after the
+    tick's retirements), from that trace's final point and estimate, and
+    retires at its longest length or at an error. A column whose ladder
+    has no pass, or every column of a tick with few, runs the smooth loop's
+    scalar trial (``_smooth_trial``). Returns, for every start
+    reached, its snapshot or error at each length (see ``_Cycle``).
+    """
+    form = oracle.quadratic
+    Q, h, c = form.Q, form.h, form.c
+    target = epsilon if epsilon > 0 else None
+    # the tick after which each cycle's column is made, its last step, and
+    # for every tick the cycles with a taker or a re-anchor at its step
+    born, events = {0: 0}, defaultdict(list)
+    for (parent, length), child in children.items():  # parents first
+        born[child] = born[parent] + length
+    last = {start: max(lengths) for start, lengths in takers.items()}
+    for start, b in born.items():
+        for t in set(takers[start]).union(range(_REANCHOR_STEPS, last[start],
+                                                _REANCHOR_STEPS)):
+            events[b + t].append(start)
+    width = live = 0
+    ends, births = Counter(born[s] + last[s] for s in born), Counter(born.values())
+    for tick in sorted(ends.keys() | births.keys()):
+        live += births[tick] - ends[tick]
+        width = max(width, live)
+
+    n = x0.shape[0]
+    state = np.empty((2, width, 8, n))
+    grams = np.empty((width, 4, 5))
+    steps = np.tile(_STEP_START, (width, 1, 1))
+    cells = (np.arange(0, 64 * width, 64)[:, None] + _STEP_CELLS).ravel()
+    K = np.ones((width, 3, 1))  # [1, -s, -a S]
+    UT = np.ones((width, 1, 3))  # [u, tau, 1]
+    W = np.empty((width, 1, 2))
+    ladder = np.empty((14, width, _LADDER.size))
+    scalars = np.empty((5, width))  # A, S, L_hat, the largest estimate, backtracks
+    A, S, L, top, backs = scalars
+    index = np.arange(width)
+    slots: list[int] = []  # the start of each column
+    values: list[list[float]] = []  # each column's values
+    where: dict[int, int] = {}  # the column of each start
+    f_initial: dict[int, float] = {}
+    kept: dict[int, dict[int, _Snapshot | str]] = {}
+    cur = 0
+
+    def make(made: list[tuple[int, Vector, float]]) -> None:
+        """Make the columns of the cycles that start from these points and estimates.
+
+        Each start's f(x0) is ``_start``'s, with its image Q x0 one
+        ``np.matmul`` over the stack; the estimates are valid by making.
+        """
+        X = np.array([x for _, x, _ in made], dtype=float)
+        QX = np.matmul(Q, X[:, :, None])[:, :, 0]
+        first, L0s, good = len(slots), [], []
+        for k, (start, _, L_hat) in enumerate(made):
+            kept[start] = {}
+            f = form.value(X[k], QX[k]) + oracle.psi(X[k])
+            if not math.isfinite(f):
+                fail(start, _NON_FINITE)
+                continue
+            where[start] = len(slots)
+            slots.append(start)
+            values.append([])
+            f_initial[start] = f
+            L0s.append(L_hat)
+            good.append(k)
+        if len(good) < len(made):
+            X, QX = X[good], QX[good]
+        if not L0s:
+            return
+        new = slice(first, len(slots))
+        rows = state[cur, new]
+        S[new] = _smooth_start(Q, h, X, QX, L0s, rows)
+        L[new] = top[new] = L0s
+        A[new] = backs[new] = 0.0
+        np.matmul(rows[:, :4], rows[:, 2:7].transpose(0, 2, 1), out=grams[new])
+
+    def retire(start: int) -> None:
+        k, j = where.pop(start), len(slots) - 1
+        if k != j:
+            moved = slots[k] = slots[j]
+            where[moved] = k
+            values[k] = values[j]
+            state[cur, k] = state[cur, j]
+            grams[k] = grams[j]
+            scalars[:, k] = scalars[:, j]
+        slots.pop()
+        values.pop()
+
+    def fail(start: int, error: str) -> None:
+        for length in takers[start]:
+            kept[start].setdefault(length, error)
+        if start in where:
+            retire(start)
+
+    def settle(start: int, t: int, made: list) -> None:
+        k = where[start]
+        f = values[k][-1]
+        if t in takers[start]:
+            if math.isfinite(f):
+                backtracks = int(backs[k])
+                trials = t + backtracks
+                point, L_hat = state[cur, k, 0].copy(), float(L[k])
+                child = children.get((start, t))
+                if child is not None:  # every run that takes this length goes on
+                    made.append((child, point, L_hat))
+                    point = None
+                kept[start][t] = _Snapshot(
+                    values[k], t, f, target, point, L_hat, f_star, f_initial[start],
+                    1 + 2 * trials, trials, 0, backtracks, float(top[k]), ())
+            else:
+                kept[start][t] = _NON_FINITE
+        if t == last[start]:
+            retire(start)
+            return
+        if t % _REANCHOR_STEPS == 0:
+            rows, scale = state[cur, k], float(S[k])
+            _reanchor(rows, Q, h, scale)
+            grams[k] = gram = rows[:4].dot(rows[2:7].T)
+            f = values[k][-1] = 0.5 * scale * (float(gram[0, 0]) - float(gram[0, 4])) + c
+        if not math.isfinite(f):
+            fail(start, _NON_FINITE)
+
+    _start(oracle, x0, L0, last[0], f_star)  # raises what a single run's first cycle would
+    with np.errstate(all="ignore"):
+        make([(0, x0, L0)])
+        tick = 0
+        while slots:
+            tick += 1
+            C = len(slots)
+            rows, new = state[cur, :C], state[1 - cur, :C]
+            Ac, Sc, Lc, topc, backc = scalars[:, :C]
+            if C > _SCALAR_TRIALS:
+                passed = _ladder(grams[:C], scalars[:2, :C], Lc, epsilon, ladder[:, :C])
+                m = passed.argmax(1)
+                level = ladder[:5, index[:C], m]
+                ok = passed[index[:C], m]
+                alone = [] if ok.all() else np.flatnonzero(~ok).tolist()
+            else:
+                m, level, alone = np.zeros(C, dtype=np.intp), np.empty((5, C)), range(C)
+            failed = {}
+            for k in alone:  # no pass in the ladder, or too few columns for one
+                start = slots[k]
+                try:
+                    found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(),
+                                          epsilon, tick - born[start])
+                except DivergenceError as exc:
+                    failed[start] = str(exc)
+                else:
+                    level[:, k], m[k] = found[:5], found[5]
+            u, tau, s, a, L_hat = level
+            Ac += a
+            backc += m
+            np.maximum(topc, L_hat, out=topc, where=m > 0)
+            np.maximum(L_hat / 2.0, _L_HAT_MIN, out=Lc)
+            # the step's product: Q times the mix of the image rows
+            UT[:C, 0, :2] = level[:2].T
+            np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
+            mix = np.matmul(W[:C], rows[:, 4:6])
+            np.matmul(Q, mix.reshape(C, n, 1), out=rows[:, 7, :, None])
+            np.negative(s, out=K[:C, 1, 0])
+            np.multiply(a, -Sc, out=K[:C, 2, 0])
+            steps.reshape(-1)[cells[:16 * C]] = (
+                (K[:C] * UT[:C]).reshape(C, 9).take(_STEP_SOURCES, 1).ravel())
+            np.matmul(steps[:C], rows, out=new)
+            np.matmul(new[:, :4], new[:, 2:7].transpose(0, 2, 1), out=grams[:C])
+            f0 = (0.5 * Sc * (grams[:C, 0, 0] - grams[:C, 0, 4]) + c).tolist()
+            cur = 1 - cur
+            for column, f in zip(values, f0):
+                column.append(f)
+            due = [start for start in events.pop(tick, ()) if start in where]
+            if failed or not math.isfinite(sum(f0)):
+                due += [slots[k] for k, f in enumerate(f0) if not math.isfinite(f)]
+            made: list = []
+            for start in dict.fromkeys(due + list(failed)):
+                if start in failed:
+                    fail(start, failed[start])
+                elif start in where:
+                    settle(start, tick - born[start], made)
+            if made:
+                make(made)
+    return kept
 
 
 def _ufgm_on_form(
@@ -782,7 +1156,7 @@ def _ufgm_on_form(
     budget: int,
     stop: Optional[Callable[[Vector, float], bool]],
     trace: Trace,
-) -> Generator[tuple[Vector, float, bool], int, None]:
+) -> Generator[tuple[Vector, float], int, None]:
     """The UFGM on a composite quadratic form, carrying g_y and g_z.
 
     See the module docstring. A trial forms g, x, w = x - g / L_hat and
@@ -869,7 +1243,7 @@ def _ufgm_on_form(
         trace.backtracks += backtracks
         trace.max_L_hat = max(trace.max_L_hat, top)
         trials = proxes = backtracks = 0
-        budget = yield y, L_hat, True
+        budget = yield y, L_hat
 
 
 def accelerated(

@@ -575,6 +575,24 @@ class TestErrors:
         assert "needs rows >= cols >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cond", ["-1", "0", "0.5"])
+    def test_synthetic_cond_below_one_exits_2(self, tmp_path, capsys, cond):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--problem", "least-squares", "--rows", "20", "--cols", "5",
+                       "--cond", cond, "--method", "acc", "--N", "5", "--out", str(out))
+        assert code == 2
+        assert f"needs cond >= 1, got cond={float(cond)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flip", ["-0.5", "2"])
+    def test_synthetic_flip_outside_unit_interval_exits_2(self, tmp_path, capsys, flip):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--problem", "logistic", "--rows", "20", "--cols", "5",
+                       "--flip", flip, "--method", "acc", "--N", "5", "--out", str(out))
+        assert code == 2
+        assert f"need flip in [0, 1], got flip={float(flip)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_float_in_exponent_form(self, tmp_path, capsys):
         outputs = []
         for f_star in (["--f-star", "-1e6"], ["--f-star=-1e6"]):

@@ -588,6 +588,28 @@ class TestSyntheticDesigns:
         A, y = synthetic_classification(100, 10, seed=23, flip=0.2)
         assert set(np.unique(y)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("cond", [-1.0, 0.0, 0.5, math.nan])
+    def test_regression_rejects_cond_below_one(self, cond):
+        with pytest.raises(ValueError, match=r"needs cond >= 1, got cond="):
+            synthetic_regression(20, 5, cond=cond)
+
+    def test_unit_cond_is_orthogonal_columns(self):
+        A, _ = synthetic_regression(20, 5, cond=1.0, seed=25)
+        assert np.allclose(A.T @ A, np.eye(5))
+
+    @pytest.mark.parametrize("flip", [-0.1, 1.5, 2.0, math.nan])
+    def test_classification_rejects_flip_outside_unit_interval(self, flip):
+        with pytest.raises(ValueError, match=r"need flip in \[0, 1\], got flip="):
+            synthetic_classification(20, 5, flip=flip)
+
+    @pytest.mark.parametrize("flip", [0.0, 1.0])
+    def test_classification_flip_bounds(self, flip):
+        # flip = 1 flips every planted label, flip = 0 none
+        A, y = synthetic_classification(40, 5, seed=26, flip=flip)
+        A0, y0 = synthetic_classification(40, 5, seed=26, flip=0.0)
+        assert np.array_equal(A, A0)
+        assert np.array_equal(y, y0 if flip == 0.0 else -y0)
+
     def test_reproducible(self):
         A1, b1 = synthetic_regression(30, 5, seed=24)
         A2, b2 = synthetic_regression(30, 5, seed=24)

@@ -9,6 +9,7 @@ import pytest
 from restartopt import (
     DivergenceError,
     ProximalOracle,
+    QuadraticForm,
     Schedule,
     accelerated,
     adaptive_grid,
@@ -38,6 +39,8 @@ from restartopt import (
     ufgm_constant,
     universal_fast_gradient,
 )
+from restartopt import solvers
+from test_solvers import CountingMatrix
 
 E = math.e
 
@@ -483,6 +486,30 @@ GRID_PATHS = {
 }
 
 
+def assert_runs_are_scheduled(oracle, x0, N, L0=1.0):
+    """Every run of the grid is bitwise its own ``restart_scheduled(..., cap=2N)``."""
+    out = adaptive_grid(oracle, x0, N, L0)
+    assert sorted(out.runs) == grid_indices(N)
+    for (i, j), trace in out.runs.items():
+        ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, L0, cap=2 * N)
+        assert trace_state(trace) == trace_state(ref), (i, j)
+    return out
+
+
+@pytest.fixture
+def lockstep_calls(monkeypatch):
+    """The calls the grid makes to the lockstep engine."""
+    calls = []
+    engine = solvers._lockstep
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(solvers, "_lockstep", counted)
+    return calls
+
+
 class TestSharedGrid:
     """The grid runs each shared cycle once; every run is its own scheduled run."""
 
@@ -490,12 +517,7 @@ class TestSharedGrid:
     @pytest.mark.parametrize("path", GRID_PATHS)
     def test_every_run_is_bitwise_its_scheduled_run(self, path, N):
         oracle = GRID_PATHS[path]()
-        x0 = np.zeros(oracle.dimension)
-        out = adaptive_grid(oracle, x0, N, 1.0)
-        assert sorted(out.runs) == grid_indices(N)
-        for (i, j), trace in out.runs.items():
-            ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
-            assert trace_state(trace) == trace_state(ref), (i, j)
+        out = assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), N)
         if path == "smooth-form" and N == 100:
             # a cycle that ends on step 32 or 64 reports another value there
             # than one that goes on, and the shared cycle reproduces both
@@ -529,6 +551,59 @@ class TestSharedGrid:
         with pytest.raises(DivergenceError) as raised:
             adaptive_grid(oracle, x0, 100, 1.0)
         assert str(raised.value) == first[1]
+
+    @pytest.mark.parametrize("L0", [1e-100, 1e100])
+    def test_smooth_form_from_extreme_estimates(self, L0, lockstep_calls):
+        # from 1e-100 the first step doubles the estimate more than eight
+        # times, past the lockstep's ladder; from 1e100 the state is scaled
+        # by S = L0 and the estimate halves down for many steps
+        oracle = GRID_PATHS["smooth-form"]()
+        out = assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), 100, L0)
+        assert len(lockstep_calls) == 1
+        if L0 < 1.0:
+            assert out.runs[(1, 0)].max_L_hat > 2.0**8 * L0
+
+    def test_smooth_form_of_a_generated_quadratic(self, lockstep_calls):
+        inst = make_quadratic(30, 100.0, seed=45)
+        assert_runs_are_scheduled(inst.oracle, inst.x0, 100)
+        assert len(lockstep_calls) == 1
+
+    def test_figure_one_grid_with_many_columns(self, lockstep_calls):
+        # at N = 500 up to 80 cycles step at once
+        inst = make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=1))
+        assert_runs_are_scheduled(inst.oracle, inst.x0, 500)
+        assert len(lockstep_calls) == 1
+
+    def test_a_form_whose_Q_is_no_array_takes_the_per_run_path(self, lockstep_calls):
+        form = GRID_PATHS["smooth-form"]().quadratic
+        M = CountingMatrix(form.Q)
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(M, form.h, form.c))
+        assert_runs_are_scheduled(oracle, np.zeros(form.h.shape[0]), 33)
+        assert lockstep_calls == [] and M.matvecs > 0
+
+    @pytest.mark.parametrize("curvature, N", [(-0.2, 20), (-0.1, 33)])
+    def test_smooth_form_divergence_surfaces_as_in_per_run_order(self, curvature, N,
+                                                                 lockstep_calls):
+        # along the form's negative curvature the steps run off until the
+        # estimate overflows in a line search (-0.2, at steps 17 to 22) or a
+        # value is not finite (-0.1); runs fail at different steps, and the
+        # first to fail in (i, j) order is not (1, 0)
+        Q = np.diag([1.0, 0.5, curvature])
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(Q, np.zeros(3)))
+        x0 = np.array([1.0, 1.0, 1e-3])
+        first = None
+        with np.errstate(all="ignore"):  # the per-run loop's products overflow
+            for i, j in grid_indices(N):
+                try:
+                    restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
+                except DivergenceError as exc:
+                    first = (i, j), str(exc)
+                    break
+        assert first is not None and first[0] != (1, 0)
+        with pytest.raises(DivergenceError) as raised:
+            adaptive_grid(oracle, x0, N, 1.0)
+        assert str(raised.value) == first[1]
+        assert len(lockstep_calls) == 1
 
     def test_two_grids_in_a_row_are_equal(self):
         oracle = GRID_PATHS["lasso"]()

@@ -14,8 +14,10 @@ other:
 
 Pair k runs A first when k is even and B first when k is odd, so drift in
 the machine's load falls on both sides. Prints each timing, then for each
-instance each side's median and quartiles and the number of pairs each side
-won (the lower time wins).
+instance each side's median and quartiles, the number of pairs each side
+won (the lower time wins), B's median over A's, and a verdict on B's gain
+by the benchmark's rule: B wins at least 9 in 10 of the pairs, and A's
+median exceeds B's by more than A's interquartile range.
 """
 
 import argparse
@@ -64,6 +66,19 @@ def summary(times: list[float]) -> str:
     return f"median {median:.4f} s, quartiles {q1:.4f}-{q3:.4f} s"
 
 
+def verdict(a: list[float], b: list[float]) -> str:
+    """Whether B's gain over A meets the benchmark's rule, and why."""
+    q1, median_a, q3 = statistics.quantiles(a, n=4)
+    median_b = statistics.median(b)
+    wins = sum(tb < ta for ta, tb in zip(a, b))
+    won = 10 * wins >= 9 * len(a)
+    clear = median_a - median_b > q3 - q1
+    reasons = [f"B won {wins} of {len(a)} pairs ({'at least' if won else 'fewer than'} 9 in 10)",
+               f"median gain {median_a - median_b:.4f} s "
+               f"({'above' if clear else 'not above'} A's interquartile range {q3 - q1:.4f} s)"]
+    return ("meets" if won and clear else "does not meet") + " the rule: " + "; ".join(reasons)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
@@ -86,7 +101,9 @@ def main() -> None:
         print(f"{instance} B {args.src_b}: {summary(b)}")
         b_wins = sum(tb < ta for ta, tb in zip(a, b))
         a_wins = sum(ta < tb for ta, tb in zip(a, b))
-        print(f"{instance} pairs won: A {a_wins}, B {b_wins} of {args.pairs}", flush=True)
+        print(f"{instance} pairs won: A {a_wins}, B {b_wins} of {args.pairs}")
+        ratio = statistics.median(b) / statistics.median(a)
+        print(f"{instance} B/A medians {ratio:.3f}; B's gain {verdict(a, b)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,13 @@ every starting estimate L0 in {1e-100, 1, 1e100} and every budget N in
 {4, 33, 100}, prints one line for ``adaptive_grid`` and one line for each
 of its schemes run alone as ``restart_scheduled(..., cap=2N)``:
 
-* smooth form: least squares (40x10, cond 100);
+* smooth forms: least squares (40x10, cond 100) and a generated quadratic
+  (``make_quadratic``, dimension 12, cond 100);
 * composite forms: LASSO (the l1 prox) and dual SVM (the box prox);
 * generic: logistic, and the LASSO with ``quadratic=None``.
+
+It does the same for the Figure-1 least squares (208x60, cond 1e4, seed 1)
+at L0 = 1 and N = 500, where up to 80 grid cycles run at once.
 
 A line digests the trace's values, cycles, oracle counters, backtracks,
 largest and final estimates, notes and final point (for the grid, every
@@ -43,6 +47,7 @@ def main(src: str) -> None:
     lasso = ro.make_lasso(*ro.synthetic_regression(40, 10, cond=100.0, seed=2))
     instances = {
         "least-squares": ro.make_least_squares(*ro.synthetic_regression(40, 10, cond=100.0, seed=1)),
+        "quadratic": ro.make_quadratic(12, 100.0, seed=5),
         "lasso": lasso,
         "dual-svm": ro.make_dual_svm(*ro.synthetic_classification(40, 6, cond=100.0, seed=3)),
         "logistic": ro.make_logistic(*ro.synthetic_classification(40, 6, cond=10.0, seed=4)),
@@ -60,22 +65,24 @@ def main(src: str) -> None:
             untyped += not isinstance(exc, typed)
         print(f"{hashlib.sha256(key.encode()).hexdigest()}  {label}", flush=True)
 
-    for name, inst in instances.items():
-        for L0 in (1e-100, 1.0, 1e100):
-            for N in (4, 33, 100):
-                tag = f"{name} L0={L0:g} N={N}"
+    cases = [(name, inst, L0, N) for name, inst in instances.items()
+             for L0 in (1e-100, 1.0, 1e100) for N in (4, 33, 100)]
+    figure_1 = ro.make_least_squares(*ro.synthetic_regression(208, 60, cond=1e4, seed=1))
+    cases.append(("figure-1", figure_1, 1.0, 500))
+    for name, inst, L0, N in cases:
+        tag = f"{name} L0={L0:g} N={N}"
 
-                def grid():
-                    out = ro.adaptive_grid(inst.oracle, inst.x0, N, L0)
-                    runs = [(ij, trace_key(tr)) for ij, tr in sorted(out.runs.items())]
-                    return repr((runs, out.best, out.total_inner_iterations))
+        def grid():
+            out = ro.adaptive_grid(inst.oracle, inst.x0, N, L0)
+            runs = [(ij, trace_key(tr)) for ij, tr in sorted(out.runs.items())]
+            return repr((runs, out.best, out.total_inner_iterations))
 
-                line(f"{tag} grid", grid)
-                i_max, j_max = N.bit_length() - 1, (N - 1).bit_length()
-                for i in range(1, i_max + 1):
-                    for j in range(0, j_max + 1):
-                        line(f"{tag} run ({i}, {j})", lambda: trace_key(ro.restart_scheduled(
-                            inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, cap=2 * N)))
+        line(f"{tag} grid", grid)
+        i_max, j_max = N.bit_length() - 1, (N - 1).bit_length()
+        for i in range(1, i_max + 1):
+            for j in range(0, j_max + 1):
+                line(f"{tag} run ({i}, {j})", lambda: trace_key(ro.restart_scheduled(
+                    inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, cap=2 * N)))
     if untyped:
         sys.exit(f"{untyped} run(s) failed with an untyped error")
 
