@@ -32,8 +32,9 @@ alone.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
-from .solvers import Trace, _check_finite, _Cycle, _grid_cycles, universal_fast_gradient
+from .solvers import Trace, _check_finite, _grid_snapshots, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,15 @@ def _record_start(trace: Trace, oracle: ProximalOracle, budget: int) -> Trace:
 
 def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations: int,
                stop: Optional[Callable[[Vector, float], bool]] = None,
-               shared: Optional[_Cycle] = None) -> None:
+               shared: Optional[Callable[[], dict]] = None) -> None:
     """Run one cycle of the universal method and append it to the scheme's trace.
 
     The cycle is warm-started from the trace's final point and estimate.
     Its values and its one ``(length, target)`` record are appended, and
     the trace takes over its final point and estimate, from which the
-    next cycle starts. ``shared`` is the grid search's ``_Cycle`` for it.
+    next cycle starts. In a grid search ``shared`` returns the snapshots
+    of the cycle's start, and the cycle hands out the one at its length
+    (see ``adaptive_grid``).
     """
     _, sub = universal_fast_gradient(
         oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
@@ -160,10 +163,10 @@ def cycle_plan(schedule: Schedule, budget: int, cap: int, eps0: float = 0.0,
 
 def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, float]],
                limit: str, L0: float, f_star: Optional[float],
-               shared: Optional[Callable[[int], _Cycle]] = None) -> Trace:
+               shared: Optional[list[Callable[[], dict]]] = None) -> Trace:
     """Run the cycles of a ``cycle_plan``; a truncated one's note names its ``limit``.
 
-    ``shared``, from the grid search, gives the ``_Cycle`` of each cycle k.
+    ``shared``, from the grid search, holds each cycle's ``_run_cycle`` argument.
     """
     trace = _new_trace(x0, L0, f_star)
     for k, (planned, length, target) in enumerate(plan, start=1):
@@ -171,7 +174,7 @@ def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, 
             trace.notes.append(
                 f"cycle {k} truncated from {planned} to {length} iterations by {limit}"
             )
-        _run_cycle(trace, oracle, target, length, shared=shared(k) if shared else None)
+        _run_cycle(trace, oracle, target, length, shared=shared[k - 1] if shared else None)
     return trace
 
 
@@ -301,24 +304,24 @@ class GridOutcome:
 
 
 def _plan_tree(plans: list[list[tuple[float, int, float]]]
-               ) -> tuple[list[list[int]], dict[int, Counter[int]], dict[tuple[int, int], int]]:
-    """Number the cycle starts of the grid's plans and count who takes each.
+               ) -> tuple[list[list[int]], dict[int, set[int]], dict[tuple[int, int], int]]:
+    """Number the cycle starts of the grid's plans and the lengths each is taken to.
 
     A start is numbered by the start before it and the length of the cycle
     in between (every grid target is 0), so runs whose plans agree up to a
     start share its number, and a start is numbered after the one before
-    it. Returns each plan's starts, one per cycle, for each start the number
-    of runs that take its cycle to each length, and the start that follows
-    each ``(start, length)`` some run goes on from.
+    it. Returns each plan's starts, one per cycle, for each start the
+    lengths runs take its cycle to, and the start that follows each
+    ``(start, length)`` some run goes on from.
     """
     starts: dict[Optional[tuple[int, int]], int] = {}
-    takers: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    takers: defaultdict[int, set[int]] = defaultdict(set)
     paths = []
     for plan in plans:
         path, key = [], None
         for _, length, _ in plan:
             start = starts.setdefault(key, len(starts))
-            takers[start][length] += 1
+            takers[start].add(length)
             path.append(start)
             key = (start, length)
         paths.append(path)
@@ -345,25 +348,21 @@ def adaptive_grid(
 
     Before any step runs, the plans give the tree of shared plan prefixes:
     a cycle start is the start before it and the length of the cycle in
-    between, and runs whose plans agree up to a start share it. Each start's
-    cycle is one ``_Cycle``: it runs once, pausing at every length a run
-    takes it to, and each run takes its own trace there. This is exact
-    because every run starts from x0 and L0, every target is 0, and nothing
-    a step computes depends on the cycle's length but the smooth loop's
-    last-step re-anchor, which a cycle reproduces for the runs that end
-    there. So each run's values, cycles, notes, oracle counters,
-    backtracks, estimates and final point are bitwise those of its own
-    ``restart_scheduled(..., cap=2N)``. On a smooth form whose Q is an
-    array, the first take runs every distinct cycle of the tree at once,
-    one step per tick in stacked arrays (``solvers._lockstep``); on other
-    oracles a cycle runs only as far as the run at hand needs. Every cycle
-    of every run is still one ``universal_fast_gradient`` call, and runs
-    are taken in (i, j) order, so a ``DivergenceError`` is the one the
-    first failing run raises alone. The shared state lives within this
-    call: a ``_Cycle`` is made when the first run reaches its start (or by
-    the lockstep) and dropped once every run has taken it; within it, the
-    loop is dropped at its last pause and a kept trace when its last run
-    takes it.
+    between, and runs whose plans agree up to a start share it. The first
+    cycle of the first run runs the whole tree once (``_grid_snapshots``),
+    inside its ``universal_fast_gradient`` call: each start's cycle runs to
+    the longest length a run takes it to, and its trace is kept at every
+    such length. This is exact because every run starts from x0 and L0,
+    every target is 0, and nothing a step computes depends on the cycle's
+    length but the smooth loop's last-step re-anchor, which a kept trace
+    reproduces for the runs that end there. So each run's values, cycles,
+    notes, oracle counters, backtracks, estimates and final point are
+    bitwise those of its own ``restart_scheduled(..., cap=2N)``. Every cycle
+    of every run is still one ``universal_fast_gradient`` call, which hands
+    out the kept trace at its length, and runs are taken in (i, j) order:
+    an exception a cycle raises is kept for every length it had not
+    reached, so the grid raises what the first failing run raises alone.
+    The kept traces live until this call returns.
     """
     if budget < 4:
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
@@ -372,20 +371,13 @@ def adaptive_grid(
     schemes = [(i, j) for i in range(1, i_max + 1) for j in range(0, j_max + 1)]
     plans = [cycle_plan(grid_schedule(i, j), budget, 2 * budget) for i, j in schemes]
     paths, takers, children = _plan_tree(plans)
-    cycles = _grid_cycles(oracle, takers, children)  # started, and still to be taken
-
-    def cycle(start: int) -> _Cycle:
-        if start not in cycles:
-            cycles[start] = _Cycle(takers.pop(start))
-        return cycles[start]
-
+    # runs once, inside the first universal_fast_gradient call that asks, so
+    # the tree's solver time is spent within a solver call
+    tree = functools.cache(lambda: _grid_snapshots(oracle, x0, L0, f_star, takers, children))
     runs = {}
     for ij, plan, path in zip(schemes, plans, paths):
-        runs[ij] = _scheduled(oracle, x0, plan, "the cap", L0, f_star,
-                              lambda k: cycle(path[k - 1]))
-        for start in path:
-            if cycles[start].done:
-                del cycles[start]
+        shared = [lambda start=start: tree()[start] for start in path]
+        runs[ij] = _scheduled(oracle, x0, plan, "the cap", L0, f_star, shared)
     best = min(runs, key=lambda ij: (runs[ij].final_f, ij))
     total = sum(tr.accepted for tr in runs.values())
     return GridOutcome(runs=runs, best=best, total_inner_iterations=total)

@@ -81,37 +81,39 @@ value-and-gradient call adds one to each, and a UFGM trial counts one
 gradient and two smooth values (at x and at the candidate, whose
 difference the descent test uses) on every path.
 
-``_Cycle`` drives the loops: ``universal_fast_gradient`` takes one cycle
-to its budget, and the grid search shares one ``_Cycle`` among the runs
-that start a cycle from the same point and estimate, each taking its own
-copy of the trace at its own length. The generic and composite loops are
-generators that can be resumed in place: sent a budget, a loop runs to
-that many accepted steps in all, adds its counters to the trace and
-yields; sent a larger one, it goes on from there. The smooth loop runs
-once to its budget. Nothing a step computes depends on the cycle's length
-but one thing: the smooth loop skips its re-anchor after a cycle's last
-step, so a cycle that ends on a multiple of 32 reports a value there that
-differs in its last bits from the one a longer cycle reports.
+A single run of ``universal_fast_gradient`` runs one loop to its budget.
+The generic and composite loops are generators that can be resumed in
+place: sent a budget, a loop runs to that many accepted steps in all, adds
+its counters to the trace and yields; sent a larger one, it goes on from
+there. The smooth loop runs once, with numpy's floating-point warnings
+off, since its overflows raise DivergenceError. Nothing a step computes
+depends on the cycle's length but one thing: the smooth loop skips its
+re-anchor after a cycle's last step, so a cycle that ends on a multiple
+of 32 reports a value there that differs in its last bits from the one a
+longer cycle reports.
 
-A grid on a smooth form whose Q is an array runs every distinct cycle of
-its plan tree in lockstep (``_lockstep``): one accepted step per tick for
+The grid search runs its plan tree once, up front (``_grid_snapshots``):
+every distinct cycle runs once, and its trace is kept at each length a
+run takes it to, with the value from before the re-anchor if the cycle
+goes on. Each run's ``universal_fast_gradient`` call then hands out its
+own copy of the kept trace, or raises the kept exception. Composite and
+generic cycles run their resumable loop, start by start. A smooth form's
+cycles run in lockstep (``_lockstep``): one accepted step per tick for
 every active cycle, each a column of stacked arrays. It is bitwise the
 smooth loop. Its trial scalars are the loop's IEEE operations, done
 elementwise in the same order, for the estimates L_hat 2^m, m = 0..7, at
 once (doubling is exact); the first level that passes is the loop's. Its
-products are ``np.matmul`` over stacked operands, which make for each
-column the BLAS call the loop makes: the step, the Gram matrix, the mix
-and ``np.matmul(Q, M[..., None])`` for the images' product. A cycle's
-start and its re-anchors run the loop's own helpers on its column. When
-a cycle reaches a length a run takes it to, the run's trace is kept, with
-the value from before the re-anchor if the cycle goes on; an error is
-kept for the lengths at and past the step that raised it. Runs that
-share a cycle share the steps before it, and a run stops at the first
-cycle boundary past its budget, so either every run that takes a cycle
-to a length goes on from there or none does. A length runs go on from
-keeps no final point: the next cycle starts from the column's state, and
-its final point replaces that one in the run. Each kept trace is still
-handed out by a ``universal_fast_gradient`` call.
+step, Gram matrix and mix are ``np.matmul`` over stacked operands, which
+make for each column the BLAS call the loop makes. Its products of Q go
+through ``_products``: one ``np.matmul(Q, M[..., None])`` when Q is an
+array, else the loop's own ``Q @ v`` per column. A cycle's start and its
+re-anchors run the loop's own helpers on its column, and an error is kept
+for the lengths at and past the step that raised it. Runs that share a
+cycle share the steps before it, and a run stops at the first cycle
+boundary past its budget, so either every run that takes a cycle to a
+length goes on from there or none does. A length runs go on from keeps
+no final point: the next cycle starts from there, and its final point
+replaces that one in the run.
 
 Each solver call appends f at every accepted iterate to ``Trace.values``
 and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
@@ -470,7 +472,7 @@ def universal_fast_gradient(
     stop: Optional[Callable[[Vector, float], bool]] = None,
     *,
     f_star: Optional[float] = None,
-    _cycle: Optional[_Cycle] = None,
+    _cycle: Optional[Callable[[], dict[int, _Snapshot | Exception]]] = None,
 ) -> tuple[Vector, Trace]:
     """Universal fast gradient method with target accuracy ``epsilon``.
 
@@ -500,29 +502,43 @@ def universal_fast_gradient(
 
     Returns the final point and its trace.
 
-    ``_cycle`` is for the grid search only: a ``_Cycle`` that other runs
-    take from the same start, estimate and target (see ``_Cycle``).
+    ``_cycle`` is for the grid search only: a callable that returns the
+    snapshots of the cycle's start (see ``_grid_snapshots``).
     """
     require_finite(epsilon=epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    cycle = _Cycle({budget: 1}) if _cycle is None else _cycle
-    return cycle.take(oracle, x0, epsilon, L0, budget, stop, f_star)
+    if _cycle is not None:
+        kept = _cycle()[budget]
+        if isinstance(kept, Exception):
+            raise kept
+        trace = kept.trace()
+        return trace.final_point, trace
+    x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
+    if oracle.quadratic is not None and oracle.prox is None:
+        with np.errstate(all="ignore"):  # an overflow raises DivergenceError, typed
+            y, L_hat = _ufgm_on_smooth_form(oracle, x0, Qx0, epsilon, float(L0), budget,
+                                            stop, trace)
+    else:
+        y, L_hat = next(_resumable(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace))
+    trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
+    trace.final_point, trace.final_L_hat = y, L_hat
+    return y, trace
 
 
 class _Snapshot(NamedTuple):
-    """A cycle's trace at one length, as ``_Cycle`` keeps it for its takers.
+    """A grid cycle's trace at one length, as ``_grid_snapshots`` keeps it.
 
     ``values`` is the cycle's list of values, which may have grown past
     ``length`` since; the trace's values are its first ``length`` with the
     last one ``last`` (the smooth loop's value before a re-anchor that a
-    longer cycle makes). The other fields are the trace's own.
+    longer cycle makes). Its target is 0. The other fields are the trace's
+    own; ``final_point`` is ``None`` where runs go on to a next cycle.
     """
 
     values: list[float]
     length: int
     last: float
-    target: Optional[float]
     final_point: Optional[Vector]
     final_L_hat: float
     f_star: Optional[float]
@@ -534,143 +550,70 @@ class _Snapshot(NamedTuple):
     max_L_hat: float
     notes: tuple[str, ...]
 
-    def trace(self, copy_point: bool) -> Trace:
-        """A trace with lists of its own, and its own final point if ``copy_point``."""
+    def trace(self) -> Trace:
+        """A trace with lists and a final point of its own, for one run that takes it."""
         values = self.values[:self.length]
         values[-1] = self.last
-        point = self.final_point
-        if copy_point and point is not None:
-            point = point.copy()
-        return Trace(values=values, cycles=[(self.length, self.target)], final_point=point,
+        point = None if self.final_point is None else self.final_point.copy()
+        return Trace(values=values, cycles=[(self.length, None)], final_point=point,
                      final_L_hat=self.final_L_hat, f_star=self.f_star,
                      f_initial=self.f_initial, n_value=self.n_value, n_grad=self.n_grad,
                      n_prox=self.n_prox, backtracks=self.backtracks,
                      max_L_hat=self.max_L_hat, notes=list(self.notes))
 
 
-class _Cycle:
-    """One UFGM cycle, run once for every caller that takes it.
+def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
+                    takers: dict[int, set[int]], children: dict[tuple[int, int], int]
+                    ) -> dict[int, dict[int, _Snapshot | Exception]]:
+    """Run every cycle of a grid's plan tree once; keep its trace at each length.
 
-    ``takers`` maps each length at which the cycle is taken to the number
-    of callers that take it there (the cycle counts them down in place);
-    every caller passes the same start, estimate and target. The first
-    call starts the loop (``_start``) and runs it to the shortest length.
-    A resumable loop then pauses at each length in increasing order, and is
-    resumed by the first call that asks for a length it has not reached;
-    the smooth loop, which does not resume, runs again from the start for
-    each length. At each pause a ``_Snapshot`` of the trace so far is kept;
-    a later length continues the trace bit for bit, since nothing a generic
-    or composite step computes depends on the cycle's length. Each taker
-    gets a trace of its own, and every taker of a length but the last its
-    own copy of the final point, so no two share a list or a final point.
-    The loop and its trace are dropped at the last pause, and a snapshot
-    when its last taker takes it. A length may keep an error message
-    instead, which its takers raise as ``DivergenceError`` (only
-    ``_lockstep`` keeps one).
+    ``takers[start]`` holds the lengths runs take the cycle from ``start``
+    to, and ``children[start, length]`` is the start of the cycle that runs
+    going on from there take next. Start 0 runs from x0 and L0, and every
+    target is 0. A smooth form runs the tree in lockstep (``_lockstep``).
+    Otherwise the starts are walked in numbering order, parents first, and
+    each start's resumable loop is sent its lengths in increasing order.
+    Whatever a start raises is kept for the lengths it has not reached, and
+    the first run to take one raises it; a start whose parent failed first
+    is not run, since no run reaches it. Returns, for every start run, its
+    snapshot or exception at each length.
     """
-
-    __slots__ = ("_takers", "_ahead", "_kept", "_loop", "_trace", "_target")
-
-    def __init__(self, takers: dict[int, int]):
-        self._takers = takers
-        self._ahead = sorted(takers, reverse=True)  # lengths still to reach, next last
-        self._kept: dict[int, _Snapshot | str] = {}
-        self._loop = self._trace = self._target = None
-
-    @property
-    def done(self) -> bool:
-        """Whether every taker has taken the cycle."""
-        return not (self._ahead or self._kept)
-
-    def take(self, oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
-             budget: int, stop: Optional[Callable[[Vector, float], bool]],
-             f_star: Optional[float]) -> tuple[Vector, Trace]:
-        """The final point and trace of the cycle's first ``budget`` steps."""
-        while budget not in self._kept:
-            self._pause(oracle, x0, epsilon, L0, stop, f_star)
-        kept = self._kept[budget]
-        if isinstance(kept, str):
-            raise DivergenceError(kept)
-        self._takers[budget] -= 1
-        more = self._takers[budget] > 0
-        if not more:
-            del self._kept[budget]
-        trace = kept.trace(copy_point=more)
-        return trace.final_point, trace
-
-    def _pause(self, oracle, x0, epsilon, L0, stop, f_star) -> None:
-        length = self._ahead.pop()
-        if self._loop is not None:
-            trace = self._trace
-            y, L_hat = self._loop.send(length)
-        else:
-            x0, trace, _, Qx0 = _start(oracle, x0, L0, length, f_star)
-            self._target = epsilon if epsilon > 0 else None
-            if oracle.quadratic is None:
-                self._loop = _ufgm(oracle, x0, epsilon, float(L0), length, stop, trace)
-            elif oracle.prox is not None:
-                self._loop = _ufgm_on_form(oracle, x0, Qx0, epsilon, float(L0), length,
-                                           stop, trace)
-            if self._loop is None:
-                y, L_hat = _ufgm_on_smooth_form(oracle, x0, Qx0, epsilon, float(L0),
-                                                length, stop, trace)
-            else:
-                self._trace = trace
-                y, L_hat = next(self._loop)
-        if not self._ahead:
-            self._loop = self._trace = None
-        values = trace.values
-        self._kept[length] = _Snapshot(
-            values, len(values), values[-1], self._target, y, L_hat, trace.f_star,
-            trace.f_initial, trace.n_value, trace.n_grad, trace.n_prox, trace.backtracks,
-            trace.max_L_hat, tuple(trace.notes))
-
-    def _fill(self, kept: dict[int, _Snapshot | str]) -> None:
-        """Keep a snapshot or an error for every length, so no take runs a loop."""
-        self._ahead, self._kept = [], kept
+    if oracle.quadratic is not None and oracle.prox is None:
+        return _lockstep(oracle, x0, float(L0), f_star, takers, children)
+    kept: dict[int, dict[int, _Snapshot | Exception]] = {}
+    points = {0: (x0, L0)}
+    for start, lengths in sorted(takers.items()):
+        if start not in points:
+            continue
+        snapshots = kept[start] = {}
+        x, L = points.pop(start)
+        try:
+            x, trace, _, Qx = _start(oracle, x, L, max(lengths), f_star)
+            loop = _resumable(oracle, x, Qx, 0.0, float(L), 0, None, trace)
+            next(loop)
+            for length in sorted(lengths):
+                y, L_hat = loop.send(length)
+                child = children.get((start, length))
+                if child is not None:  # every run that takes this length goes on
+                    points[child] = y, L_hat
+                    y = None
+                snapshots[length] = _Snapshot(
+                    trace.values, length, trace.values[-1], y, L_hat, f_star,
+                    trace.f_initial, trace.n_value, trace.n_grad, trace.n_prox,
+                    trace.backtracks, trace.max_L_hat, tuple(trace.notes))
+        except Exception as exc:  # a single run would raise it, of whatever type
+            for length in lengths:
+                snapshots.setdefault(length, exc)
+    return kept
 
 
-class _Lockstep(_Cycle):
-    """The first cycle of a grid on a smooth form whose Q is an array.
-
-    Its first take runs every cycle of the plan tree in lockstep
-    (``_lockstep``) and fills this cycle and each other start's ``_Cycle``
-    in ``cycles``, so every take that follows hands out a kept snapshot.
-    ``takers`` and ``children`` are the tree (see ``_lockstep``).
-    """
-
-    __slots__ = ("_tree", "_cycles")
-
-    def __init__(self, takers: dict[int, dict[int, int]],
-                 children: dict[tuple[int, int], int], cycles: dict[int, _Cycle]):
-        super().__init__(takers[0])
-        self._tree = takers, children
-        self._cycles = cycles
-
-    def _pause(self, oracle, x0, epsilon, L0, stop, f_star) -> None:
-        takers, children = self._tree
-        kept = _lockstep(oracle, x0, epsilon, float(L0), f_star, takers, children)
-        self._fill(kept.pop(0))
-        for start, snapshots in kept.items():
-            cycle = self._cycles[start] = _Cycle(takers[start])
-            cycle._fill(snapshots)
-
-
-def _grid_cycles(oracle: ProximalOracle, takers: dict[int, dict[int, int]],
-                 children: dict[tuple[int, int], int]) -> dict[int, _Cycle]:
-    """The grid's cycles by start: start 0's if the grid runs in lockstep.
-
-    A grid runs in lockstep on a smooth form (no prox) whose Q is an
-    ``np.ndarray``. Then start 0, the cycle every run takes first, is a
-    ``_Lockstep``, whose first take puts every other start's cycle in the
-    returned dict. Otherwise the dict is empty and the grid makes each
-    ``_Cycle`` when a run first reaches its start.
-    """
-    form = oracle.quadratic
-    cycles: dict[int, _Cycle] = {}
-    if form is not None and oracle.prox is None and isinstance(form.Q, np.ndarray):
-        cycles[0] = _Lockstep(takers, children, cycles)
-    return cycles
+def _resumable(oracle: ProximalOracle, x0: Vector, Qx0: Optional[Vector], epsilon: float,
+               L_hat: float, budget: int, stop: Optional[Callable[[Vector, float], bool]],
+               trace: Trace) -> Generator[tuple[Vector, float], int, None]:
+    """The resumable UFGM loop of an oracle that is no smooth form."""
+    if oracle.quadratic is None:
+        return _ufgm(oracle, x0, epsilon, L_hat, budget, stop, trace)
+    return _ufgm_on_form(oracle, x0, Qx0, epsilon, L_hat, budget, stop, trace)
 
 
 def _coupling(A: float, L_hat: float) -> tuple[float, float]:
@@ -867,13 +810,14 @@ def _smooth_trial(gram: list, A: float, S: float, L_hat: float, epsilon: float,
 
 
 def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
-                  rows: np.ndarray) -> list[float]:
+                  rows: np.ndarray, errors: Optional[dict[int, Exception]] = None
+                  ) -> list[float]:
     """Fill rows 0-6 of the smooth loop's state at k cycle starts; return each S.
 
     ``X`` and ``QX`` hold the starts and their images, ``L0`` their
     estimates and ``rows`` their states. Every operation acts on each start
-    as the loop's would on it alone: the products of Q are one ``Q @`` each,
-    or one ``np.matmul`` over the stack when Q is an array.
+    as the loop's would on it alone (the products through ``_products``,
+    which puts what they raise into ``errors``, when given).
     """
     G = QX - h
     # each first gradient over P = L0 2^j, j >= 0 just large enough to keep
@@ -882,10 +826,7 @@ def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
     P = np.array([[math.ldexp(L, max(math.frexp(g)[1] - math.frexp(L)[1], 0))]
                   for g, L in zip(np.abs(G).max(axis=1).tolist(), L0)])
     V = G / P
-    if isinstance(Q, np.ndarray):
-        QV = np.matmul(Q, V[:, :, None])[:, :, 0]
-    else:
-        QV = np.array([Q @ v for v in V])
+    QV = _products(Q, V, np.empty_like(V), errors)
     S = []
     for L, v, Qv in zip(L0, V, QV):
         vv, vQv = float(np.vdot(v, v)), float(np.vdot(v, Qv))
@@ -901,15 +842,36 @@ def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
     return S
 
 
+def _products(Q, V: np.ndarray, out: np.ndarray,
+              errors: Optional[dict[int, Exception]] = None) -> np.ndarray:
+    """Write Q v into ``out`` for each row v of V, as the smooth loop's ``Q @ v``.
+
+    When Q is an array this is one ``np.matmul`` over the stack, which makes
+    for each row the BLAS call ``Q @ v`` makes; otherwise it is that call,
+    and what it raises goes into ``errors`` by row, when given.
+    """
+    if isinstance(Q, np.ndarray):
+        np.matmul(Q, V[..., None], out=out[..., None])
+        return out
+    for k, v in enumerate(V):
+        try:
+            out[k] = Q @ v
+        except Exception as exc:
+            if errors is None:
+                raise
+            errors[k] = exc
+    return out
+
+
 def _reanchor(rows: np.ndarray, Q, h: Vector, S: float) -> None:
     """Recompute the smooth loop's gradient and image rows from fresh products."""
     for k in (2, 3, 4, 5):
         rows[k] = (Q @ rows[k - 2] - (h if k < 4 else 0.0)) / S
 
 
-def _ladder(gram: np.ndarray, AS: np.ndarray, L_hat: np.ndarray, epsilon: float,
+def _ladder(gram: np.ndarray, AS: np.ndarray, L_hat: np.ndarray,
             out: np.ndarray) -> np.ndarray:
-    """The smooth loop's trials of k columns at L_hat 2^m, m = 0, ..., 7.
+    """The smooth loop's trials of k columns at L_hat 2^m, m = 0, ..., 7, at target 0.
 
     ``gram`` holds the columns' 4x5 Gram matrices, ``AS`` their A and S
     and ``L_hat`` their estimates. ``out``, (14, k, 8), receives u = 1 - tau,
@@ -938,10 +900,8 @@ def _ladder(gram: np.ndarray, AS: np.ndarray, L_hat: np.ndarray, epsilon: float,
     gQg = u * (u * hyy + tau * (hyz + hzy)) + tt * hzz
     Ss = S * s
     curvature = Ss * s * gQg
-    bound = Ss * gg
-    if epsilon:  # adding tau * 0 changes no comparison
-        bound += tau * epsilon
-    return np.isfinite(curvature) & (curvature <= bound)
+    # the loop adds tau * 0 to the bound, which changes no comparison
+    return np.isfinite(curvature) & (curvature <= Ss * gg)
 
 
 # where the step matrix's entries set at each step (see the smooth loop) are
@@ -950,16 +910,12 @@ _STEP_CELLS = np.array([0, 18, 36, 1, 19, 37, 2, 20, 3, 21, 10, 28, 11, 29, 39, 
 _STEP_SOURCES = np.array([0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 6, 6, 7, 7, 5, 8])
 
 
-def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
-              f_star: Optional[float], takers: dict[int, dict[int, int]],
-              children: dict[tuple[int, int], int]
-              ) -> dict[int, dict[int, _Snapshot | str]]:
+def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
+              takers: dict[int, set[int]], children: dict[tuple[int, int], int]
+              ) -> dict[int, dict[int, _Snapshot | Exception]]:
     """Run every cycle of a grid's plan tree on a smooth form, one step per tick.
 
-    ``takers[start]`` maps each length that runs take the cycle from
-    ``start`` to, to their number, and ``children[start, length]`` is the
-    start of the cycle that runs going on from there take next. Start 0
-    runs from x0 and L0 at target ``epsilon``, as does every cycle. See the
+    The tree is ``_grid_snapshots``'s, and so is what this returns. See the
     module docstring. Each cycle is a column of the stacked state, the
     smooth loop's two buffers for every column; columns are kept in the
     first slots, the last one moving into the slot of one that retires.
@@ -967,12 +923,10 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
     tick's retirements), from that trace's final point and estimate, and
     retires at its longest length or at an error. A column whose ladder
     has no pass, or every column of a tick with few, runs the smooth loop's
-    scalar trial (``_smooth_trial``). Returns, for every start
-    reached, its snapshot or error at each length (see ``_Cycle``).
+    scalar trial (``_smooth_trial``).
     """
     form = oracle.quadratic
     Q, h, c = form.Q, form.h, form.c
-    target = epsilon if epsilon > 0 else None
     # the tick after which each cycle's column is made, its last step, and
     # for every tick the cycles with a taker or a re-anchor at its step
     born, events = {0: 0}, defaultdict(list)
@@ -980,8 +934,7 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
         born[child] = born[parent] + length
     last = {start: max(lengths) for start, lengths in takers.items()}
     for start, b in born.items():
-        for t in set(takers[start]).union(range(_REANCHOR_STEPS, last[start],
-                                                _REANCHOR_STEPS)):
+        for t in takers[start].union(range(_REANCHOR_STEPS, last[start], _REANCHOR_STEPS)):
             events[b + t].append(start)
     width = live = 0
     ends, births = Counter(born[s] + last[s] for s in born), Counter(born.values())
@@ -1005,23 +958,25 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
     values: list[list[float]] = []  # each column's values
     where: dict[int, int] = {}  # the column of each start
     f_initial: dict[int, float] = {}
-    kept: dict[int, dict[int, _Snapshot | str]] = {}
+    kept: dict[int, dict[int, _Snapshot | Exception]] = {}
     cur = 0
 
     def make(made: list[tuple[int, Vector, float]]) -> None:
         """Make the columns of the cycles that start from these points and estimates.
 
-        Each start's f(x0) is ``_start``'s, with its image Q x0 one
-        ``np.matmul`` over the stack; the estimates are valid by making.
+        Each start's f(x0) is ``_start``'s, with its image Q x0 from
+        ``_products``; the estimates are valid by making. A start whose
+        products raise keeps what they raise.
         """
         X = np.array([x for _, x, _ in made], dtype=float)
-        QX = np.matmul(Q, X[:, :, None])[:, :, 0]
+        errors: dict[int, Exception] = {}
+        QX = _products(Q, X, np.empty_like(X), errors)
         first, L0s, good = len(slots), [], []
         for k, (start, _, L_hat) in enumerate(made):
             kept[start] = {}
-            f = form.value(X[k], QX[k]) + oracle.psi(X[k])
+            f = math.nan if k in errors else form.value(X[k], QX[k]) + oracle.psi(X[k])
             if not math.isfinite(f):
-                fail(start, _NON_FINITE)
+                fail(start, errors.get(k, DivergenceError(_NON_FINITE)))
                 continue
             where[start] = len(slots)
             slots.append(start)
@@ -1035,10 +990,13 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
             return
         new = slice(first, len(slots))
         rows = state[cur, new]
-        S[new] = _smooth_start(Q, h, X, QX, L0s, rows)
+        errors.clear()
+        S[new] = _smooth_start(Q, h, X, QX, L0s, rows, errors)
         L[new] = top[new] = L0s
         A[new] = backs[new] = 0.0
         np.matmul(rows[:, :4], rows[:, 2:7].transpose(0, 2, 1), out=grams[new])
+        for start, error in [(slots[first + k], error) for k, error in errors.items()]:
+            fail(start, error)
 
     def retire(start: int) -> None:
         k, j = where.pop(start), len(slots) - 1
@@ -1052,7 +1010,7 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
         slots.pop()
         values.pop()
 
-    def fail(start: int, error: str) -> None:
+    def fail(start: int, error: Exception) -> None:
         for length in takers[start]:
             kept[start].setdefault(length, error)
         if start in where:
@@ -1071,22 +1029,26 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
                     made.append((child, point, L_hat))
                     point = None
                 kept[start][t] = _Snapshot(
-                    values[k], t, f, target, point, L_hat, f_star, f_initial[start],
+                    values[k], t, f, point, L_hat, f_star, f_initial[start],
                     1 + 2 * trials, trials, 0, backtracks, float(top[k]), ())
             else:
-                kept[start][t] = _NON_FINITE
+                kept[start][t] = DivergenceError(_NON_FINITE)
         if t == last[start]:
             retire(start)
             return
         if t % _REANCHOR_STEPS == 0:
             rows, scale = state[cur, k], float(S[k])
-            _reanchor(rows, Q, h, scale)
+            try:
+                _reanchor(rows, Q, h, scale)
+            except Exception as exc:  # from a Q that is no array
+                fail(start, exc)
+                return
             grams[k] = gram = rows[:4].dot(rows[2:7].T)
             f = values[k][-1] = 0.5 * scale * (float(gram[0, 0]) - float(gram[0, 4])) + c
         if not math.isfinite(f):
-            fail(start, _NON_FINITE)
+            fail(start, DivergenceError(_NON_FINITE))
 
-    _start(oracle, x0, L0, last[0], f_star)  # raises what a single run's first cycle would
+    x0 = _start(oracle, x0, L0, last[0], f_star)[0]  # raises what a first cycle would
     with np.errstate(all="ignore"):
         make([(0, x0, L0)])
         tick = 0
@@ -1096,7 +1058,7 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
             rows, new = state[cur, :C], state[1 - cur, :C]
             Ac, Sc, Lc, topc, backc = scalars[:, :C]
             if C > _SCALAR_TRIALS:
-                passed = _ladder(grams[:C], scalars[:2, :C], Lc, epsilon, ladder[:, :C])
+                passed = _ladder(grams[:C], scalars[:2, :C], Lc, ladder[:, :C])
                 m = passed.argmax(1)
                 level = ladder[:5, index[:C], m]
                 ok = passed[index[:C], m]
@@ -1108,9 +1070,9 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
                 start = slots[k]
                 try:
                     found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(),
-                                          epsilon, tick - born[start])
+                                          0.0, tick - born[start])
                 except DivergenceError as exc:
-                    failed[start] = str(exc)
+                    failed[start] = exc
                 else:
                     level[:, k], m[k] = found[:5], found[5]
             u, tau, s, a, L_hat = level
@@ -1122,7 +1084,10 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, epsilon: float, L0: float,
             UT[:C, 0, :2] = level[:2].T
             np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
             mix = np.matmul(W[:C], rows[:, 4:6])
-            np.matmul(Q, mix.reshape(C, n, 1), out=rows[:, 7, :, None])
+            errors = {}
+            _products(Q, mix.reshape(C, n), rows[:, 7], errors)
+            for k, exc in errors.items():  # after the trial's own error
+                failed.setdefault(slots[k], exc)
             np.negative(s, out=K[:C, 1, 0])
             np.multiply(a, -Sc, out=K[:C, 2, 0])
             steps.reshape(-1)[cells[:16 * C]] = (

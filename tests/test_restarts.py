@@ -43,6 +43,7 @@ from restartopt import solvers
 from test_solvers import CountingMatrix
 
 E = math.e
+_REANCHOR = solvers._REANCHOR_STEPS
 
 
 def grid_indices(N):
@@ -496,6 +497,25 @@ def assert_runs_are_scheduled(oracle, x0, N, L0=1.0):
     return out
 
 
+def assert_grid_raises_as_its_first_failing_run(oracle, x0, N, error):
+    """The grid raises what its first run in (i, j) order to fail raises alone.
+
+    Returns the (i, j) of that run, each run being ``restart_scheduled(..., cap=2N)``.
+    """
+    first = None
+    for i, j in grid_indices(N):
+        try:
+            restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
+        except error as exc:
+            first = (i, j), str(exc)
+            break
+    assert first is not None
+    with pytest.raises(error) as raised:
+        adaptive_grid(oracle, x0, N, 1.0)
+    assert str(raised.value) == first[1]
+    return first[0]
+
+
 @pytest.fixture
 def lockstep_calls(monkeypatch):
     """The calls the grid makes to the lockstep engine."""
@@ -526,31 +546,23 @@ class TestSharedGrid:
                 assert out.runs[(i, 7)].cycles[0][0] > 2**i
                 assert out.runs[(i, 0)].values[k] != out.runs[(i, 7)].values[k]
 
-    def test_divergence_surfaces_as_in_per_run_order(self):
-        # the generic oracle raises once a value falls below 1e-10; runs
+    @pytest.mark.parametrize("error, floor", [(DivergenceError, 1e-10), (ValueError, 1e-6)])
+    def test_divergence_surfaces_as_in_per_run_order(self, error, floor):
+        # the generic oracle raises once a value falls below the floor; runs
         # reach that at different steps, and the grid must raise what the
-        # first of them in (i, j) order raises
+        # first of them in (i, j) order raises, of whatever type: at 1e-6
+        # that is run (1, 1), while a longer cycle of start 0 raises first
         Q = make_quadratic(10, 100.0, seed=3).oracle.quadratic.Q
 
         def value(x):
             v = 0.5 * float(x @ (Q @ x))
-            if v < 1e-10:
-                raise DivergenceError(f"value {v!r} fell below 1e-10")
+            if v < floor:
+                raise error(f"value {v!r} fell below {floor}")
             return v
 
         oracle = ProximalOracle(dimension=10, value=value, smooth_gradient=lambda x: Q @ x)
         x0 = make_quadratic(10, 100.0, seed=3).x0
-        first = None
-        for i, j in grid_indices(100):
-            try:
-                restart_scheduled(oracle, x0, grid_schedule(i, j), 100, 1.0, cap=200)
-            except DivergenceError as exc:
-                first = (i, j), str(exc)
-                break
-        assert first is not None and first[0] != (1, 0)
-        with pytest.raises(DivergenceError) as raised:
-            adaptive_grid(oracle, x0, 100, 1.0)
-        assert str(raised.value) == first[1]
+        assert assert_grid_raises_as_its_first_failing_run(oracle, x0, 100, error) != (1, 0)
 
     @pytest.mark.parametrize("L0", [1e-100, 1e100])
     def test_smooth_form_from_extreme_estimates(self, L0, lockstep_calls):
@@ -574,12 +586,30 @@ class TestSharedGrid:
         assert_runs_are_scheduled(inst.oracle, inst.x0, 500)
         assert len(lockstep_calls) == 1
 
-    def test_a_form_whose_Q_is_no_array_takes_the_per_run_path(self, lockstep_calls):
+    @pytest.mark.parametrize("N", [33, 100])
+    def test_a_form_whose_Q_is_no_array_runs_in_lockstep(self, N, lockstep_calls):
+        # Q supports only @, so every product is one Q @ v; the tree costs
+        # two per cycle start (Q x0 and Q g0), one per distinct step and four
+        # per re-anchor (after every 32nd step but a cycle's longest), plus
+        # the one that checks the grid's f(x0) first, whatever the rounding
         form = GRID_PATHS["smooth-form"]().quadratic
         M = CountingMatrix(form.Q)
         oracle = ProximalOracle.from_quadratic(QuadraticForm(M, form.h, form.c))
-        assert_runs_are_scheduled(oracle, np.zeros(form.h.shape[0]), 33)
-        assert lockstep_calls == [] and M.matvecs > 0
+        x0 = np.zeros(form.h.shape[0])
+        out = adaptive_grid(oracle, x0, N, 1.0)
+        products = M.matvecs
+        assert len(lockstep_calls) == 1
+        for (i, j), trace in out.runs.items():
+            ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
+            assert trace_state(trace) == trace_state(ref), (i, j)
+        longest = {}  # the longest length of each cycle start, keyed by the lengths before it
+        for i, j in grid_indices(N):
+            lengths = [length for _, length, _ in cycle_plan(grid_schedule(i, j), N, 2 * N)]
+            for k, length in enumerate(lengths):
+                key = tuple(lengths[:k])
+                longest[key] = max(longest.get(key, 0), length)
+        assert products == 1 + sum(2 + last + 4 * ((last - 1) // _REANCHOR)
+                                   for last in longest.values())
 
     @pytest.mark.parametrize("curvature, N", [(-0.2, 20), (-0.1, 33)])
     def test_smooth_form_divergence_surfaces_as_in_per_run_order(self, curvature, N,
@@ -591,18 +621,29 @@ class TestSharedGrid:
         Q = np.diag([1.0, 0.5, curvature])
         oracle = ProximalOracle.from_quadratic(QuadraticForm(Q, np.zeros(3)))
         x0 = np.array([1.0, 1.0, 1e-3])
-        first = None
-        with np.errstate(all="ignore"):  # the per-run loop's products overflow
-            for i, j in grid_indices(N):
-                try:
-                    restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
-                except DivergenceError as exc:
-                    first = (i, j), str(exc)
-                    break
-        assert first is not None and first[0] != (1, 0)
-        with pytest.raises(DivergenceError) as raised:
-            adaptive_grid(oracle, x0, N, 1.0)
-        assert str(raised.value) == first[1]
+        first = assert_grid_raises_as_its_first_failing_run(oracle, x0, N, DivergenceError)
+        assert first != (1, 0)
+        assert len(lockstep_calls) == 1
+
+    @pytest.mark.parametrize("floor, first", [(1e-4, (1, 0)), (1e-6, (1, 1))])
+    def test_an_error_of_a_Q_that_is_no_array_surfaces_as_in_per_run_order(
+            self, floor, first, lockstep_calls):
+        # Q refuses the product of a vector shorter than the floor; the
+        # lockstep's columns reach such a vector at different ticks, and the
+        # grid must raise what the first run in (i, j) order raises
+        inst = make_quadratic(10, 100.0, seed=3)
+        A = inst.oracle.quadratic.Q
+
+        class ShortVectorsRefused:
+            def __matmul__(self, x):
+                norm = float(np.linalg.norm(x))
+                if norm < floor:
+                    raise ValueError(f"norm {norm!r} below {floor}")
+                return A @ x
+
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(ShortVectorsRefused(), np.zeros(10)))
+        assert assert_grid_raises_as_its_first_failing_run(
+            oracle, inst.x0, 100, ValueError) == first
         assert len(lockstep_calls) == 1
 
     def test_two_grids_in_a_row_are_equal(self):

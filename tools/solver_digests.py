@@ -7,8 +7,10 @@ every starting estimate L0 in {1e-100, 1, 1e100} and every budget N in
 {4, 33, 100}, prints one line for ``adaptive_grid`` and one line for each
 of its schemes run alone as ``restart_scheduled(..., cap=2N)``:
 
-* smooth forms: least squares (40x10, cond 100) and a generated quadratic
-  (``make_quadratic``, dimension 12, cond 100);
+* smooth forms: least squares (40x10, cond 100), a generated quadratic
+  (``make_quadratic``, dimension 12, cond 100), and the least squares again
+  with its Q wrapped in an object that has only ``__matmul__``, so that
+  every product goes through ``Q @ v`` and not through ``np.matmul``;
 * composite forms: LASSO (the l1 prox) and dual SVM (the box prox);
 * generic: logistic, and the LASSO with ``quadratic=None``.
 
@@ -29,6 +31,16 @@ import os
 import sys
 
 
+class MatmulOnly:
+    """A matrix that supports ``Q @ v`` and nothing else."""
+
+    def __init__(self, Q):
+        self._Q = Q
+
+    def __matmul__(self, v):
+        return self._Q @ v
+
+
 def trace_key(trace) -> str:
     floats = [v.hex() for v in trace.values]
     return repr((
@@ -45,8 +57,13 @@ def main(src: str) -> None:
 
     typed = (ro.DivergenceError, ConfigError, ro.DatasetFormatError)
     lasso = ro.make_lasso(*ro.synthetic_regression(40, 10, cond=100.0, seed=2))
+    least_squares = ro.make_least_squares(*ro.synthetic_regression(40, 10, cond=100.0, seed=1))
+    form = least_squares.oracle.quadratic
     instances = {
-        "least-squares": ro.make_least_squares(*ro.synthetic_regression(40, 10, cond=100.0, seed=1)),
+        "least-squares": least_squares,
+        "least-squares-matmul-only": dataclasses.replace(
+            least_squares, oracle=ro.ProximalOracle.from_quadratic(
+                ro.QuadraticForm(MatmulOnly(form.Q), form.h, form.c))),
         "quadratic": ro.make_quadratic(12, 100.0, seed=5),
         "lasso": lasso,
         "dual-svm": ro.make_dual_svm(*ro.synthetic_classification(40, 6, cond=100.0, seed=3)),
