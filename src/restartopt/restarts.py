@@ -42,7 +42,7 @@ import numpy as np
 
 from .bounds import optimal_constant_holder, optimal_constant_smooth
 from .core import DerivedConditioning, ProximalOracle, Vector, require_finite
-from .solvers import Trace, _check_finite, _grid_snapshots, universal_fast_gradient
+from .solvers import Trace, _grid_snapshots, _start, universal_fast_gradient
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,16 @@ def optimal_schedule_holder(
     return Schedule(C=optimal_constant_holder(cond, eps0, c), alpha=cond.tau), cond.q
 
 
-def _new_trace(x0: Vector, L0: float, f_star: Optional[float]) -> Trace:
-    """Empty scheme trace whose final point and estimate start the first cycle."""
-    return Trace(final_point=np.array(x0, dtype=float), final_L_hat=float(L0),
-                 f_star=f_star, max_L_hat=float(L0))
+def _started_trace(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
+                   budget: int) -> Trace:
+    """A scheme trace that has recorded f(x0), as a solver's start does.
 
-
-def _record_start(trace: Trace, oracle: ProximalOracle, budget: int) -> Trace:
-    """Check the budget and record f(x0) as ``f_initial``; DivergenceError if not finite."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    trace.f_initial = oracle.smooth_value(trace.final_point) + oracle.psi(trace.final_point)
-    trace.n_value += 1
-    _check_finite(math.isfinite(trace.f_initial))
+    Its final point and estimate, x0 and L0, start the first cycle. Raises
+    ValueError on a budget below 1 or an invalid L0, and DivergenceError
+    if f(x0) is not finite.
+    """
+    x, trace, _, _ = _start(oracle, x0, L0, budget, f_star)
+    trace.final_point, trace.final_L_hat = x, float(L0)
     return trace
 
 
@@ -112,29 +109,17 @@ def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations:
                shared: Optional[Callable[[], dict]] = None) -> None:
     """Run one cycle of the universal method and append it to the scheme's trace.
 
-    The cycle is warm-started from the trace's final point and estimate.
-    Its values and its one ``(length, target)`` record are appended, and
-    the trace takes over its final point and estimate, from which the
-    next cycle starts. In a grid search ``shared`` returns the snapshots
-    of the cycle's start, and the cycle hands out the one at its length
-    (see ``adaptive_grid``).
+    The cycle is warm-started from the trace's final point and estimate,
+    and ``Trace.extend`` appends it, so the next cycle starts from its
+    final point and estimate. In a grid search ``shared`` returns the
+    traces kept at the cycle's start, and the cycle hands out a copy of
+    the one at its length (see ``adaptive_grid``).
     """
-    _, sub = universal_fast_gradient(
+    _, cycle = universal_fast_gradient(
         oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
         f_star=trace.f_star, _cycle=shared,
     )
-    if trace.f_initial is None:
-        trace.f_initial = sub.f_initial
-    trace.values.extend(sub.values)
-    trace.cycles.extend(sub.cycles)
-    trace.n_value += sub.n_value
-    trace.n_grad += sub.n_grad
-    trace.n_prox += sub.n_prox
-    trace.backtracks += sub.backtracks
-    trace.max_L_hat = max(trace.max_L_hat, sub.max_L_hat)
-    trace.notes.extend(sub.notes)
-    trace.final_point = sub.final_point
-    trace.final_L_hat = sub.final_L_hat
+    trace.extend(cycle)
 
 
 def cycle_plan(schedule: Schedule, budget: int, cap: int, eps0: float = 0.0,
@@ -168,7 +153,8 @@ def _scheduled(oracle: ProximalOracle, x0: Vector, plan: list[tuple[float, int, 
 
     ``shared``, from the grid search, holds each cycle's ``_run_cycle`` argument.
     """
-    trace = _new_trace(x0, L0, f_star)
+    # the first cycle starts from the trace's final point and estimate
+    trace = Trace(final_point=np.array(x0, dtype=float), final_L_hat=float(L0), f_star=f_star)
     for k, (planned, length, target) in enumerate(plan, start=1):
         if length < planned:
             trace.notes.append(
@@ -247,7 +233,7 @@ def criterion_restart(
     require_finite(f_star=f_star, gamma=gamma)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    trace = _record_start(_new_trace(x0, L0, f_star), oracle, budget)
+    trace = _started_trace(oracle, x0, L0, f_star, budget)
     eps_k = trace.f_initial - f_star
     require_finite(starting_gap=eps_k)  # an infinite target would never shrink
     if eps_k <= 0.0:
@@ -352,14 +338,16 @@ def adaptive_grid(
     cycle of the first run runs the whole tree once (``_grid_snapshots``),
     inside its ``universal_fast_gradient`` call: each start's cycle runs to
     the longest length a run takes it to, and its trace is kept at every
-    such length. This is exact because every run starts from x0 and L0,
-    every target is 0, and nothing a step computes depends on the cycle's
-    length but the smooth loop's last-step re-anchor, which a kept trace
-    reproduces for the runs that end there. So each run's values, cycles,
-    notes, oracle counters, backtracks, estimates and final point are
-    bitwise those of its own ``restart_scheduled(..., cap=2N)``. Every cycle
-    of every run is still one ``universal_fast_gradient`` call, which hands
-    out the kept trace at its length, and runs are taken in (i, j) order:
+    such length, as a ``Trace`` of one cycle. This is exact because every
+    run starts from x0 and L0, every target is 0, and nothing a step
+    computes depends on the cycle's length but the smooth loop's last-step
+    re-anchor; a trace kept where the cycle goes on is copied before that
+    re-anchor, so it holds the value the runs that end there report. So
+    each run's values, cycles, notes, oracle counters, backtracks,
+    estimates and final point are bitwise those of its own
+    ``restart_scheduled(..., cap=2N)``. Every cycle of every run is still
+    one ``universal_fast_gradient`` call, which hands out a copy of the
+    kept trace at its length, and runs are taken in (i, j) order:
     an exception a cycle raises is kept for every length it had not
     reached, so the grid raises what the first failing run raises alone.
     The kept traces live until this call returns.
@@ -406,7 +394,7 @@ def monotone_restart(
     ``quadratic=None``) can restart at different iterates and a different
     number of times, though their final values agree.
     """
-    trace = _record_start(_new_trace(x0, L0, f_star), oracle, budget)
+    trace = _started_trace(oracle, x0, L0, f_star, budget)
     while (used := trace.accepted) < budget:
         f_prev = trace.final_f
 

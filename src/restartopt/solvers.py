@@ -2,18 +2,22 @@
 
 Three solvers: backtracking gradient descent, Nesterov's accelerated
 gradient method, and the universal fast gradient method (UFGM). The
-accelerated method is the UFGM run with target accuracy 0. All three
-share one line search: each trial takes a (proximal) gradient step at
-1/L_hat and tests the quadratic descent condition, relaxed by
-tau * epsilon / 2 in the UFGM (``_trial``); a failed trial doubles the
-estimate. Every loop doubles in place and counts backtracks and the
-largest estimate in locals, which it adds to the trace when it ends or
-pauses. The generic test compares values, which rounding alone can
-fail, so a step that has doubled 120 times is accepted with a note; only
-that doubling, or one that would overflow, goes through ``_double``. The
-estimate is halved after every accepted step, and the final one is
-reported so restart schemes can warm-start the next cycle. The UFGM
-evaluates f0 and its gradient at each trial point with one
+accelerated method is the UFGM run with target accuracy 0. Each trial
+of a line search takes a (proximal) gradient step at 1/L_hat and tests
+the quadratic descent condition, relaxed by tau * epsilon / 2 in the
+UFGM; a failed trial doubles the estimate. The test is the path's: the
+generic paths call ``_trial``; on a form, gradient descent calls
+``_quadratic_trial`` and the composite UFGM loop inlines its difference
+form; the smooth-form UFGM runs ``_smooth_trial`` on its Gram scalars,
+and the lockstep grid ``_ladder``, the same over columns and eight
+estimates (see below). Every loop doubles in place and counts backtracks
+and the largest estimate in locals, which it adds to the trace when it
+ends or pauses. The generic test compares values of f0, which rounding
+alone can fail, so a step that has doubled 120 times is accepted with a
+note; only that doubling, or one that would overflow, goes through
+``_double``. The estimate is halved after every accepted step, and the
+final one is reported so restart schemes can warm-start the next cycle.
+The UFGM evaluates f0 and its gradient at each trial point with one
 ``ProximalOracle.smooth_eval`` call, which shares their common work when
 the oracle supplies a fused evaluation.
 
@@ -93,14 +97,14 @@ of 32 reports a value there that differs in its last bits from the one a
 longer cycle reports.
 
 The grid search runs its plan tree once, up front (``_grid_snapshots``):
-every distinct cycle runs once, and its trace is kept at each length a
-run takes it to, with the value from before the re-anchor if the cycle
-goes on. Each run's ``universal_fast_gradient`` call then hands out its
-own copy of the kept trace, or raises the kept exception. Composite and
-generic cycles run their resumable loop, start by start. A smooth form's
-cycles run in lockstep (``_lockstep``): one accepted step per tick for
-every active cycle, each a column of stacked arrays. It is bitwise the
-smooth loop. Its trial scalars are the loop's IEEE operations, done
+every distinct cycle runs once, and its trace, a ``Trace`` of one cycle,
+is kept at each length a run takes it to, copied before any re-anchor
+where the cycle goes on. Each run's ``universal_fast_gradient`` call
+then hands out its own copy of the kept trace, or raises the kept
+exception. Composite and generic cycles run their resumable loop, start
+by start. A smooth form's cycles run in lockstep (``_lockstep``): one
+accepted step per tick for every active cycle, each a column of stacked
+arrays. It is bitwise the smooth loop. Its trial scalars are the loop's IEEE operations, done
 elementwise in the same order, for the estimates L_hat 2^m, m = 0..7, at
 once (doubling is exact); the first level that passes is the loop's. Its
 step, Gram matrix and mix are ``np.matmul`` over stacked operands, which
@@ -244,6 +248,33 @@ class Trace:
 
     def oracle_calls(self) -> int:
         return self.n_value + self.n_grad + self.n_prox
+
+    def copy(self) -> Trace:
+        """A trace equal to this one whose lists and final point are its own."""
+        # positional, in field order: cheaper than keywords, once per grid cycle taken
+        point = None if self.final_point is None else self.final_point.copy()
+        return Trace(self.values.copy(), self.cycles.copy(), point, self.final_L_hat,
+                     self.f_star, self.f_initial, self.n_value, self.n_grad, self.n_prox,
+                     self.backtracks, self.max_L_hat, self.notes.copy())
+
+    def extend(self, cycle: Trace) -> None:
+        """Append a run warm-started from this trace's final point and estimate.
+
+        Its values, cycles, notes and counters are added to this trace's,
+        ``f_initial`` is its own if this trace has none yet, and the final
+        point and estimate, from which a next run starts, become its own.
+        """
+        if self.f_initial is None:
+            self.f_initial = cycle.f_initial
+        self.values += cycle.values
+        self.cycles += cycle.cycles
+        self.notes += cycle.notes
+        self.n_value += cycle.n_value
+        self.n_grad += cycle.n_grad
+        self.n_prox += cycle.n_prox
+        self.backtracks += cycle.backtracks
+        self.max_L_hat = max(self.max_L_hat, cycle.max_L_hat)
+        self.final_point, self.final_L_hat = cycle.final_point, cycle.final_L_hat
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
@@ -472,7 +503,7 @@ def universal_fast_gradient(
     stop: Optional[Callable[[Vector, float], bool]] = None,
     *,
     f_star: Optional[float] = None,
-    _cycle: Optional[Callable[[], dict[int, _Snapshot | Exception]]] = None,
+    _cycle: Optional[Callable[[], dict[int, Trace | Exception]]] = None,
 ) -> tuple[Vector, Trace]:
     """Universal fast gradient method with target accuracy ``epsilon``.
 
@@ -503,7 +534,7 @@ def universal_fast_gradient(
     Returns the final point and its trace.
 
     ``_cycle`` is for the grid search only: a callable that returns the
-    snapshots of the cycle's start (see ``_grid_snapshots``).
+    traces kept at the cycle's start (see ``_grid_snapshots``).
     """
     require_finite(epsilon=epsilon)
     if epsilon < 0:
@@ -512,7 +543,7 @@ def universal_fast_gradient(
         kept = _cycle()[budget]
         if isinstance(kept, Exception):
             raise kept
-        trace = kept.trace()
+        trace = kept.copy()
         return trace.final_point, trace
     x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
     if oracle.quadratic is not None and oracle.prox is None:
@@ -526,45 +557,9 @@ def universal_fast_gradient(
     return y, trace
 
 
-class _Snapshot(NamedTuple):
-    """A grid cycle's trace at one length, as ``_grid_snapshots`` keeps it.
-
-    ``values`` is the cycle's list of values, which may have grown past
-    ``length`` since; the trace's values are its first ``length`` with the
-    last one ``last`` (the smooth loop's value before a re-anchor that a
-    longer cycle makes). Its target is 0. The other fields are the trace's
-    own; ``final_point`` is ``None`` where runs go on to a next cycle.
-    """
-
-    values: list[float]
-    length: int
-    last: float
-    final_point: Optional[Vector]
-    final_L_hat: float
-    f_star: Optional[float]
-    f_initial: Optional[float]
-    n_value: int
-    n_grad: int
-    n_prox: int
-    backtracks: int
-    max_L_hat: float
-    notes: tuple[str, ...]
-
-    def trace(self) -> Trace:
-        """A trace with lists and a final point of its own, for one run that takes it."""
-        values = self.values[:self.length]
-        values[-1] = self.last
-        point = None if self.final_point is None else self.final_point.copy()
-        return Trace(values=values, cycles=[(self.length, None)], final_point=point,
-                     final_L_hat=self.final_L_hat, f_star=self.f_star,
-                     f_initial=self.f_initial, n_value=self.n_value, n_grad=self.n_grad,
-                     n_prox=self.n_prox, backtracks=self.backtracks,
-                     max_L_hat=self.max_L_hat, notes=list(self.notes))
-
-
 def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
                     takers: dict[int, set[int]], children: dict[tuple[int, int], int]
-                    ) -> dict[int, dict[int, _Snapshot | Exception]]:
+                    ) -> dict[int, dict[int, Trace | Exception]]:
     """Run every cycle of a grid's plan tree once; keep its trace at each length.
 
     ``takers[start]`` holds the lengths runs take the cycle from ``start``
@@ -576,19 +571,22 @@ def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optio
     Whatever a start raises is kept for the lengths it has not reached, and
     the first run to take one raises it; a start whose parent failed first
     is not run, since no run reaches it. Returns, for every start run, its
-    snapshot or exception at each length.
+    trace or exception at each length: a ``Trace`` of one cycle, a copy
+    where the loop goes on and its own at its last length, whose final
+    point is ``None`` where runs go on.
     """
     if oracle.quadratic is not None and oracle.prox is None:
         return _lockstep(oracle, x0, float(L0), f_star, takers, children)
-    kept: dict[int, dict[int, _Snapshot | Exception]] = {}
+    kept: dict[int, dict[int, Trace | Exception]] = {}
     points = {0: (x0, L0)}
     for start, lengths in sorted(takers.items()):
         if start not in points:
             continue
-        snapshots = kept[start] = {}
+        traces = kept[start] = {}
         x, L = points.pop(start)
+        last = max(lengths)
         try:
-            x, trace, _, Qx = _start(oracle, x, L, max(lengths), f_star)
+            x, trace, _, Qx = _start(oracle, x, L, last, f_star)
             loop = _resumable(oracle, x, Qx, 0.0, float(L), 0, None, trace)
             next(loop)
             for length in sorted(lengths):
@@ -597,13 +595,11 @@ def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optio
                 if child is not None:  # every run that takes this length goes on
                     points[child] = y, L_hat
                     y = None
-                snapshots[length] = _Snapshot(
-                    trace.values, length, trace.values[-1], y, L_hat, f_star,
-                    trace.f_initial, trace.n_value, trace.n_grad, trace.n_prox,
-                    trace.backtracks, trace.max_L_hat, tuple(trace.notes))
+                trace.cycles, trace.final_point, trace.final_L_hat = [(length, None)], y, L_hat
+                traces[length] = trace if length == last else trace.copy()
         except Exception as exc:  # a single run would raise it, of whatever type
             for length in lengths:
-                snapshots.setdefault(length, exc)
+                traces.setdefault(length, exc)
     return kept
 
 
@@ -912,7 +908,7 @@ _STEP_SOURCES = np.array([0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 6, 6, 7, 7, 5, 8])
 
 def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
               takers: dict[int, set[int]], children: dict[tuple[int, int], int]
-              ) -> dict[int, dict[int, _Snapshot | Exception]]:
+              ) -> dict[int, dict[int, Trace | Exception]]:
     """Run every cycle of a grid's plan tree on a smooth form, one step per tick.
 
     The tree is ``_grid_snapshots``'s, and so is what this returns. See the
@@ -958,7 +954,7 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
     values: list[list[float]] = []  # each column's values
     where: dict[int, int] = {}  # the column of each start
     f_initial: dict[int, float] = {}
-    kept: dict[int, dict[int, _Snapshot | Exception]] = {}
+    kept: dict[int, dict[int, Trace | Exception]] = {}
     cur = 0
 
     def make(made: list[tuple[int, Vector, float]]) -> None:
@@ -1028,9 +1024,12 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
                 if child is not None:  # every run that takes this length goes on
                     made.append((child, point, L_hat))
                     point = None
-                kept[start][t] = _Snapshot(
-                    values[k], t, f, point, L_hat, f_star, f_initial[start],
-                    1 + 2 * trials, trials, 0, backtracks, float(top[k]), ())
+                # a column that goes on keeps a copy, taken before a re-anchor
+                kept[start][t] = Trace(
+                    values=values[k] if t == last[start] else values[k].copy(),
+                    cycles=[(t, None)], final_point=point, final_L_hat=L_hat, f_star=f_star,
+                    f_initial=f_initial[start], n_value=1 + 2 * trials, n_grad=trials,
+                    backtracks=backtracks, max_L_hat=float(top[k]))
             else:
                 kept[start][t] = DivergenceError(_NON_FINITE)
         if t == last[start]:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartopt import (
     DivergenceError,
@@ -40,10 +42,14 @@ from restartopt import (
     universal_fast_gradient,
 )
 from restartopt import solvers
+from restartopt.solvers import Trace
 from test_solvers import CountingMatrix
 
 E = math.e
 _REANCHOR = solvers._REANCHOR_STEPS
+
+
+SMALL_QUADRATIC = make_quadratic(5, 20.0, seed=3)
 
 
 def grid_indices(N):
@@ -298,6 +304,12 @@ class TestCriterionRestart:
         assert trace.accepted == 0
         assert trace.final_f == 0.0
         assert any("no cycles" in note for note in trace.notes)
+
+    def test_invalid_L0_is_rejected_without_a_cycle(self):
+        # a zero starting gap runs no cycle, so no cycle's start checks L0
+        inst = make_quadratic(5, 3.0, seed=31)
+        with pytest.raises(ValueError, match="^L0 must be positive, got -1.0$"):
+            criterion_restart(inst.oracle, np.zeros(5), 0.0, 1.0, 100, -1.0)
 
     def test_overshot_targets_are_tightened_without_a_cycle(self):
         # at gamma = 0.2 a cycle often ends below several later targets; the
@@ -759,6 +771,47 @@ class TestCyclePlan:
         ]
         h = h_restart(inst.oracle, inst.x0, 1.0, 0.5, schedule, 10, 1.0)
         assert [length for length, _ in h.cycles] == [length for _, length, _ in expected]
+
+    @settings(max_examples=60, deadline=None)
+    @given(C=st.floats(0.3, 40.0), alpha=st.floats(0.0, 2.0), budget=st.integers(1, 70),
+           extra=st.integers(0, 70), eps0=st.floats(1e-3, 10.0), gamma=st.floats(0.0, 2.0))
+    def test_random_plans_are_the_cycles_and_their_merge(self, C, alpha, budget, extra,
+                                                         eps0, gamma):
+        # each cycle replayed alone from the last one's point and estimate,
+        # and merged here field by field, is the scheme's trace
+        inst = SMALL_QUADRATIC
+        schedule, cap = Schedule(C, alpha), budget + extra
+        schemes = [
+            (restart_scheduled(inst.oracle, inst.x0, schedule, budget, 1.0,
+                               f_star=inst.f_star, cap=cap),
+             cycle_plan(schedule, budget, cap), "the cap" if extra else "the budget"),
+            (h_restart(inst.oracle, inst.x0, eps0, gamma, schedule, budget, 1.0,
+                       f_star=inst.f_star),
+             cycle_plan(schedule, budget, budget, eps0, gamma), "the budget"),
+        ]
+        for trace, plan, limit in schemes:
+            assert trace.cycles == [(length, target or None) for _, length, target in plan]
+            merged = Trace(final_point=inst.x0, final_L_hat=1.0, f_star=inst.f_star)
+            for k, (planned, length, target) in enumerate(plan, start=1):
+                if length < planned:
+                    merged.notes.append(
+                        f"cycle {k} truncated from {planned} to {length} iterations by {limit}")
+                point, cycle = universal_fast_gradient(
+                    inst.oracle, merged.final_point, target, merged.final_L_hat, length,
+                    f_star=inst.f_star)
+                if k == 1:
+                    merged.f_initial = cycle.f_initial
+                merged.values += cycle.values
+                merged.cycles += cycle.cycles
+                merged.notes += cycle.notes
+                merged.n_value += cycle.n_value
+                merged.n_grad += cycle.n_grad
+                merged.n_prox += cycle.n_prox
+                merged.backtracks += cycle.backtracks
+                merged.max_L_hat = max(merged.max_L_hat, cycle.max_L_hat)
+                merged.final_point, merged.final_L_hat = point, cycle.final_L_hat
+            assert trace_state(trace) == trace_state(merged)
+            assert trace.f_star == merged.f_star
 
     def test_validation_keeps_its_texts(self):
         inst = make_quadratic(5, 10.0, seed=0)

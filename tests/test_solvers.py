@@ -384,6 +384,18 @@ class TestUniversal:
             Trace(values=[3.0], cycles=[(1, None), (1, None)]).validate()
         Trace(values=[3.0, 2.0, 1.0], cycles=[(2, None), (1, 0.5)]).validate()
 
+    def test_copy_owns_its_lists_and_final_point(self):
+        inst = make_quadratic(5, 20.0, seed=3)
+        _, trace = accelerated(inst.oracle, inst.x0, 1.0, 9, f_star=0.0)
+        trace.notes.append("a note")
+        copy = trace.copy()
+        assert_traces_equal(copy, trace)
+        assert copy.values is not trace.values
+        assert copy.cycles is not trace.cycles
+        assert copy.notes is not trace.notes
+        assert not np.shares_memory(copy.final_point, trace.final_point)
+        assert Trace().copy().final_point is None
+
     def test_rows_are_derived_from_values_and_cycles(self):
         trace = Trace(values=[4.0, 3.0, 2.0, 1.5], cycles=[(1, None), (3, 0.25)], f_star=1.0)
         assert [tuple(e) for e in trace.entries] == [

@@ -17,7 +17,10 @@ the machine's load falls on both sides. Prints each timing, then for each
 instance each side's median and quartiles, the number of pairs each side
 won (the lower time wins), B's median over A's, and a verdict on B's gain
 by the benchmark's rule: B wins at least 9 in 10 of the pairs, and A's
-median exceeds B's by more than A's interquartile range.
+median exceeds B's by more than A's interquartile range. Last for each
+instance, it runs one more grid per side, untimed and under
+``tracemalloc`` (started after the instance is built), and prints its
+Python heap peak, which shows what the grid holds at once.
 """
 
 import argparse
@@ -44,18 +47,23 @@ N = 100
 }
 CHILD = """
 import time
+import tracemalloc
 from restartopt import adaptive_grid
 {setup}
+if {heap}:
+    tracemalloc.start()
 start = time.perf_counter()
 adaptive_grid(inst.oracle, inst.x0, N, 1.0)
-print(time.perf_counter() - start)
+elapsed = time.perf_counter() - start
+print(tracemalloc.get_traced_memory()[1] if {heap} else elapsed)
 """
 
 
-def time_once(src: str, instance: str) -> float:
+def run_grid(src: str, instance: str, heap: bool = False) -> float:
+    """The grid's time in seconds or, with ``heap``, its Python heap peak in bytes."""
     env = {**os.environ, **dict.fromkeys(THREADS, "1"), "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join([os.path.abspath(src), ROOT])}
-    child = CHILD.format(setup=INSTANCES[instance])
+    child = CHILD.format(setup=INSTANCES[instance], heap=heap)
     out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                          capture_output=True, text=True).stdout
     return float(out)
@@ -91,11 +99,11 @@ def main() -> None:
         a, b = [], []
         for k in range(args.pairs):
             if k % 2 == 0:
-                a.append(time_once(args.src_a, instance))
-                b.append(time_once(args.src_b, instance))
+                a.append(run_grid(args.src_a, instance))
+                b.append(run_grid(args.src_b, instance))
             else:
-                b.append(time_once(args.src_b, instance))
-                a.append(time_once(args.src_a, instance))
+                b.append(run_grid(args.src_b, instance))
+                a.append(run_grid(args.src_a, instance))
             print(f"{instance} pair {k + 1}: A {a[-1]:.4f} s, B {b[-1]:.4f} s", flush=True)
         print(f"{instance} A {args.src_a}: {summary(a)}")
         print(f"{instance} B {args.src_b}: {summary(b)}")
@@ -104,6 +112,9 @@ def main() -> None:
         print(f"{instance} pairs won: A {a_wins}, B {b_wins} of {args.pairs}")
         ratio = statistics.median(b) / statistics.median(a)
         print(f"{instance} B/A medians {ratio:.3f}; B's gain {verdict(a, b)}", flush=True)
+        peaks = [run_grid(src, instance, heap=True) / 1e6 for src in (args.src_a, args.src_b)]
+        print(f"{instance} Python heap peak of one untimed grid: "
+              f"A {peaks[0]:.2f} MB, B {peaks[1]:.2f} MB", flush=True)
 
 
 if __name__ == "__main__":

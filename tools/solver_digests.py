@@ -17,12 +17,14 @@ of its schemes run alone as ``restart_scheduled(..., cap=2N)``:
 It does the same for the Figure-1 least squares (208x60, cond 1e4, seed 1)
 at L0 = 1 and N = 500, where up to 80 grid cycles run at once.
 
-A line digests the trace's values, cycles, oracle counters, backtracks,
-largest and final estimates, notes and final point (for the grid, every
-run's digest, the best index and the total), or the error's type and
-message. Run it once per tree and diff the two listings: equal lines mean
-bitwise-equal runs. Exits 1 after the listing if any run raised an error
-other than ``DivergenceError``, ``ConfigError`` or ``DatasetFormatError``.
+Every run is given the instance's ``f_star`` (its optimum where known,
+else ``None``). A line digests the trace's values, cycles, oracle
+counters, backtracks, largest and final estimates, notes, final point,
+f(x0) and ``f_star`` (for the grid, every run's digest, the best index and
+the total), or the error's type and message. Run it once per tree and diff
+the two listings: equal lines mean bitwise-equal runs. Exits 1 after the
+listing if any run raised an error other than ``DivergenceError``,
+``ConfigError`` or ``DatasetFormatError``.
 """
 
 import dataclasses
@@ -41,12 +43,17 @@ class MatmulOnly:
         return self._Q @ v
 
 
+def hexed(v):
+    return None if v is None else v.hex()
+
+
 def trace_key(trace) -> str:
     floats = [v.hex() for v in trace.values]
     return repr((
         floats, trace.cycles, trace.n_value, trace.n_grad, trace.n_prox,
         trace.backtracks, trace.max_L_hat.hex(), trace.final_L_hat.hex(),
-        trace.notes, trace.final_point.tobytes().hex(),
+        trace.notes, trace.final_point.tobytes().hex(), hexed(trace.f_initial),
+        hexed(trace.f_star),
     ))
 
 
@@ -90,7 +97,7 @@ def main(src: str) -> None:
         tag = f"{name} L0={L0:g} N={N}"
 
         def grid():
-            out = ro.adaptive_grid(inst.oracle, inst.x0, N, L0)
+            out = ro.adaptive_grid(inst.oracle, inst.x0, N, L0, f_star=inst.f_star)
             runs = [(ij, trace_key(tr)) for ij, tr in sorted(out.runs.items())]
             return repr((runs, out.best, out.total_inner_iterations))
 
@@ -99,7 +106,8 @@ def main(src: str) -> None:
         for i in range(1, i_max + 1):
             for j in range(0, j_max + 1):
                 line(f"{tag} run ({i}, {j})", lambda: trace_key(ro.restart_scheduled(
-                    inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, cap=2 * N)))
+                    inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, f_star=inst.f_star,
+                    cap=2 * N)))
     if untyped:
         sys.exit(f"{untyped} run(s) failed with an untyped error")
 
