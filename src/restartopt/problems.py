@@ -278,14 +278,33 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _at_most_two(y: np.ndarray) -> Optional[np.ndarray]:
+    """``np.unique(y)`` where ``y`` takes at most two distinct values, else ``None``.
+
+    Finite labels are checked with their min, max and one comparison pass,
+    because ``np.unique`` imports all of ``numpy.ma`` (numpy 2.x), which
+    no run otherwise needs. Empty or non-finite labels go to ``np.unique``
+    itself, so NaN and inf behave as it has them. Where the labels hold
+    both +0.0 and -0.0, the zero returned may have either sign.
+    """
+    if y.size:
+        lo, hi = y.min(), y.max()
+        if math.isfinite(lo) and math.isfinite(hi):
+            if lo == hi:
+                return np.array([lo])
+            return np.array([lo, hi]) if ((y == lo) | (y == hi)).all() else None
+    values = np.unique(y)
+    return values if values.size <= 2 else None
+
+
 def _map_labels(y: np.ndarray) -> np.ndarray:
     """Map a two-valued label vector onto {-1, +1} (low -> -1, high -> +1)."""
-    values = np.unique(y)
-    if set(values.tolist()) <= {-1.0, 1.0}:
+    values = _at_most_two(y)
+    if values is not None and set(values.tolist()) <= {-1.0, 1.0}:
         return y.astype(float)
-    if values.size != 2:
+    if values is None or values.size != 2:
         raise ValueError(
-            f"classification labels must take exactly two values, got {values}"
+            f"classification labels must take exactly two values, got {np.unique(y)}"
         )
     return np.where(y == values[0], -1.0, 1.0)
 
@@ -501,11 +520,15 @@ def load_dataset(
             else:
                 data = _load_libsvm(path, source, dimension)
             datacache.store(source.key(), data)
-    X, y = data[:, :-1], data[:, -1]
-    values = np.unique(y)
-    if values.size == 2 and not set(values.tolist()) <= {-1.0, 1.0}:
-        y = np.where(y == values[0], -1.0, 1.0)
-    return X, y
+    return data[:, :-1], _dataset_targets(data[:, -1])
+
+
+def _dataset_targets(y: np.ndarray) -> np.ndarray:
+    """Two-valued targets mapped onto {-1, +1} (low -> -1); others, ``y`` itself."""
+    values = _at_most_two(y)
+    if values is not None and values.size == 2 and not set(values.tolist()) <= {-1.0, 1.0}:
+        return np.where(y == values[0], -1.0, 1.0)
+    return y
 
 
 def _is_parsed(data: np.ndarray, fmt: str) -> bool:

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import restartopt
 from restartopt import (
     DatasetFormatError,
     DivergenceError,
@@ -30,7 +34,13 @@ from restartopt import (
     synthetic_classification,
     synthetic_regression,
 )
-from restartopt.problems import _aligned, _parse_csv_lines, _read_csv_fast
+from restartopt.problems import (
+    _aligned,
+    _dataset_targets,
+    _map_labels,
+    _parse_csv_lines,
+    _read_csv_fast,
+)
 from conftest import reference_optimum
 
 
@@ -475,6 +485,111 @@ class TestLoadDataset:
         path.write_text("1,2\n")
         with pytest.raises(ValueError):
             load_dataset(str(path), fmt="parquet")
+
+
+# The label rules as they were when they called np.unique on every load.
+def unique_dataset_targets(y):
+    values = np.unique(y)
+    if values.size == 2 and not set(values.tolist()) <= {-1.0, 1.0}:
+        return np.where(y == values[0], -1.0, 1.0)
+    return y
+
+
+def unique_map_labels(y):
+    values = np.unique(y)
+    if set(values.tolist()) <= {-1.0, 1.0}:
+        return y.astype(float)
+    if values.size != 2:
+        raise ValueError(f"classification labels must take exactly two values, got {values}")
+    return np.where(y == values[0], -1.0, 1.0)
+
+
+def assert_bitwise_equal(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes(), (new, old)
+
+
+LABELS = [-1.0, 1.0, 0.0, -0.0, 2.0, 0.5, 1e300, math.nan, math.inf]
+# A few distinct labels first, so one, two and three or more values all come up often.
+LABEL_VECTORS = st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique_by=repr).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+).map(lambda labels: np.array(labels, dtype=float))
+
+
+class TestLabelRule:
+    """The min/max label check gives what np.unique gave, bit for bit."""
+
+    @settings(max_examples=400)
+    @given(LABEL_VECTORS)
+    def test_dataset_targets_match_the_unique_rule(self, y):
+        new, old = _dataset_targets(y), unique_dataset_targets(y)
+        assert_bitwise_equal(new, old)
+        assert (new is y) == (old is y)  # both map, or both pass y through
+
+    @settings(max_examples=400)
+    @given(LABEL_VECTORS)
+    def test_map_labels_match_the_unique_rule(self, y):
+        try:
+            old = unique_map_labels(y)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as new_exc:
+                _map_labels(y)
+            assert str(new_exc.value) == str(exc)
+        else:
+            assert_bitwise_equal(_map_labels(y), old)
+
+    @pytest.mark.parametrize("labels, text", [
+        ([2.0, 2.0], "got [2.]"),
+        ([math.nan], "got [nan]"),
+        ([0.0, 1.0, 2.0, 1.0], "got [0. 1. 2.]"),
+        ([-0.0, 1.0, 0.5], "got [-0.   0.5  1. ]"),
+        ([1.0, -1.0, math.inf], "got [-1.  1. inf]"),
+    ])
+    def test_map_labels_error_names_the_distinct_values(self, labels, text):
+        with pytest.raises(ValueError) as exc:
+            _map_labels(np.array(labels))
+        assert str(exc.value) == f"classification labels must take exactly two values, {text}"
+
+
+IMPORT_GUARD = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(77)
+from restartopt import cli, load_dataset, make_dual_svm, make_logistic, synthetic_classification
+zero_one_csv, zero_one_svm, regression_csv, out = sys.argv[1:]
+load_dataset(zero_one_csv)
+load_dataset(zero_one_svm, fmt="libsvm")
+A, y = synthetic_classification(30, 4, seed=0)
+make_logistic(A, y)
+make_logistic(A, (y > 0).astype(float))
+make_dual_svm(A, y)
+for path in (regression_csv, zero_one_csv):  # a cache miss, then a hit
+    assert cli.main(["grid", "--dataset", path, "--loss", "lasso", "--N", "10",
+                     "--out", out]) == 0
+sys.exit("numpy.ma" in sys.modules)
+"""
+
+
+def test_loads_and_label_maps_do_not_import_numpy_ma(tmp_path):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 4))
+    zero_one_csv, regression_csv = tmp_path / "zero_one.csv", tmp_path / "regression.csv"
+    np.savetxt(zero_one_csv, np.column_stack([A, A[:, 0] > 0]), fmt="%.17g", delimiter=",")
+    np.savetxt(regression_csv, np.column_stack([A, A @ [1.0, 2.0, 0.0, -1.0]]), fmt="%.17g",
+               delimiter=",")
+    zero_one_svm = tmp_path / "zero_one.svm"
+    zero_one_svm.write_text("0 1:1 2:3\n1 1:2\n0 2:1 3:0.5\n1 3:2\n")
+    src = os.path.dirname(os.path.dirname(restartopt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(zero_one_csv), str(zero_one_svm),
+         str(regression_csv), str(tmp_path / "grid")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    if proc.returncode == 77:
+        pytest.skip(f"a bare `import numpy` loads numpy.ma in numpy {np.__version__}")
+    assert proc.returncode == 0, proc.stderr
 
 
 # Files numpy's C reader accepts: its array must equal the line parser's

@@ -9,12 +9,16 @@ reaches the outputs. Run it once per tree from the same directory and
 diff the two listings: equal lines mean byte-identical outputs. Exits 1
 after the listing if any run exited non-zero.
 
-The dataset runs read a CSV and a LibSVM file that the tool writes from
-the seed with 17 significant digits. Each runs twice, ``cold/`` then
-``warm/``, under one fresh private ``XDG_CACHE_HOME``, so the second run
-can take its arrays from the dataset cache the first one filled. Both
-runs use the same relative paths. The tool also exits 1 if any of their
-outputs or stdouts differ. On a tree that has the cache
+The dataset runs read four CSVs and a LibSVM file that the tool writes
+from the seed with 17 significant digits. Between them they take every
+branch of the target rule that exits 0: many values (a regression CSV)
+and one value pass through, as do targets in {-1, +1}; two other
+values, {1, 2} and the LibSVM file's {0, 1}, are mapped onto {-1, +1}.
+Each runs twice, ``cold/`` then ``warm/``, under one fresh private
+``XDG_CACHE_HOME``, so the second run can take its arrays from the
+dataset cache the first one filled. Both runs use the same relative
+paths. The tool also exits 1 if any of their outputs or stdouts differ.
+On a tree that has the cache
 (``restartopt/datacache.py``) it exits 1 as well unless each warm run
 was a hit: the cold run stored an entry, and the warm run marked that
 entry used (its modification time, set back after the cold run, moved)
@@ -52,12 +56,17 @@ DATASET_RUNS = {
     "grid-dataset-csv": "grid --dataset ../data-s{seed}.csv --loss lasso --N 60 --format json",
     "grid-dataset-libsvm": "grid --dataset ../data-s{seed}.svm --dataset-format libsvm "
                            "--loss logistic --N 40",
+    "grid-dataset-pm1": "grid --dataset ../pm1-s{seed}.csv --loss dual-svm --N 40",
+    "grid-dataset-two-valued": "grid --dataset ../two-valued-s{seed}.csv --loss lasso --N 60",
+    "grid-dataset-one-valued": "grid --dataset ../one-valued-s{seed}.csv --loss lasso --N 40",
 }
 PHASES = ("cold", "warm")
 
 
 def write_datasets(seed: int) -> None:
-    """A dense regression CSV and a sparse two-class LibSVM file, from the seed."""
+    """From the seed: a dense regression CSV, a sparse two-class LibSVM file, two
+    two-class CSVs, one with targets in {-1, +1} and one in {1, 2}, and a CSV whose
+    targets are all 3."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((80, 20))
     b = A @ rng.standard_normal(20) + 0.1 * rng.standard_normal(80)
@@ -69,6 +78,12 @@ def write_datasets(seed: int) -> None:
         for label, row in zip(labels, X):
             feats = " ".join(f"{k}:{v:.17g}" for k, v in enumerate(row, start=1) if v != 0.0)
             fh.write(f"{label} {feats}\n")
+    for name, low, high in (("pm1", -1.0, 1.0), ("two-valued", 1.0, 2.0),
+                            ("one-valued", 3.0, 3.0)):
+        X = rng.standard_normal((60, 8))
+        y = np.where(X @ rng.standard_normal(8) + rng.standard_normal(60) > 0, high, low)
+        np.savetxt(os.path.join(WORKDIR, f"{name}-s{seed}.csv"), np.column_stack([X, y]),
+                   fmt="%.17g", delimiter=",")
 
 
 # The modification time a cold entry is set back to; a hit moves it to the present.
