@@ -5,18 +5,22 @@ gradient method, and the universal fast gradient method (UFGM). The
 accelerated method is the UFGM run with target accuracy 0. Each trial
 of a line search takes a (proximal) gradient step at 1/L_hat and tests
 the quadratic descent condition, relaxed by tau * epsilon / 2 in the
-UFGM; a failed trial doubles the estimate. The test is the path's: the
-generic paths call ``_trial``; on a form, gradient descent calls
-``_quadratic_trial`` and the composite UFGM loop inlines its difference
-form; the smooth-form UFGM runs ``_smooth_trial`` on its Gram scalars,
-and the lockstep grid ``_ladder``, the same over columns and eight
-estimates (see below). Every loop doubles in place and counts backtracks
-and the largest estimate in locals, which it adds to the trace when it
-ends or pauses. The generic test compares values of f0, which rounding
-alone can fail, so a step that has doubled 120 times is accepted with a
-note; only that doubling, or one that would overflow, goes through
-``_double``. The estimate is halved after every accepted step, and the
-final one is reported so restart schemes can warm-start the next cycle.
+UFGM; a failed trial doubles the estimate. There is one test per
+arithmetic: ``_trial`` compares values of f0 (the generic paths),
+``_form_trial`` tests a form's difference form on vectors (gradient
+descent on a form and the composite UFGM), ``_smooth_trial`` on the Gram
+scalars of the smooth-form UFGM, and ``_ladder`` the same over the
+lockstep grid's columns and eight estimates (see below). The generic
+and composite UFGM loops take (a, tau) from ``_coupling``; the smooth
+loop and the lockstep compute them inside their trials, which stay
+scalar or elementwise for speed. Every failed trial of the vector loops
+doubles through ``_double``, which counts the backtrack and the largest
+estimate on the trace; the smooth loop and the lockstep double in place
+and count in locals. The generic test compares values of f0, which
+rounding alone can fail, so a step that has doubled 120 times is
+accepted with a note. The estimate is halved after every accepted step,
+and the final one is reported so restart schemes can warm-start the next
+cycle.
 The UFGM evaluates f0 and its gradient at each trial point with one
 ``ProximalOracle.smooth_eval`` call, which shares their common work when
 the oracle supplies a fused evaluation.
@@ -61,21 +65,23 @@ out only when handed out (to ``stop`` after every step, else once at the
 end), so a trace's final point owns its data.
 
 On a composite form (``_ufgm_on_form``) the prox is not linear, so a
-trial forms g, x and w = x - g / L_hat in preallocated work buffers, takes
-y = prox(w, 1 / L_hat) and d = y - x, and pays one product Q d. An
-accepted step takes g_y+ = g + Q d, adding g into the fresh product. Each
-step after the first takes z = prox(x0 - sum_i a_i g_i, A) and pays one
-product for g_z, from which h is subtracted in place. The coupling and
-the descent test are inlined, and the counters are locals, so a step is
-its array operations: on the 2000x300 LASSO of the benchmark, about 90 us
-of CPU per accepted step (2.04 trials and three products) on a shared
-2-core x86 machine with single-threaded OpenBLAS. Both loops round differently from the generic one;
-tests hold them to the generic path (the same oracle with
-``quadratic=None``) within stated tolerances.
+trial forms g and x in preallocated work buffers, and ``_form_trial``
+writes w = x - g / L_hat and d = y - x into two more, takes
+y = prox(w, 1 / L_hat) and pays one product Q d. An accepted step takes
+g_y+ = g + Q d, adding g into the fresh product. Each step after the
+first takes z = prox(x0 - sum_i a_i g_i, A) and pays one product for g_z,
+from which h is subtracted in place. The trial and prox counters are
+locals, so a step is mostly its array operations: on the 2000x300 LASSO
+of the benchmark, about 90 us of CPU per accepted step (2.04 trials and
+three products) on a shared 2-core x86 machine with single-threaded
+OpenBLAS. Both loops round differently from the generic one; tests hold
+them to the generic path (the same oracle with ``quadratic=None``)
+within stated tolerances.
 
 Gradient descent on a form carries Q x, takes its gradient Q x - h at no
-product, runs every trial through ``_quadratic_trial`` and updates Q x by
-the accepted Q d, so a run costs one product per trial plus one for x0.
+product, runs every trial through ``_form_trial`` and updates Q x by the
+accepted Q d, so a run costs one product per trial plus one for x0. It
+runs with numpy's floating-point warnings off, as the smooth loop does.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -363,38 +369,36 @@ def _trial(
     return cand, f0_cand, True, f0_cand <= model
 
 
-def _quadratic_trial(
-    oracle: ProximalOracle,
-    x: Vector,
-    g: Vector,
-    L_hat: float,
-    slack: float,
-    trace: Trace,
-) -> tuple[Vector, Vector, bool, bool]:
-    """``_trial`` on a quadratic form, for the one product Q d, d = y - x.
+def _form_trial(Q, prox, x: Vector, g: Vector, L_hat: float, slack: float, w: Vector,
+                d: Vector) -> tuple[Vector, Vector, bool]:
+    """One trial on a quadratic form, in difference form, for one product Q d.
 
     The form makes the descent test exact in difference form,
-    f0(y) - f0(x) - <g, d> = d^T Q d / 2, so the test reads
+    f0(y) - f0(x) - <g, d> = d^T Q d / 2 for d = y - x, so the test reads
 
         d^T Q d / 2 <= L_hat/2 ||d||^2 + slack
 
-    with no value of f0 in it. Returns y, Q d, whether d^T Q d is finite,
-    and the test. d is formed before its products, so finite data near
-    the overflow threshold stays finite.
+    with no value of f0 in it. With a prox, w = x - g / L_hat and d are
+    written into the caller's work buffers, views of a larger array, and a
+    candidate that does not own its data (the prox may return w, or a view
+    of it) is copied, so no work buffer becomes an iterate. Without one,
+    d = -g / L_hat goes into its buffer and y = x + d is fresh. Returns y,
+    Q d and the test, which fails where d^T Q d is not finite.
     """
-    if oracle.prox is not None:
-        cand = np.asarray(oracle.prox(x - g / L_hat, 1.0 / L_hat), dtype=float)
-        trace.n_prox += 1
-        d = cand - x
+    if prox is None:
+        np.divide(g, -L_hat, d)
+        y = x + d
     else:
-        d = g / -L_hat
-        cand = x + d
-    Qd = oracle.quadratic.Q @ d
-    trace.n_value += 1
+        np.divide(g, L_hat, w)
+        np.subtract(x, w, w)
+        y = np.asarray(prox(w, 1.0 / L_hat), dtype=float)
+        if y.base is not None:
+            y = y.copy()
+        np.subtract(y, x, d)
+    Qd = Q @ d
     curvature = float(np.vdot(d, Qd))
-    if not math.isfinite(curvature):
-        return cand, Qd, False, False
-    return cand, Qd, True, 0.5 * curvature <= 0.5 * L_hat * float(np.vdot(d, d)) + slack
+    return y, Qd, (math.isfinite(curvature)
+                   and 0.5 * curvature <= 0.5 * L_hat * float(np.vdot(d, d)) + slack)
 
 
 def _overflow(step: int) -> DivergenceError:
@@ -404,14 +408,14 @@ def _overflow(step: int) -> DivergenceError:
 def _double(trace: Trace, L_hat: float, doublings: int, finite: bool, step: int) -> float:
     """Double the estimate after the ``doublings``-th failed trial of a step.
 
-    The solvers double in place, counting backtracks and the largest
-    estimate in locals, and call this only for a doubling that overflows
-    (at or above ``_L_HAT_OVERFLOW``) or, on the generic path, is a step's
-    last allowed one.
-    An estimate that overflows to inf raises DivergenceError. At the last
-    allowed doubling the caller accepts the last candidate: this raises if
-    that candidate's value was non-finite, and otherwise records that the
-    line search stalled.
+    Every failed trial of the vector loops (gradient descent and the
+    generic and composite UFGM) comes here; it counts the backtrack and
+    the largest estimate on the trace. An estimate that overflows to inf
+    raises DivergenceError. A form's loop passes 0 doublings, since its
+    difference-form test fails only on real curvature; on the generic path
+    the caller accepts the last candidate at the last allowed doubling,
+    and this raises if that candidate's value was non-finite, and
+    otherwise records that the line search stalled.
     """
     L_hat *= 2.0
     if math.isinf(L_hat):
@@ -444,50 +448,52 @@ def gradient_descent(
     halves the estimate. Composite oracles take proximal-gradient steps,
     with the descent condition tested on the smooth part only. On a
     quadratic-form oracle the method carries Q x and tests the condition
-    in its difference form (see the module docstring).
+    in its difference form (see the module docstring), with numpy's
+    floating-point warnings off, since a non-finite value raises
+    DivergenceError.
     """
     form = oracle.quadratic
     x, trace, f0_x, Qx = _start(oracle, x0, L0, budget, f_star)
     L_hat = float(L0)
-    backtracks, top = 0, trace.max_L_hat
-    # a difference-form test fails only on real curvature, so a form's
-    # line search has no doubling cap
-    tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1) if form is None else itertools.count(1)
+    finite = True  # read by _double only at the generic path's last doubling
+    if form is None:
+        tries = range(1, _MAX_DOUBLINGS_PER_STEP + 1)
+    else:
+        # a difference-form test fails only on real curvature, so a form's
+        # line search has no doubling cap; w and d are its trials' buffers
+        tries = itertools.repeat(0)
+        w, d = np.empty((2, x.shape[0]))
 
-    for t in range(1, budget + 1):
-        if form is None:
-            g = np.asarray(oracle.smooth_gradient(x), dtype=float)
-        else:
-            g = Qx - form.h
-        trace.n_grad += 1
-        _check_finite(_finite_vector(g))
-        for doublings in tries:
+    # on a form an overflow raises DivergenceError, typed; all=None keeps
+    # numpy's settings on the generic path
+    with np.errstate(all=None if form is None else "ignore"):
+        for t in range(1, budget + 1):
             if form is None:
-                cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
+                g = np.asarray(oracle.smooth_gradient(x), dtype=float)
             else:
-                cand, Qd, finite, ok = _quadratic_trial(oracle, x, g, L_hat, 0.0, trace)
-            if ok:
-                break
-            if L_hat < _L_HAT_OVERFLOW and (form is not None
-                                            or doublings < _MAX_DOUBLINGS_PER_STEP):
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
-            else:
+                g = Qx - form.h
+            trace.n_grad += 1
+            _check_finite(_finite_vector(g))
+            for doublings in tries:
+                if form is None:
+                    cand, f0_cand, finite, ok = _trial(oracle, x, g, f0_x, L_hat, 0.0, trace)
+                else:
+                    cand, Qd, ok = _form_trial(form.Q, oracle.prox, x, g, L_hat, 0.0, w, d)
+                    trace.n_value += 1
+                    trace.n_prox += oracle.prox is not None
+                if ok:
+                    break
                 L_hat = _double(trace, L_hat, doublings, finite, t)
-        x = cand
-        if form is not None:
-            Qx = Qx + Qd
-            f0_cand = form.value(x, Qx)
-            _check_finite(math.isfinite(f0_cand))
-        f0_x = f0_cand
-        f_full = f0_cand + oracle.psi(x)
-        L_hat = max(L_hat / 2.0, _L_HAT_MIN)
-        trace.values.append(f_full)
+            x = cand
+            if form is not None:
+                Qx = Qx + Qd
+                f0_cand = form.value(x, Qx)
+                _check_finite(math.isfinite(f0_cand))
+            f0_x = f0_cand
+            f_full = f0_cand + oracle.psi(x)
+            L_hat = max(L_hat / 2.0, _L_HAT_MIN)
+            trace.values.append(f_full)
 
-    trace.backtracks += backtracks
-    trace.max_L_hat = max(trace.max_L_hat, top)
     trace.cycles.append((trace.accepted, None))
     trace.final_point = x
     trace.final_L_hat = L_hat
@@ -631,14 +637,13 @@ def _ufgm(
     """The UFGM loop for oracles without a declared quadratic form.
 
     A generator, as is the composite loop. It runs to ``budget`` accepted
-    steps in all (fewer if ``stop`` fires), adds its counters to the trace
-    and yields the last accepted iterate and the final estimate. Sent a
-    larger budget, it goes on from there.
+    steps in all (fewer if ``stop`` fires) and yields the last accepted
+    iterate and the final estimate. Sent a larger budget, it goes on from
+    there.
     """
     y = anchor
     A = 0.0
     grad_sum = np.zeros_like(anchor)
-    backtracks, top = 0, trace.max_L_hat
     t = 0
     while True:
         for t in range(t + 1, budget + 1):
@@ -659,13 +664,7 @@ def _ufgm(
                     y_cand, f0_y, finite, ok = _trial(oracle, x, g, f0_x, L_hat, slack, trace)
                 if finite and ok:
                     break
-                if doublings < _MAX_DOUBLINGS_PER_STEP and L_hat < _L_HAT_OVERFLOW:
-                    L_hat *= 2.0
-                    backtracks += 1
-                    if L_hat > top:
-                        top = L_hat
-                else:
-                    L_hat = _double(trace, L_hat, doublings, finite, t)
+                L_hat = _double(trace, L_hat, doublings, finite, t)
             A += a
             grad_sum = grad_sum + a * g
             y = y_cand
@@ -674,9 +673,6 @@ def _ufgm(
             trace.values.append(f_full)
             if stop is not None and stop(y, f_full):
                 break
-        trace.backtracks += backtracks
-        trace.max_L_hat = max(trace.max_L_hat, top)
-        backtracks = 0
         budget = yield y, L_hat
 
 
@@ -1123,30 +1119,28 @@ def _ufgm_on_form(
 ) -> Generator[tuple[Vector, float], int, None]:
     """The UFGM on a composite quadratic form, carrying g_y and g_z.
 
-    See the module docstring. A trial forms g, x, w = x - g / L_hat and
-    d = y - x in preallocated work buffers, runs the prox on w and pays one
-    product Q d; it tests the descent condition at slack tau * epsilon / 2
-    and counts one gradient and two smooth values, as on the generic path.
-    A non-finite g makes d^T Q d non-finite, or, through a clipping prox,
-    f0(y+), so those checks cover the gradient too. The fresh products
-    Q d and Q z become g_y and g_z in place. A prox may return its
-    argument, or a view of it, so a candidate that does not own its data
-    is copied: no work buffer becomes an iterate. Trials, prox calls and
-    backtracks are counted in locals and added to the trace at each pause.
-    A generator like ``_ufgm``.
+    See the module docstring. A trial takes (a, tau) from ``_coupling``,
+    forms g and x in preallocated work buffers and runs ``_form_trial`` at
+    slack tau * epsilon / 2; it counts one gradient and two smooth values,
+    as on the generic path. A non-finite g makes d^T Q d non-finite, or,
+    through a clipping prox, f0(y+), so those checks cover the gradient
+    too. The fresh products Q d and Q z become g_y and g_z in place. A
+    failed trial doubles through ``_double``. Trials and prox calls are
+    counted in locals and added to the trace at each pause. A generator
+    like ``_ufgm``.
     """
     Q, h, c = oracle.quadratic.Q, oracle.quadratic.h, oracle.quadratic.c
     prox, psi, append = oracle.prox, oracle.psi, trace.values.append
-    sqrt, isfinite, vdot, asarray = math.sqrt, math.isfinite, np.vdot, np.asarray
-    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    coupling, trial, double = _coupling, _form_trial, _double
+    isfinite, vdot, asarray = math.isfinite, np.vdot, np.asarray
+    multiply, subtract = np.multiply, np.subtract
     # v = x0 - sum_i a_i g_i; z is its prox with step A
     y = z = x0
     v = x0.copy()
     g_y = g_z = Qx0 - h
     g, x, w, d, dg, tmp = np.empty((6, x0.shape[0]))
     A = 0.0
-    trials = proxes = backtracks = 0
-    top = trace.max_L_hat
+    trials = proxes = 0
 
     t = 0
     while True:
@@ -1159,32 +1153,17 @@ def _ufgm_on_form(
             subtract(g_z, g_y, dg)
             while True:
                 trials += 1
-                a = (1.0 + sqrt(1.0 + 4.0 * A * L_hat)) / 2.0 / L_hat
-                tau = a / (A + a)
-                # g = g_y + tau dg, x = tau z + (1 - tau) y, w = x - g / L_hat
+                a, tau = coupling(A, L_hat)
+                # g = g_y + tau dg, x = tau z + (1 - tau) y
                 multiply(dg, tau, g)
                 g += g_y
                 multiply(z, tau, x)
                 multiply(y, 1.0 - tau, tmp)
                 x += tmp
-                divide(g, L_hat, w)
-                subtract(x, w, w)
-                y_cand = asarray(prox(w, 1.0 / L_hat), dtype=float)
-                if y_cand.base is not None:
-                    y_cand = y_cand.copy()
-                subtract(y_cand, x, d)
-                Qd = Q @ d
-                curvature = float(vdot(d, Qd))
-                finite = isfinite(curvature)
-                if finite and 0.5 * curvature <= (0.5 * L_hat * float(vdot(d, d))
-                                                  + tau * epsilon / 2.0):
+                y_cand, Qd, ok = trial(Q, prox, x, g, L_hat, tau * epsilon / 2.0, w, d)
+                if ok:
                     break
-                if L_hat >= _L_HAT_OVERFLOW:
-                    raise _overflow(t)
-                L_hat *= 2.0
-                backtracks += 1
-                if L_hat > top:
-                    top = L_hat
+                L_hat = double(trace, L_hat, 0, True, t)
             A += a
             y = y_cand
             Qd += g
@@ -1204,9 +1183,7 @@ def _ufgm_on_form(
         trace.n_grad += trials
         trace.n_value += 2 * trials
         trace.n_prox += trials + proxes
-        trace.backtracks += backtracks
-        trace.max_L_hat = max(trace.max_L_hat, top)
-        trials = proxes = backtracks = 0
+        trials = proxes = 0
         budget = yield y, L_hat
 
 

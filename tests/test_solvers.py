@@ -817,17 +817,37 @@ class TestGradientDescentQuadraticImages:
     """
 
     def test_one_matvec_per_trial(self):
-        rng = np.random.default_rng(22)
-        B = rng.standard_normal((30, 30))
-        M = CountingMatrix(B @ B.T / 30 + 0.01 * np.eye(30))
-        oracle = ProximalOracle.from_quadratic(QuadraticForm(M, rng.standard_normal(30), 2.0))
-        trace = gradient_descent(oracle, rng.standard_normal(30), 1.0, 50)
-        trials = trace.accepted + trace.backtracks
-        assert trace.backtracks > 0
-        # Q x0 at the start, then Q d per trial; the counters keep their meaning
-        assert M.matvecs == 1 + trials
-        assert trace.n_grad == trace.accepted
-        assert trace.n_value == 1 + trials
+        # a smooth form, and a composite one with a soft-threshold prox
+        for prox in (None, lambda v, t: soft_threshold(v, 0.1 * t)):
+            rng = np.random.default_rng(22)
+            B = rng.standard_normal((30, 30))
+            M = CountingMatrix(B @ B.T / 30 + 0.01 * np.eye(30))
+            oracle = ProximalOracle.from_quadratic(
+                QuadraticForm(M, rng.standard_normal(30), 2.0), prox)
+            trace = gradient_descent(oracle, rng.standard_normal(30), 1.0, 50)
+            trials = trace.accepted + trace.backtracks
+            assert trace.backtracks > 0
+            # Q x0 at the start, then Q d per trial; the counters keep their meaning
+            assert M.matvecs == 1 + trials
+            assert trace.n_grad == trace.accepted
+            assert trace.n_value == 1 + trials
+            assert trace.n_prox == (0 if prox is None else trials)
+
+    @pytest.mark.parametrize("prox", [None, lambda v, t: v.copy()],
+                             ids=["smooth", "copying_identity_prox"])
+    def test_divergence_on_an_indefinite_form_is_typed(self, prox):
+        # along the form's negative curvature every trial passes, the
+        # estimate halves and the steps run off until Q x overflows; the run
+        # raises the typed error, with no numpy warning before it (tier-1
+        # turns a RuntimeWarning into an error)
+        oracle = ProximalOracle.from_quadratic(
+            QuadraticForm(np.diag([1.0, 0.5, -0.2]), np.zeros(3)), prox)
+        x0 = np.array([1.0, 1.0, 1e-3])
+        with pytest.raises(DivergenceError, match="non-finite objective or gradient"):
+            gradient_descent(oracle, x0, 1.0, 5000)
+        # the generic path keeps numpy's warnings
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            gradient_descent(dataclasses.replace(oracle, quadratic=None), x0, 1.0, 5000)
 
     @pytest.mark.parametrize(
         "make",
@@ -884,8 +904,9 @@ ALIASING_PATHS = {
 
 def test_composite_identity_prox_matches_a_copying_one():
     # The identity prox hands back its argument, a work buffer of the
-    # composite loop; were that buffer to become an iterate, the next trial
-    # would overwrite it and the two runs would part.
+    # composite loop or of gradient descent on a form; were that buffer to
+    # become an iterate, the next trial would overwrite it and the two runs
+    # would part.
     form = FORM_INSTANCES["lasso"]().oracle.quadratic
     runs = []
     for prox in (lambda v, t: v, lambda v, t: v.copy()):
@@ -898,13 +919,18 @@ def test_composite_identity_prox_matches_a_copying_one():
 
         _, trace = universal_fast_gradient(oracle, np.zeros(oracle.dimension), 1e-3, 1.0, 60,
                                            stop=stop)
-        runs.append((trace, seen))
-    (a, seen_a), (b, seen_b) = runs
+        runs.append((trace, seen, gradient_descent(oracle, np.zeros(oracle.dimension), 1.0, 60)))
+    (a, seen_a, descent_a), (b, seen_b, descent_b) = runs
     assert a.accepted == 60 and a.backtracks > 0
     assert_traces_equal(a, b)
     assert a.final_point.tobytes() == b.final_point.tobytes()
     assert [y.tobytes() for y in seen_a] == [y.tobytes() for y in seen_b]
     assert a.final_point.base is None
+    # gradient descent's prox is handed a work buffer too
+    assert descent_a.accepted == 60 and descent_a.backtracks > 0
+    assert_traces_equal(descent_a, descent_b)
+    assert descent_a.final_point.tobytes() == descent_b.final_point.tobytes()
+    assert descent_a.final_point.base is None
 
 
 @pytest.mark.parametrize("path", sorted(ALIASING_PATHS))

@@ -4,14 +4,18 @@ Usage: python tools/solver_digests.py SRC
 
 Imports ``restartopt`` from the source tree SRC and, for every oracle below,
 every starting estimate L0 in {1e-100, 1, 1e100} and every budget N in
-{4, 33, 100}, prints one line for ``adaptive_grid`` and one line for each
-of its schemes run alone as ``restart_scheduled(..., cap=2N)``:
+{4, 33, 100}, prints one line for ``adaptive_grid``, one line for each
+of its schemes run alone as ``restart_scheduled(..., cap=2N)``, and one
+line for each single run of N steps: ``gradient_descent``, and
+``universal_fast_gradient`` at epsilon 0 and 1e-3:
 
 * smooth forms: least squares (40x10, cond 100), a generated quadratic
   (``make_quadratic``, dimension 12, cond 100), and the least squares again
   with its Q wrapped in an object that has only ``__matmul__``, so that
   every product goes through ``Q @ v`` and not through ``np.matmul``;
-* composite forms: LASSO (the l1 prox) and dual SVM (the box prox);
+* composite forms: LASSO (the l1 prox), dual SVM (the box prox), and the
+  LASSO's form with a prox that returns its argument and with one that
+  returns a copy of it;
 * generic: logistic, and the LASSO with ``quadratic=None``.
 
 It does the same for the Figure-1 least squares (208x60, cond 1e4, seed 1)
@@ -77,6 +81,13 @@ def main(src: str) -> None:
         "logistic": ro.make_logistic(*ro.synthetic_classification(40, 6, cond=10.0, seed=4)),
         "lasso-generic": dataclasses.replace(
             lasso, oracle=dataclasses.replace(lasso.oracle, quadratic=None)),
+        # a prox that returns its argument hands back a solver's work buffer
+        "lasso-form-identity-prox": dataclasses.replace(
+            lasso, oracle=ro.ProximalOracle.from_quadratic(lasso.oracle.quadratic,
+                                                           lambda v, t: v)),
+        "lasso-form-copying-prox": dataclasses.replace(
+            lasso, oracle=ro.ProximalOracle.from_quadratic(lasso.oracle.quadratic,
+                                                           lambda v, t: v.copy())),
     }
     untyped = 0
 
@@ -102,6 +113,11 @@ def main(src: str) -> None:
             return repr((runs, out.best, out.total_inner_iterations))
 
         line(f"{tag} grid", grid)
+        line(f"{tag} gradient descent", lambda: trace_key(ro.gradient_descent(
+            inst.oracle, inst.x0, L0, N, f_star=inst.f_star)))
+        for eps in (0.0, 1e-3):
+            line(f"{tag} ufgm eps={eps:g}", lambda: trace_key(ro.universal_fast_gradient(
+                inst.oracle, inst.x0, eps, L0, N, f_star=inst.f_star)[1]))
         i_max, j_max = N.bit_length() - 1, (N - 1).bit_length()
         for i in range(1, i_max + 1):
             for j in range(0, j_max + 1):
