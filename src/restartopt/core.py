@@ -72,6 +72,15 @@ class ProximalOracle:
     place of the callables. ``from_quadratic`` builds every callable from
     the form.
 
+    ``prox_rowwise`` declares that ``prox`` acts on each row of a stacked
+    (k, n) array alone: given a (k, 1) column of steps T, row i of
+    prox(V, T) is prox(V[i], T[i, 0]). It is a statement about the prox,
+    not a setting. On a declared form whose Q is an array the grid search
+    then runs its cycles in lockstep, one prox call and one matrix product
+    for many cycles at once (see ``restartopt.solvers``). Such a call
+    fails every cycle it serves, so declare only a prox that raises on no
+    input.
+
     Oracles are immutable and safe to share across concurrent solver runs.
     """
 
@@ -82,6 +91,7 @@ class ProximalOracle:
     nonsmooth_value: Optional[Callable[[Vector], float]] = None
     smooth_value_and_gradient: Optional[Callable[[Vector], tuple[float, Vector]]] = None
     quadratic: Optional[QuadraticForm] = None
+    prox_rowwise: bool = False
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
@@ -93,6 +103,7 @@ class ProximalOracle:
         form: QuadraticForm,
         prox: Optional[Callable[[Vector, float], Vector]] = None,
         nonsmooth_value: Optional[Callable[[Vector], float]] = None,
+        prox_rowwise: bool = False,
     ) -> ProximalOracle:
         """The oracle of f = f0 + psi whose smooth part f0 is ``form``."""
         Q, h = form.Q, form.h
@@ -109,6 +120,7 @@ class ProximalOracle:
             dimension=len(h), value=value, smooth_gradient=lambda x: Q @ x - h,
             prox=prox, nonsmooth_value=nonsmooth_value,
             smooth_value_and_gradient=smooth_value_and_gradient, quadratic=form,
+            prox_rowwise=prox_rowwise,
         )
 
     def smooth_value(self, x: Vector) -> float:

@@ -377,7 +377,8 @@ def soft_threshold(v: Vector, threshold: float) -> Vector:
 
     v minus v clamped to [-threshold, threshold], in three array passes.
     It equals sign(v) max(|v| - threshold, 0) but for the sign of a zero
-    entry.
+    entry. Given a stack of rows and a column of thresholds, it acts on
+    each row with its own.
     """
     return v - np.minimum(np.maximum(v, -threshold), threshold)
 
@@ -398,7 +399,8 @@ def make_lasso(A: np.ndarray, b: np.ndarray, lam: float = 1.0) -> ProblemInstanc
 
     return ProblemInstance(
         name=f"lasso(m={m},n={n},lam={lam:g})",
-        oracle=ProximalOracle.from_quadratic(_least_squares_form(A, b), prox, nonsmooth),
+        oracle=ProximalOracle.from_quadratic(_least_squares_form(A, b), prox, nonsmooth,
+                                             prox_rowwise=True),
         x0=np.zeros(n),
     )
 
@@ -428,7 +430,8 @@ def make_dual_svm(A: np.ndarray, y: np.ndarray, regularization: float = 1.0) -> 
 
     return ProblemInstance(
         name=f"dual_svm(m={m},n={n},reg={regularization:g})",
-        oracle=ProximalOracle.from_quadratic(QuadraticForm(K, np.ones(m)), prox, nonsmooth),
+        oracle=ProximalOracle.from_quadratic(QuadraticForm(K, np.ones(m)), prox, nonsmooth,
+                                             prox_rowwise=True),
         x0=np.zeros(m),
     )
 

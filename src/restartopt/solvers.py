@@ -72,11 +72,11 @@ g_y+ = g + Q d, adding g into the fresh product. Each step after the
 first takes z = prox(x0 - sum_i a_i g_i, A) and pays one product for g_z,
 from which h is subtracted in place. The trial and prox counters are
 locals, so a step is mostly its array operations: on the 2000x300 LASSO
-of the benchmark, about 90 us of CPU per accepted step (2.04 trials and
-three products) on a shared 2-core x86 machine with single-threaded
-OpenBLAS. Both loops round differently from the generic one; tests hold
-them to the generic path (the same oracle with ``quadratic=None``)
-within stated tolerances.
+of the benchmark, a run took about 55 us per accepted step (2.0 trials
+and three 300x300 products) on a shared x86 machine with
+single-threaded OpenBLAS. Both loops round differently from the
+generic one; tests hold them to the generic path (the same oracle with
+``quadratic=None``) within stated tolerances.
 
 Gradient descent on a form carries Q x, takes its gradient Q x - h at no
 product, runs every trial through ``_form_trial`` and updates Q x by the
@@ -107,10 +107,11 @@ every distinct cycle runs once, and its trace, a ``Trace`` of one cycle,
 is kept at each length a run takes it to, copied before any re-anchor
 where the cycle goes on. Each run's ``universal_fast_gradient`` call
 then hands out its own copy of the kept trace, or raises the kept
-exception. Composite and generic cycles run their resumable loop, start
-by start. A smooth form's cycles run in lockstep (``_lockstep``): one
-accepted step per tick for every active cycle, each a column of stacked
-arrays. It is bitwise the smooth loop. Its trial scalars are the loop's IEEE operations, done
+exception. Generic cycles, and composite ones but those below, run their
+resumable loop, start by start. A smooth form's cycles run in lockstep
+(``_lockstep``): one accepted step per tick for every active cycle, each
+a column of stacked arrays. It is bitwise the smooth loop. Its trial
+scalars are the loop's IEEE operations, done
 elementwise in the same order, for the estimates L_hat 2^m, m = 0..7, at
 once (doubling is exact); the first level that passes is the loop's. Its
 step, Gram matrix and mix are ``np.matmul`` over stacked operands, which
@@ -124,6 +125,30 @@ boundary past its budget, so either every run that takes a cycle to a
 length goes on from there or none does. A length runs go on from keeps
 no final point: the next cycle starts from there, and its final point
 replaces that one in the run.
+
+A composite form whose prox is declared row-wise
+(``ProximalOracle.prox_rowwise``, as the LASSO's soft-threshold and the
+dual SVM's box clamp are) and whose Q is an array runs its grid in
+lockstep too, in the same column bookkeeping: each column holds y, z,
+g_y, g_z and v, and a tick (``_composite_tick``) makes ``_ufgm_on_form``'s
+step for every column at once. One prox call on the stacked v, with a
+column of steps A, and one product of the stacked z with Q give every z
+and g_z; then each round of trials is one prox call and one product for
+the columns whose test has not held yet, and those that fail retry
+together at twice their estimates. On the benchmark's LASSO a tick has
+21 columns on average (48 at most) and 3.5 rounds: all columns, then
+about two thirds, a third and a few. The mixes of a column's rows are
+small stacked matrix products rather than array passes, and a product
+with Q skips the columns no row uses (``_rows_times``). Its grid took
+about 38 us per distinct accepted step, against the walk's 60 us. A
+matrix product's rounding depends on its width and on the columns it
+skips, so this path is not bitwise the scheduled runs: it keeps their
+accepted steps, cycles and restart marks, and tests and
+``tools/solver_digests.py`` hold every value within 1e-12 max(1, |f|)
+of theirs (3.5e-13 measured). A trial whose test sits within rounding of
+its bound can go the other way, which changes the estimates and
+backtracks of a run that has converged, not its values. Every other
+composite form walks its starts.
 
 Each solver call appends f at every accepted iterate to ``Trace.values``
 and, once at the end, one ``(length, target)`` record to ``Trace.cycles``;
@@ -571,9 +596,11 @@ def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optio
     ``takers[start]`` holds the lengths runs take the cycle from ``start``
     to, and ``children[start, length]`` is the start of the cycle that runs
     going on from there take next. Start 0 runs from x0 and L0, and every
-    target is 0. A smooth form runs the tree in lockstep (``_lockstep``).
-    Otherwise the starts are walked in numbering order, parents first, and
-    each start's resumable loop is sent its lengths in increasing order.
+    target is 0. A smooth form, and a composite one whose prox is declared
+    row-wise and whose Q is an array, runs the tree in lockstep
+    (``_lockstep``). Otherwise the starts are walked in numbering order,
+    parents first, and each start's resumable loop is sent its lengths in
+    increasing order.
     Whatever a start raises is kept for the lengths it has not reached, and
     the first run to take one raises it; a start whose parent failed first
     is not run, since no run reaches it. Returns, for every start run, its
@@ -581,7 +608,9 @@ def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optio
     where the loop goes on and its own at its last length, whose final
     point is ``None`` where runs go on.
     """
-    if oracle.quadratic is not None and oracle.prox is None:
+    form = oracle.quadratic
+    if form is not None and (oracle.prox is None or oracle.prox_rowwise
+                             and isinstance(form.Q, np.ndarray)):
         return _lockstep(oracle, x0, float(L0), f_star, takers, children)
     kept: dict[int, dict[int, Trace | Exception]] = {}
     points = {0: (x0, L0)}
@@ -905,19 +934,20 @@ _STEP_SOURCES = np.array([0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 6, 6, 7, 7, 5, 8])
 def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
               takers: dict[int, set[int]], children: dict[tuple[int, int], int]
               ) -> dict[int, dict[int, Trace | Exception]]:
-    """Run every cycle of a grid's plan tree on a smooth form, one step per tick.
+    """Run every cycle of a grid's plan tree on a form, one step per tick.
 
     The tree is ``_grid_snapshots``'s, and so is what this returns. See the
     module docstring. Each cycle is a column of the stacked state, the
-    smooth loop's two buffers for every column; columns are kept in the
-    first slots, the last one moving into the slot of one that retires.
+    smooth loop's two buffers for every column (on a composite form one
+    buffer of five rows, stepped by ``_composite_tick``); columns are kept
+    in the first slots, the last one moving into the slot of one that retires.
     A cycle's column is made when its parent takes its length (after the
     tick's retirements), from that trace's final point and estimate, and
     retires at its longest length or at an error. A column whose ladder
     has no pass, or every column of a tick with few, runs the smooth loop's
     scalar trial (``_smooth_trial``).
     """
-    form = oracle.quadratic
+    form, prox = oracle.quadratic, oracle.prox
     Q, h, c = form.Q, form.h, form.c
     # the tick after which each cycle's column is made, its last step, and
     # for every tick the cycles with a taker or a re-anchor at its step
@@ -926,7 +956,8 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
         born[child] = born[parent] + length
     last = {start: max(lengths) for start, lengths in takers.items()}
     for start, b in born.items():
-        for t in takers[start].union(range(_REANCHOR_STEPS, last[start], _REANCHOR_STEPS)):
+        anchors = range(_REANCHOR_STEPS, last[start], _REANCHOR_STEPS) if prox is None else ()
+        for t in takers[start].union(anchors):
             events[b + t].append(start)
     width = live = 0
     ends, births = Counter(born[s] + last[s] for s in born), Counter(born.values())
@@ -935,7 +966,8 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
         width = max(width, live)
 
     n = x0.shape[0]
-    state = np.empty((2, width, 8, n))
+    # a composite column holds y, z, g_y, g_z and v = x0 - sum_i a_i g_i, in one buffer
+    state = np.empty((2, width, 8, n) if prox is None else (1, width, 5, n))
     grams = np.empty((width, 4, 5))
     steps = np.tile(_STEP_START, (width, 1, 1))
     cells = (np.arange(0, 64 * width, 64)[:, None] + _STEP_CELLS).ravel()
@@ -982,10 +1014,14 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
             return
         new = slice(first, len(slots))
         rows = state[cur, new]
-        errors.clear()
-        S[new] = _smooth_start(Q, h, X, QX, L0s, rows, errors)
         L[new] = top[new] = L0s
         A[new] = backs[new] = 0.0
+        if prox is not None:
+            rows[:, 0] = rows[:, 4] = X
+            np.subtract(QX, h, out=rows[:, 2])
+            return
+        errors.clear()
+        S[new] = _smooth_start(Q, h, X, QX, L0s, rows, errors)
         np.matmul(rows[:, :4], rows[:, 2:7].transpose(0, 2, 1), out=grams[new])
         for start, error in [(slots[first + k], error) for k, error in errors.items()]:
             fail(start, error)
@@ -1025,13 +1061,15 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
                     values=values[k] if t == last[start] else values[k].copy(),
                     cycles=[(t, None)], final_point=point, final_L_hat=L_hat, f_star=f_star,
                     f_initial=f_initial[start], n_value=1 + 2 * trials, n_grad=trials,
+                    # a composite step calls the prox once per trial, and for z but at t = 1
+                    n_prox=0 if prox is None else trials + t - 1,
                     backtracks=backtracks, max_L_hat=float(top[k]))
             else:
                 kept[start][t] = DivergenceError(_NON_FINITE)
         if t == last[start]:
             retire(start)
             return
-        if t % _REANCHOR_STEPS == 0:
+        if prox is None and t % _REANCHOR_STEPS == 0:
             rows, scale = state[cur, k], float(S[k])
             try:
                 _reanchor(rows, Q, h, scale)
@@ -1050,47 +1088,52 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
         while slots:
             tick += 1
             C = len(slots)
-            rows, new = state[cur, :C], state[1 - cur, :C]
-            Ac, Sc, Lc, topc, backc = scalars[:, :C]
-            if C > _SCALAR_TRIALS:
-                passed = _ladder(grams[:C], scalars[:2, :C], Lc, ladder[:, :C])
-                m = passed.argmax(1)
-                level = ladder[:5, index[:C], m]
-                ok = passed[index[:C], m]
-                alone = [] if ok.all() else np.flatnonzero(~ok).tolist()
+            if prox is not None:
+                f0, overflowed = _composite_tick(Q, h, c, prox, oracle.psi, state[0, :C],
+                                                 scalars[:, :C])
+                failed = {slots[k]: _overflow(tick - born[slots[k]]) for k in overflowed}
             else:
-                m, level, alone = np.zeros(C, dtype=np.intp), np.empty((5, C)), range(C)
-            failed = {}
-            for k in alone:  # no pass in the ladder, or too few columns for one
-                start = slots[k]
-                try:
-                    found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(),
-                                          0.0, tick - born[start])
-                except DivergenceError as exc:
-                    failed[start] = exc
+                rows, new = state[cur, :C], state[1 - cur, :C]
+                Ac, Sc, Lc, topc, backc = scalars[:, :C]
+                if C > _SCALAR_TRIALS:
+                    passed = _ladder(grams[:C], scalars[:2, :C], Lc, ladder[:, :C])
+                    m = passed.argmax(1)
+                    level = ladder[:5, index[:C], m]
+                    ok = passed[index[:C], m]
+                    alone = [] if ok.all() else np.flatnonzero(~ok).tolist()
                 else:
-                    level[:, k], m[k] = found[:5], found[5]
-            u, tau, s, a, L_hat = level
-            Ac += a
-            backc += m
-            np.maximum(topc, L_hat, out=topc, where=m > 0)
-            np.maximum(L_hat / 2.0, _L_HAT_MIN, out=Lc)
-            # the step's product: Q times the mix of the image rows
-            UT[:C, 0, :2] = level[:2].T
-            np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
-            mix = np.matmul(W[:C], rows[:, 4:6])
-            errors = {}
-            _products(Q, mix.reshape(C, n), rows[:, 7], errors)
-            for k, exc in errors.items():  # after the trial's own error
-                failed.setdefault(slots[k], exc)
-            np.negative(s, out=K[:C, 1, 0])
-            np.multiply(a, -Sc, out=K[:C, 2, 0])
-            steps.reshape(-1)[cells[:16 * C]] = (
-                (K[:C] * UT[:C]).reshape(C, 9).take(_STEP_SOURCES, 1).ravel())
-            np.matmul(steps[:C], rows, out=new)
-            np.matmul(new[:, :4], new[:, 2:7].transpose(0, 2, 1), out=grams[:C])
-            f0 = (0.5 * Sc * (grams[:C, 0, 0] - grams[:C, 0, 4]) + c).tolist()
-            cur = 1 - cur
+                    m, level, alone = np.zeros(C, dtype=np.intp), np.empty((5, C)), range(C)
+                failed = {}
+                for k in alone:  # no pass in the ladder, or too few columns for one
+                    start = slots[k]
+                    try:
+                        found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(),
+                                              0.0, tick - born[start])
+                    except DivergenceError as exc:
+                        failed[start] = exc
+                    else:
+                        level[:, k], m[k] = found[:5], found[5]
+                u, tau, s, a, L_hat = level
+                Ac += a
+                backc += m
+                np.maximum(topc, L_hat, out=topc, where=m > 0)
+                np.maximum(L_hat / 2.0, _L_HAT_MIN, out=Lc)
+                # the step's product: Q times the mix of the image rows
+                UT[:C, 0, :2] = level[:2].T
+                np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
+                mix = np.matmul(W[:C], rows[:, 4:6])
+                errors = {}
+                _products(Q, mix.reshape(C, n), rows[:, 7], errors)
+                for k, exc in errors.items():  # after the trial's own error
+                    failed.setdefault(slots[k], exc)
+                np.negative(s, out=K[:C, 1, 0])
+                np.multiply(a, -Sc, out=K[:C, 2, 0])
+                steps.reshape(-1)[cells[:16 * C]] = (
+                    (K[:C] * UT[:C]).reshape(C, 9).take(_STEP_SOURCES, 1).ravel())
+                np.matmul(steps[:C], rows, out=new)
+                np.matmul(new[:, :4], new[:, 2:7].transpose(0, 2, 1), out=grams[:C])
+                f0 = (0.5 * Sc * (grams[:C, 0, 0] - grams[:C, 0, 4]) + c).tolist()
+                cur = 1 - cur
             for column, f in zip(values, f0):
                 column.append(f)
             due = [start for start in events.pop(tick, ()) if start in where]
@@ -1105,6 +1148,107 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
             if made:
                 make(made)
     return kept
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The dot product of each row of X with the same row of Y."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
+def _rows_times(X: np.ndarray, Q: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """X Q for a stack of rows X, as one GEMM over the columns some row uses.
+
+    A prox such as the soft-threshold leaves most entries of its rows at
+    zero, so the product skips the columns of X that are zero in every row,
+    and the rows of Q they would meet, when that saves more work than
+    gathering them costs (on the 2000x300 LASSO the rows use about 97 of
+    300 columns, and 20 rows take 44 us rather than 99 us).
+    """
+    C, n = X.shape
+    used = np.flatnonzero(X.any(0))
+    if C * (n - used.size) > 8 * used.size:
+        return np.matmul(X[:, used], Q[used], out=out)
+    return np.matmul(X, Q, out=out)
+
+
+def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndarray,
+                    scalars: np.ndarray) -> tuple[list[float], list[int]]:
+    """One accepted step of each column of a composite lockstep grid, at target 0.
+
+    ``rows`` holds each column's y, z, g_y, g_z and v, ``scalars`` its A,
+    S (unused), L_hat, largest estimate and backtracks; both are updated
+    in place. The step is ``_ufgm_on_form``'s over stacked rows: one prox
+    call and one product give every column's z = prox(v, A) and
+    g_z = Q z - h (a column at its first step has A = 0, z = y and
+    g_z = g_y). Then each round of trials is one prox call and one product
+    for the columns whose test has not yet held, at their estimates doubled
+    once per round before it. The mixes of a column's rows, a trial's
+    x = (1 - tau) y + tau z and w = x - g / L_hat and an accepted step's
+    g = (1 - tau) g_y + tau g_z and v - a g, are small stacked matrix
+    products, and products with Q go through ``_rows_times``. Returns each
+    column's value f(y) and the columns whose estimate overflowed.
+    """
+    A, _, L, top, backs = scalars
+    C = A.size
+    Y, GY, V = rows[:, 0], rows[:, 2], rows[:, 4]
+    rows[:, 1] = prox(V, A[:, None])
+    _rows_times(rows[:, 1], Q, rows[:, 3])
+    rows[:, 3] -= h
+    first = A == 0.0
+    if first.any():
+        rows[first, 1], rows[first, 3] = Y[first], GY[first]
+    QD, Y_new = np.empty_like(Y), np.empty_like(Y)
+    M = np.zeros(C, dtype=np.intp)  # each column's doublings
+    K = np.zeros((C, 2, 4))  # [x; w] = K [y; z; g_y; g_z]
+    overflowed = []
+    live, r, L_k, A_k = None, 0, L, A  # live: the columns still trying, None for all
+    while True:
+        a = (1.0 + np.sqrt(1.0 + 4.0 * A_k * L_k)) / 2.0 / L_k
+        tau = a / (A_k + a)
+        k = K[:tau.size]
+        k[:, :, 0] = (1.0 - tau)[:, None]
+        k[:, :, 1] = tau[:, None]
+        np.divide(k[:, 1, :2], -L_k[:, None], out=k[:, 1, 2:])
+        P = np.matmul(k, rows[:, :4] if live is None else rows[live, :4])
+        y = np.asarray(prox(P[:, 1], 1.0 / L_k[:, None]), dtype=float)
+        d = np.subtract(y, P[:, 0], out=P[:, 0])
+        if live is None:
+            Qd = _rows_times(d, Q, QD)
+            Y_new[...] = y
+            T, a_new = tau, a
+        else:
+            Qd = _rows_times(d, Q)
+            QD[live], Y_new[live], T[live], a_new[live], M[live] = Qd, y, tau, a, r
+        curvature = _rowdot(d, Qd)
+        failed = ~(np.isfinite(curvature) & (0.5 * curvature <= 0.5 * L_k * _rowdot(d, d)))
+        if not failed.any():
+            break
+        live = np.flatnonzero(failed) if live is None else live[failed]
+        r += 1
+        L_k = np.ldexp(L[live], r)
+        if np.isinf(L_k).any():
+            inf = np.isinf(L_k)
+            overflowed += live[inf].tolist()
+            live, L_k = live[~inf], L_k[~inf]
+            if not live.size:
+                break
+        A_k = A[live]
+    L_m = np.ldexp(L, M)
+    np.maximum(top, L_m, out=top)
+    backs += M
+    np.maximum(L_m / 2.0, _L_HAT_MIN, out=L)
+    A += a_new
+    # [g; v - a g] = K [g_y; g_z; v], and g_y+ = g + Q d
+    K = np.zeros((C, 2, 3))
+    K[:, 0, 0], K[:, 0, 1], K[:, 1, 2] = 1.0 - T, T, 1.0
+    np.multiply(K[:, 0, :2], -a_new[:, None], out=K[:, 1, :2])
+    G = np.matmul(K, rows[:, 2:])
+    Y[...] = Y_new
+    np.add(G[:, 0], QD, out=GY)
+    V[...] = G[:, 1]
+    np.subtract(GY, h, out=QD)
+    f0 = 0.5 * _rowdot(Y, QD) + c
+    return [f + psi(y) for f, y in zip(f0.tolist(), Y)], overflowed
 
 
 def _ufgm_on_form(

@@ -42,8 +42,9 @@ from restartopt import (
     universal_fast_gradient,
 )
 from restartopt import solvers
+from restartopt.problems import soft_threshold
 from restartopt.solvers import Trace
-from test_solvers import CountingMatrix
+from test_solvers import CountingMatrix, restart_marks
 
 E = math.e
 _REANCHOR = solvers._REANCHOR_STEPS
@@ -498,6 +499,14 @@ GRID_PATHS = {
         *synthetic_regression(60, 15, cond=100.0, seed=27))),
 }
 
+# grids whose prox is declared row-wise run their cycles in lockstep on
+# matrix products that round differently from the scheduled runs' own
+LOCKSTEP_COMPOSITE = ("lasso", "dual-svm")
+
+# the largest relative value difference |f - f_run| / max(1, |f_run|) of a
+# lockstep composite grid's run from its own scheduled run (measured: 3.5e-13)
+LOCKSTEP_TOLERANCE = 1e-12
+
 
 def assert_runs_are_scheduled(oracle, x0, N, L0=1.0):
     """Every run of the grid is bitwise its own ``restart_scheduled(..., cap=2N)``."""
@@ -546,7 +555,7 @@ class TestSharedGrid:
     """The grid runs each shared cycle once; every run is its own scheduled run."""
 
     @pytest.mark.parametrize("N", [4, 100])
-    @pytest.mark.parametrize("path", GRID_PATHS)
+    @pytest.mark.parametrize("path", [p for p in GRID_PATHS if p not in LOCKSTEP_COMPOSITE])
     def test_every_run_is_bitwise_its_scheduled_run(self, path, N):
         oracle = GRID_PATHS[path]()
         out = assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), N)
@@ -557,6 +566,79 @@ class TestSharedGrid:
                 assert out.runs[(i, 0)].cycles[0] == (2**i, None)
                 assert out.runs[(i, 7)].cycles[0][0] > 2**i
                 assert out.runs[(i, 0)].values[k] != out.runs[(i, 7)].values[k]
+
+    @pytest.mark.parametrize("L0", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("N", [4, 33, 100])
+    @pytest.mark.parametrize("path", LOCKSTEP_COMPOSITE)
+    def test_composite_lockstep_runs_are_their_scheduled_runs_within_tolerance(
+            self, path, N, L0, lockstep_calls):
+        oracle = GRID_PATHS[path]()
+        x0 = np.zeros(oracle.dimension)
+        out = adaptive_grid(oracle, x0, N, L0)
+        assert len(lockstep_calls) == 1
+        assert sorted(out.runs) == grid_indices(N)
+        for (i, j), trace in out.runs.items():
+            ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, L0, cap=2 * N)
+            assert trace.accepted == ref.accepted, (i, j)
+            assert trace.cycles == ref.cycles, (i, j)
+            assert restart_marks(trace) == restart_marks(ref), (i, j)
+            assert trace.f_initial == ref.f_initial, (i, j)
+            assert trace.n_grad == trace.accepted + trace.backtracks, (i, j)
+            assert trace.n_prox == trace.n_grad + trace.accepted - len(trace.cycles), (i, j)
+            worst = max(abs(f - g) / max(1.0, abs(g)) for f, g in zip(trace.values, ref.values))
+            assert worst <= LOCKSTEP_TOLERANCE, (i, j, worst)
+
+    def test_a_traced_prox_gives_a_bitwise_equal_grid(self, lockstep_calls):
+        # as perfbench/tracer.py wraps a field: dataclasses.replace with a
+        # function that passes its arguments through
+        oracle = GRID_PATHS["lasso"]()
+        prox = oracle.prox
+
+        def traced(v, t):
+            return prox(v, t)
+
+        wrapped = dataclasses.replace(oracle, prox=traced)
+        x0 = np.zeros(oracle.dimension)
+        plain, traced_out = (adaptive_grid(o, x0, 100, 1.0) for o in (oracle, wrapped))
+        assert len(lockstep_calls) == 2
+        assert (plain.best, plain.total_inner_iterations) == (
+            traced_out.best, traced_out.total_inner_iterations)
+        for ij, trace in plain.runs.items():
+            assert trace_state(trace) == trace_state(traced_out.runs[ij]), ij
+
+    @pytest.mark.parametrize("prox", ["undeclared", "identity"])
+    def test_other_composite_forms_keep_the_walk_and_stay_bitwise(self, prox, lockstep_calls):
+        lasso = GRID_PATHS["lasso"]()
+        if prox == "undeclared":
+            oracle = dataclasses.replace(lasso, prox_rowwise=False)
+        else:
+            oracle = ProximalOracle.from_quadratic(lasso.quadratic, lambda v, t: v)
+        assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), 100)
+        assert not lockstep_calls
+
+    @pytest.mark.parametrize("prox, expected", [("soft-threshold", (2, 1)), ("capped", (1, 1))])
+    def test_composite_lockstep_divergence_surfaces_as_in_per_run_order(
+            self, prox, expected, lockstep_calls):
+        # along the form's negative curvature the runs' iterates grow until a
+        # value is not finite (17 of the 35 runs, at different steps, first
+        # (2, 1)); a prox that returns inf once an entry passes 1e3 fails
+        # every trial from there, so the estimate overflows (34 runs, at
+        # steps 3 to 14, first (1, 1) at step 5)
+        lam = 1e-3
+
+        def capped(v, t):
+            return np.where(np.abs(v) > 1e3, np.inf, soft_threshold(v, lam * t))
+
+        oracle = ProximalOracle.from_quadratic(
+            QuadraticForm(np.diag([1.0, 0.5, -1.0]), np.zeros(3)),
+            capped if prox == "capped" else (lambda v, t: soft_threshold(v, lam * t)),
+            lambda x: lam * float(np.abs(x).sum()), prox_rowwise=True)
+        x0 = np.array([1.0, 1.0, 1e-3])
+        # the per-run loop warns on the inf entries, which tier-1 makes errors
+        with np.errstate(all="ignore"):
+            first = assert_grid_raises_as_its_first_failing_run(oracle, x0, 33, DivergenceError)
+        assert first == expected
+        assert len(lockstep_calls) == 1
 
     @pytest.mark.parametrize("error, floor", [(DivergenceError, 1e-10), (ValueError, 1e-6)])
     def test_divergence_surfaces_as_in_per_run_order(self, error, floor):

@@ -4,13 +4,18 @@ Usage: python tools/grid_pairs.py SRC_A SRC_B [--pairs 10]
 
 Each timing runs ``adaptive_grid`` at L0 = 1 in process, in a fresh
 subprocess with the tree on PYTHONPATH and one BLAS thread; the instance is
-built before the clock starts. Two instances are timed, one after the
-other:
+built before the clock starts. Three instances are timed, one after
+the other:
 
 * ``fig1``: the Figure-1 least squares (208x60, cond 1e4, seed 1), N = 500;
 * ``lasso``: the LASSO of the benchmark's ``lasso-csv-grid`` workload, its
   design from ``perfbench/workloads.lasso_design(1)`` (2000x300, imported
-  read-only, no bytecode written), N = 100.
+  read-only, no bytecode written), N = 100;
+* ``dual-svm``: the dual SVM of ``synthetic_classification(400, 40,
+  seed=1)`` (a 400x400 kernel), N = 100.
+
+The last two run their cycles in lockstep where the tree declares their
+prox row-wise.
 
 Pair k runs A first when k is even and B first when k is odd, so drift in
 the machine's load falls on both sides. Prints each timing, then for each
@@ -42,6 +47,11 @@ N = 500
 from perfbench.workloads import lasso_design
 from restartopt import make_lasso
 inst = make_lasso(*lasso_design(1))
+N = 100
+""",
+    "dual-svm": """
+from restartopt import make_dual_svm, synthetic_classification
+inst = make_dual_svm(*synthetic_classification(400, 40, seed=1))
 N = 100
 """,
 }

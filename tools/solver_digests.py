@@ -26,15 +26,31 @@ else ``None``). A line digests the trace's values, cycles, oracle
 counters, backtracks, largest and final estimates, notes, final point,
 f(x0) and ``f_star`` (for the grid, every run's digest, the best index and
 the total), or the error's type and message. Run it once per tree and diff
-the two listings: equal lines mean bitwise-equal runs. Exits 1 after the
-listing if any run raised an error other than ``DivergenceError``,
-``ConfigError`` or ``DatasetFormatError``.
+the two listings: equal lines mean bitwise-equal runs.
+
+A grid on an oracle whose prox is declared row-wise (``prox_rowwise``: the
+LASSO and the dual SVM) runs its cycles in lockstep on matrix products that
+round differently from the scheduled runs' own. For each such grid the
+tool also prints, per run, the largest relative difference
+|f_grid - f_run| / max(1, |f_run|) of its values against its own
+``restart_scheduled(..., cap=2N)``, which must be at most ``TOLERANCE``
+with equal cycles (so equal accepted steps and restart marks), and it
+checks that a grid that raises raises what the first failing run raises.
+
+Exits 1 after the listing if any run raised an error other than
+``DivergenceError``, ``ConfigError`` or ``DatasetFormatError``, or if a
+lockstep grid's run is off its scheduled run.
 """
 
 import dataclasses
 import hashlib
 import os
 import sys
+
+# The largest relative value difference |f - f_run| / max(1, |f_run|) a
+# lockstep composite grid's run may have against its own scheduled run,
+# about 4,500 ulps; the largest measured over this matrix is 3.5e-13.
+TOLERANCE = 1e-12
 
 
 class MatmulOnly:
@@ -89,7 +105,7 @@ def main(src: str) -> None:
             lasso, oracle=ro.ProximalOracle.from_quadratic(lasso.oracle.quadratic,
                                                            lambda v, t: v.copy())),
     }
-    untyped = 0
+    untyped = off = 0
 
     def line(label: str, run) -> None:
         nonlocal untyped
@@ -113,6 +129,8 @@ def main(src: str) -> None:
             return repr((runs, out.best, out.total_inner_iterations))
 
         line(f"{tag} grid", grid)
+        if inst.oracle.prox_rowwise and inst.oracle.quadratic is not None:
+            off += tolerance(ro, tag, inst, L0, N)
         line(f"{tag} gradient descent", lambda: trace_key(ro.gradient_descent(
             inst.oracle, inst.x0, L0, N, f_star=inst.f_star)))
         for eps in (0.0, 1e-3):
@@ -124,8 +142,40 @@ def main(src: str) -> None:
                 line(f"{tag} run ({i}, {j})", lambda: trace_key(ro.restart_scheduled(
                     inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0, f_star=inst.f_star,
                     cap=2 * N)))
-    if untyped:
-        sys.exit(f"{untyped} run(s) failed with an untyped error")
+    if untyped or off:
+        sys.exit(f"{untyped} run(s) failed with an untyped error; "
+                 f"{off} lockstep grid run(s) off their scheduled runs")
+
+
+def tolerance(ro, tag: str, inst, L0: float, N: int) -> int:
+    """Print each grid run's largest relative value difference; count those off."""
+    def scheduled(i, j):
+        return ro.restart_scheduled(inst.oracle, inst.x0, ro.grid_schedule(i, j), N, L0,
+                                    f_star=inst.f_star, cap=2 * N)
+
+    try:
+        runs = ro.adaptive_grid(inst.oracle, inst.x0, N, L0, f_star=inst.f_star).runs
+    except Exception as exc:
+        # the grid must raise what its first failing run raises alone
+        i_max, j_max = N.bit_length() - 1, (N - 1).bit_length()
+        for ij in [(i, j) for i in range(1, i_max + 1) for j in range(j_max + 1)]:
+            try:
+                scheduled(*ij)
+            except Exception as first:
+                same = type(first) is type(exc) and str(first) == str(exc)
+                print(f"{tag} tolerance: raises {type(exc).__name__} as run {ij}: {same}")
+                return not same
+        print(f"{tag} tolerance: raises {type(exc).__name__}, no run does")
+        return 1
+    off = 0
+    for ij, trace in sorted(runs.items()):
+        ref = scheduled(*ij)
+        worst = max((abs(f - g) / max(1.0, abs(g)) for f, g in zip(trace.values, ref.values)),
+                    default=0.0)
+        ok = trace.cycles == ref.cycles and worst <= TOLERANCE
+        off += not ok
+        print(f"{tag} tolerance run {ij}: {worst:.1e} {'ok' if ok else 'OFF'}")
+    return off
 
 
 if __name__ == "__main__":
