@@ -77,9 +77,7 @@ class ProximalOracle:
     prox(V, T) is prox(V[i], T[i, 0]). It is a statement about the prox,
     not a setting. On a declared form whose Q is an array the grid search
     then runs its cycles in lockstep, one prox call and one matrix product
-    for many cycles at once (see ``restartopt.solvers``). Such a call
-    fails every cycle it serves, so declare only a prox that raises on no
-    input.
+    for many cycles at once (see ``restartopt.solvers``).
 
     Oracles are immutable and safe to share across concurrent solver runs.
     """

@@ -26,8 +26,10 @@ The grid search runs each distinct cycle of its schemes once. Every run
 starts from the same point and estimate, and a cycle's iterates do not
 depend on its length, so runs whose plans agree up to a cycle start share
 that start, and share the cycle from there up to the shorter length
-(``adaptive_grid``). Each run still reports exactly what it reports run
-alone.
+(``adaptive_grid``). Each run still reports what it reports run alone
+(bitwise, or within a stated tolerance where a composite grid runs in
+lockstep), and a grid with a failing run raises what the first of them
+raises alone.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ def _run_cycle(trace: Trace, oracle: ProximalOracle, epsilon: float, iterations:
     and ``Trace.extend`` appends it, so the next cycle starts from its
     final point and estimate. In a grid search ``shared`` returns the
     traces kept at the cycle's start, and the cycle hands out a copy of
-    the one at its length (see ``adaptive_grid``).
+    the one at its length, or runs when there is none (see
+    ``adaptive_grid``).
     """
     _, cycle = universal_fast_gradient(
         oracle, trace.final_point, epsilon, trace.final_L_hat, iterations, stop,
@@ -271,9 +274,10 @@ def grid_schedule(i: int, j: int) -> Schedule:
 class GridOutcome:
     """All runs of the schedule grid search plus the winning index.
 
-    Every scheme of the grid has its run, bitwise the trace
+    Every scheme of the grid has its run, the trace
     ``restart_scheduled(..., cap=2N)`` gives it, though steps that runs
-    share are computed once (see ``adaptive_grid``).
+    share are computed once (see ``adaptive_grid``): bitwise, but within a
+    stated tolerance on a composite form whose cycles run in lockstep.
     ``total_inner_iterations`` is the paper's count, the sum of the runs'
     accepted iterations, shared steps counted once per run. ``best``
     minimizes the final objective value, ties broken by smaller i then
@@ -345,12 +349,17 @@ def adaptive_grid(
     re-anchor, so it holds the value the runs that end there report. So
     each run's values, cycles, notes, oracle counters, backtracks,
     estimates and final point are bitwise those of its own
-    ``restart_scheduled(..., cap=2N)``. Every cycle of every run is still
-    one ``universal_fast_gradient`` call, which hands out a copy of the
-    kept trace at its length, and runs are taken in (i, j) order:
-    an exception a cycle raises is kept for every length it had not
-    reached, so the grid raises what the first failing run raises alone.
-    The kept traces live until this call returns.
+    ``restart_scheduled(..., cap=2N)``, but on a composite form whose
+    cycles run in lockstep, whose values are held to their runs' within a
+    stated tolerance (see ``restartopt.solvers``). Every cycle of every run
+    is still one ``universal_fast_gradient`` call, which hands out a copy
+    of the kept trace at its length. The kept traces live until this call
+    returns.
+
+    Runs are taken in (i, j) order. A tree that raises anything is
+    dropped, and then every cycle of every run runs as its own
+    ``universal_fast_gradient`` call, so the grid raises what the first
+    failing run raises alone.
     """
     if budget < 4:
         raise ValueError(f"grid search needs a budget >= 4, got {budget}")
@@ -364,7 +373,7 @@ def adaptive_grid(
     tree = functools.cache(lambda: _grid_snapshots(oracle, x0, L0, f_star, takers, children))
     runs = {}
     for ij, plan, path in zip(schemes, plans, paths):
-        shared = [lambda start=start: tree()[start] for start in path]
+        shared = [lambda start=start: tree().get(start, {}) for start in path]
         runs[ij] = _scheduled(oracle, x0, plan, "the cap", L0, f_star, shared)
     best = min(runs, key=lambda ij: (runs[ij].final_f, ij))
     total = sum(tr.accepted for tr in runs.values())

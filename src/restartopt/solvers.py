@@ -80,8 +80,11 @@ generic one; tests hold them to the generic path (the same oracle with
 
 Gradient descent on a form carries Q x, takes its gradient Q x - h at no
 product, runs every trial through ``_form_trial`` and updates Q x by the
-accepted Q d, so a run costs one product per trial plus one for x0. It
-runs with numpy's floating-point warnings off, as the smooth loop does.
+accepted Q d, so a run costs one product per trial plus one for x0.
+
+Every loop on a form, and its f(x0), runs with numpy's floating-point
+warnings off: its overflows raise DivergenceError, typed, with no warning
+before it. The generic loops keep numpy's settings.
 
 Iteration accounting: one inner iteration = one accepted step. Line
 search backtracks are tallied separately (``Trace.backtracks``), as are
@@ -95,31 +98,32 @@ A single run of ``universal_fast_gradient`` runs one loop to its budget.
 The generic and composite loops are generators that can be resumed in
 place: sent a budget, a loop runs to that many accepted steps in all, adds
 its counters to the trace and yields; sent a larger one, it goes on from
-there. The smooth loop runs once, with numpy's floating-point warnings
-off, since its overflows raise DivergenceError. Nothing a step computes
-depends on the cycle's length but one thing: the smooth loop skips its
-re-anchor after a cycle's last step, so a cycle that ends on a multiple
-of 32 reports a value there that differs in its last bits from the one a
-longer cycle reports.
+there. The smooth loop runs once. Nothing a step computes depends on the
+cycle's length but one thing: the smooth loop skips its re-anchor after a
+cycle's last step, so a cycle that ends on a multiple of 32 reports a
+value there that differs in its last bits from the one a longer cycle
+reports.
 
 The grid search runs its plan tree once, up front (``_grid_snapshots``):
 every distinct cycle runs once, and its trace, a ``Trace`` of one cycle,
 is kept at each length a run takes it to, copied before any re-anchor
 where the cycle goes on. Each run's ``universal_fast_gradient`` call
-then hands out its own copy of the kept trace, or raises the kept
-exception. Generic cycles, and composite ones but those below, run their
-resumable loop, start by start. A smooth form's cycles run in lockstep
-(``_lockstep``): one accepted step per tick for every active cycle, each
-a column of stacked arrays. It is bitwise the smooth loop. Its trial
-scalars are the loop's IEEE operations, done
+then hands out its own copy of the kept trace. The tree runs only the
+path where every run succeeds: a cycle runs only to lengths that runs
+take, so whatever it raises some run raises too, and a tree that raises
+is dropped. Each run then runs its own cycles, so the grid raises what
+its first failing run raises alone. Generic cycles, and composite ones
+but those below, run their resumable loop, start by start. A smooth
+form's cycles run in lockstep (``_lockstep``): one accepted step per tick
+for every active cycle, each a column of stacked arrays. It is bitwise
+the smooth loop. Its trial scalars are the loop's IEEE operations, done
 elementwise in the same order, for the estimates L_hat 2^m, m = 0..7, at
 once (doubling is exact); the first level that passes is the loop's. Its
 step, Gram matrix and mix are ``np.matmul`` over stacked operands, which
 make for each column the BLAS call the loop makes. Its products of Q go
 through ``_products``: one ``np.matmul(Q, M[..., None])`` when Q is an
 array, else the loop's own ``Q @ v`` per column. A cycle's start and its
-re-anchors run the loop's own helpers on its column, and an error is kept
-for the lengths at and past the step that raised it. Runs that share a
+re-anchors run the loop's own helpers on its column. Runs that share a
 cycle share the steps before it, and a run stops at the first cycle
 boundary past its budget, so either every run that takes a cycle to a
 length goes on from there or none does. A length runs go on from keeps
@@ -343,7 +347,8 @@ def _start(
     Returns the start point as a fresh float array, a trace that records
     f(x0), the smooth value f0(x0), and, when the oracle declares a
     quadratic form, the image Q x0 that f0(x0) was evaluated from (else
-    ``None``).
+    ``None``). A form's f(x0) is evaluated with numpy's floating-point
+    warnings off, as its loops run.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -353,13 +358,14 @@ def _start(
     x = np.array(x0, dtype=float)
     trace = Trace(f_star=f_star, max_L_hat=float(L0))
     form = oracle.quadratic
-    if form is None:
-        f0_x, Qx = oracle.smooth_value(x), None
-    else:
-        Qx = form.Q @ x
-        f0_x = form.value(x, Qx)
+    with np.errstate(all=None if form is None else "ignore"):
+        if form is None:
+            f0_x, Qx = oracle.smooth_value(x), None
+        else:
+            Qx = form.Q @ x
+            f0_x = form.value(x, Qx)
+        trace.f_initial = f0_x + oracle.psi(x)
     trace.n_value += 1
-    trace.f_initial = f0_x + oracle.psi(x)
     _check_finite(math.isfinite(trace.f_initial))
     return x, trace, f0_x, Qx
 
@@ -534,7 +540,7 @@ def universal_fast_gradient(
     stop: Optional[Callable[[Vector, float], bool]] = None,
     *,
     f_star: Optional[float] = None,
-    _cycle: Optional[Callable[[], dict[int, Trace | Exception]]] = None,
+    _cycle: Optional[Callable[[], dict[int, Trace]]] = None,
 ) -> tuple[Vector, Trace]:
     """Universal fast gradient method with target accuracy ``epsilon``.
 
@@ -570,19 +576,20 @@ def universal_fast_gradient(
     require_finite(epsilon=epsilon)
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if _cycle is not None:
-        kept = _cycle()[budget]
-        if isinstance(kept, Exception):
-            raise kept
+    if _cycle is not None and (kept := _cycle().get(budget)) is not None:
         trace = kept.copy()
         return trace.final_point, trace
     x0, trace, _, Qx0 = _start(oracle, x0, L0, budget, f_star)
-    if oracle.quadratic is not None and oracle.prox is None:
-        with np.errstate(all="ignore"):  # an overflow raises DivergenceError, typed
+    form = oracle.quadratic
+    # on a form an overflow raises DivergenceError, typed; all=None keeps
+    # numpy's settings on the generic path
+    with np.errstate(all=None if form is None else "ignore"):
+        if form is not None and oracle.prox is None:
             y, L_hat = _ufgm_on_smooth_form(oracle, x0, Qx0, epsilon, float(L0), budget,
                                             stop, trace)
-    else:
-        y, L_hat = next(_resumable(oracle, x0, Qx0, epsilon, float(L0), budget, stop, trace))
+        else:
+            y, L_hat = next(_resumable(oracle, x0, Qx0, epsilon, float(L0), budget, stop,
+                                       trace))
     trace.cycles.append((trace.accepted, epsilon if epsilon > 0 else None))
     trace.final_point, trace.final_L_hat = y, L_hat
     return y, trace
@@ -590,7 +597,7 @@ def universal_fast_gradient(
 
 def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
                     takers: dict[int, set[int]], children: dict[tuple[int, int], int]
-                    ) -> dict[int, dict[int, Trace | Exception]]:
+                    ) -> dict[int, dict[int, Trace]]:
     """Run every cycle of a grid's plan tree once; keep its trace at each length.
 
     ``takers[start]`` holds the lengths runs take the cycle from ``start``
@@ -600,42 +607,44 @@ def _grid_snapshots(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optio
     row-wise and whose Q is an array, runs the tree in lockstep
     (``_lockstep``). Otherwise the starts are walked in numbering order,
     parents first, and each start's resumable loop is sent its lengths in
-    increasing order.
-    Whatever a start raises is kept for the lengths it has not reached, and
-    the first run to take one raises it; a start whose parent failed first
-    is not run, since no run reaches it. Returns, for every start run, its
-    trace or exception at each length: a ``Trace`` of one cycle, a copy
-    where the loop goes on and its own at its last length, whose final
-    point is ``None`` where runs go on.
+    increasing order. A form's cycles run with numpy's floating-point
+    warnings off, as a single run's do. Returns, for every start, its trace
+    at each length: a ``Trace`` of one cycle, a copy where the loop goes on
+    and its own at its last length, whose final point is ``None`` where
+    runs go on.
+
+    The tree runs only the path where every run succeeds. A cycle runs
+    only to lengths that runs take, so whatever the tree raises, of
+    whatever type, some run raises too: the tree is dropped and this
+    returns no traces. Each run then runs its own cycles, and the grid
+    raises what its first failing run raises alone.
     """
     form = oracle.quadratic
-    if form is not None and (oracle.prox is None or oracle.prox_rowwise
-                             and isinstance(form.Q, np.ndarray)):
-        return _lockstep(oracle, x0, float(L0), f_star, takers, children)
-    kept: dict[int, dict[int, Trace | Exception]] = {}
-    points = {0: (x0, L0)}
-    for start, lengths in sorted(takers.items()):
-        if start not in points:
-            continue
-        traces = kept[start] = {}
-        x, L = points.pop(start)
-        last = max(lengths)
-        try:
-            x, trace, _, Qx = _start(oracle, x, L, last, f_star)
-            loop = _resumable(oracle, x, Qx, 0.0, float(L), 0, None, trace)
-            next(loop)
-            for length in sorted(lengths):
-                y, L_hat = loop.send(length)
-                child = children.get((start, length))
-                if child is not None:  # every run that takes this length goes on
-                    points[child] = y, L_hat
-                    y = None
-                trace.cycles, trace.final_point, trace.final_L_hat = [(length, None)], y, L_hat
-                traces[length] = trace if length == last else trace.copy()
-        except Exception as exc:  # a single run would raise it, of whatever type
-            for length in lengths:
-                traces.setdefault(length, exc)
-    return kept
+    try:
+        with np.errstate(all=None if form is None else "ignore"):
+            if form is not None and (oracle.prox is None or oracle.prox_rowwise
+                                     and isinstance(form.Q, np.ndarray)):
+                return _lockstep(oracle, x0, float(L0), f_star, takers, children)
+            kept: dict[int, dict[int, Trace]] = {}
+            points = {0: (x0, L0)}
+            for start, lengths in sorted(takers.items()):
+                x, L = points.pop(start)
+                last = max(lengths)
+                x, trace, _, Qx = _start(oracle, x, L, last, f_star)
+                loop = _resumable(oracle, x, Qx, 0.0, float(L), 0, None, trace)
+                next(loop)
+                traces = kept[start] = {}
+                for length in sorted(lengths):
+                    y, L_hat = loop.send(length)
+                    child = children.get((start, length))
+                    if child is not None:  # every run that takes this length goes on
+                        points[child] = y, L_hat
+                        y = None
+                    trace.cycles, trace.final_point, trace.final_L_hat = [(length, None)], y, L_hat
+                    traces[length] = trace if length == last else trace.copy()
+            return kept
+    except Exception:  # some run raises too: every run runs its own cycles
+        return {}
 
 
 def _resumable(oracle: ProximalOracle, x0: Vector, Qx0: Optional[Vector], epsilon: float,
@@ -831,14 +840,12 @@ def _smooth_trial(gram: list, A: float, S: float, L_hat: float, epsilon: float,
 
 
 def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
-                  rows: np.ndarray, errors: Optional[dict[int, Exception]] = None
-                  ) -> list[float]:
+                  rows: np.ndarray) -> list[float]:
     """Fill rows 0-6 of the smooth loop's state at k cycle starts; return each S.
 
     ``X`` and ``QX`` hold the starts and their images, ``L0`` their
     estimates and ``rows`` their states. Every operation acts on each start
-    as the loop's would on it alone (the products through ``_products``,
-    which puts what they raise into ``errors``, when given).
+    as the loop's would on it alone (the products through ``_products``).
     """
     G = QX - h
     # each first gradient over P = L0 2^j, j >= 0 just large enough to keep
@@ -847,7 +854,7 @@ def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
     P = np.array([[math.ldexp(L, max(math.frexp(g)[1] - math.frexp(L)[1], 0))]
                   for g, L in zip(np.abs(G).max(axis=1).tolist(), L0)])
     V = G / P
-    QV = _products(Q, V, np.empty_like(V), errors)
+    QV = _products(Q, V, np.empty_like(V))
     S = []
     for L, v, Qv in zip(L0, V, QV):
         vv, vQv = float(np.vdot(v, v)), float(np.vdot(v, Qv))
@@ -863,24 +870,17 @@ def _smooth_start(Q, h: Vector, X: np.ndarray, QX: np.ndarray, L0: list[float],
     return S
 
 
-def _products(Q, V: np.ndarray, out: np.ndarray,
-              errors: Optional[dict[int, Exception]] = None) -> np.ndarray:
+def _products(Q, V: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write Q v into ``out`` for each row v of V, as the smooth loop's ``Q @ v``.
 
     When Q is an array this is one ``np.matmul`` over the stack, which makes
-    for each row the BLAS call ``Q @ v`` makes; otherwise it is that call,
-    and what it raises goes into ``errors`` by row, when given.
+    for each row the BLAS call ``Q @ v`` makes; otherwise it is that call.
     """
     if isinstance(Q, np.ndarray):
         np.matmul(Q, V[..., None], out=out[..., None])
         return out
     for k, v in enumerate(V):
-        try:
-            out[k] = Q @ v
-        except Exception as exc:
-            if errors is None:
-                raise
-            errors[k] = exc
+        out[k] = Q @ v
     return out
 
 
@@ -933,19 +933,20 @@ _STEP_SOURCES = np.array([0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 6, 6, 7, 7, 5, 8])
 
 def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[float],
               takers: dict[int, set[int]], children: dict[tuple[int, int], int]
-              ) -> dict[int, dict[int, Trace | Exception]]:
+              ) -> dict[int, dict[int, Trace]]:
     """Run every cycle of a grid's plan tree on a form, one step per tick.
 
-    The tree is ``_grid_snapshots``'s, and so is what this returns. See the
-    module docstring. Each cycle is a column of the stacked state, the
-    smooth loop's two buffers for every column (on a composite form one
-    buffer of five rows, stepped by ``_composite_tick``); columns are kept
-    in the first slots, the last one moving into the slot of one that retires.
-    A cycle's column is made when its parent takes its length (after the
-    tick's retirements), from that trace's final point and estimate, and
-    retires at its longest length or at an error. A column whose ladder
-    has no pass, or every column of a tick with few, runs the smooth loop's
-    scalar trial (``_smooth_trial``).
+    The tree is ``_grid_snapshots``'s, and so is what this returns; it
+    raises at the first failure of any cycle. See the module docstring.
+    Each cycle is a column of the stacked state, the smooth loop's two
+    buffers for every column (on a composite form one buffer of five rows,
+    stepped by ``_composite_tick``); columns are kept in the first slots,
+    the last one moving into the slot of one that retires. A cycle's column
+    is made when its parent takes its length (after the tick's
+    retirements), from that trace's final point and estimate, and retires
+    at its longest length. A column whose ladder has no pass, or every
+    column of a tick with few, runs the smooth loop's scalar trial
+    (``_smooth_trial``).
     """
     form, prox = oracle.quadratic, oracle.prox
     Q, h, c = form.Q, form.h, form.c
@@ -982,37 +983,26 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
     values: list[list[float]] = []  # each column's values
     where: dict[int, int] = {}  # the column of each start
     f_initial: dict[int, float] = {}
-    kept: dict[int, dict[int, Trace | Exception]] = {}
+    kept: dict[int, dict[int, Trace]] = {}
     cur = 0
 
     def make(made: list[tuple[int, Vector, float]]) -> None:
         """Make the columns of the cycles that start from these points and estimates.
 
         Each start's f(x0) is ``_start``'s, with its image Q x0 from
-        ``_products``; the estimates are valid by making. A start whose
-        products raise keeps what they raise.
+        ``_products``; the estimates are valid by making.
         """
         X = np.array([x for _, x, _ in made], dtype=float)
-        errors: dict[int, Exception] = {}
-        QX = _products(Q, X, np.empty_like(X), errors)
-        first, L0s, good = len(slots), [], []
-        for k, (start, _, L_hat) in enumerate(made):
+        QX = _products(Q, X, np.empty_like(X))
+        new = slice(len(slots), len(slots) + len(made))
+        for (start, _, _), x, Qx in zip(made, X, QX):
+            f_initial[start] = f = form.value(x, Qx) + oracle.psi(x)
+            _check_finite(math.isfinite(f))
             kept[start] = {}
-            f = math.nan if k in errors else form.value(X[k], QX[k]) + oracle.psi(X[k])
-            if not math.isfinite(f):
-                fail(start, errors.get(k, DivergenceError(_NON_FINITE)))
-                continue
             where[start] = len(slots)
             slots.append(start)
             values.append([])
-            f_initial[start] = f
-            L0s.append(L_hat)
-            good.append(k)
-        if len(good) < len(made):
-            X, QX = X[good], QX[good]
-        if not L0s:
-            return
-        new = slice(first, len(slots))
+        L0s = [L_hat for _, _, L_hat in made]
         rows = state[cur, new]
         L[new] = top[new] = L0s
         A[new] = backs[new] = 0.0
@@ -1020,11 +1010,8 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
             rows[:, 0] = rows[:, 4] = X
             np.subtract(QX, h, out=rows[:, 2])
             return
-        errors.clear()
-        S[new] = _smooth_start(Q, h, X, QX, L0s, rows, errors)
+        S[new] = _smooth_start(Q, h, X, QX, L0s, rows)
         np.matmul(rows[:, :4], rows[:, 2:7].transpose(0, 2, 1), out=grams[new])
-        for start, error in [(slots[first + k], error) for k, error in errors.items()]:
-            fail(start, error)
 
     def retire(start: int) -> None:
         k, j = where.pop(start), len(slots) - 1
@@ -1038,115 +1025,83 @@ def _lockstep(oracle: ProximalOracle, x0: Vector, L0: float, f_star: Optional[fl
         slots.pop()
         values.pop()
 
-    def fail(start: int, error: Exception) -> None:
-        for length in takers[start]:
-            kept[start].setdefault(length, error)
-        if start in where:
-            retire(start)
-
     def settle(start: int, t: int, made: list) -> None:
         k = where[start]
-        f = values[k][-1]
         if t in takers[start]:
-            if math.isfinite(f):
-                backtracks = int(backs[k])
-                trials = t + backtracks
-                point, L_hat = state[cur, k, 0].copy(), float(L[k])
-                child = children.get((start, t))
-                if child is not None:  # every run that takes this length goes on
-                    made.append((child, point, L_hat))
-                    point = None
-                # a column that goes on keeps a copy, taken before a re-anchor
-                kept[start][t] = Trace(
-                    values=values[k] if t == last[start] else values[k].copy(),
-                    cycles=[(t, None)], final_point=point, final_L_hat=L_hat, f_star=f_star,
-                    f_initial=f_initial[start], n_value=1 + 2 * trials, n_grad=trials,
-                    # a composite step calls the prox once per trial, and for z but at t = 1
-                    n_prox=0 if prox is None else trials + t - 1,
-                    backtracks=backtracks, max_L_hat=float(top[k]))
-            else:
-                kept[start][t] = DivergenceError(_NON_FINITE)
+            backtracks = int(backs[k])
+            trials = t + backtracks
+            point, L_hat = state[cur, k, 0].copy(), float(L[k])
+            child = children.get((start, t))
+            if child is not None:  # every run that takes this length goes on
+                made.append((child, point, L_hat))
+                point = None
+            # a column that goes on keeps a copy, taken before a re-anchor
+            kept[start][t] = Trace(
+                values=values[k] if t == last[start] else values[k].copy(),
+                cycles=[(t, None)], final_point=point, final_L_hat=L_hat, f_star=f_star,
+                f_initial=f_initial[start], n_value=1 + 2 * trials, n_grad=trials,
+                # a composite step calls the prox once per trial, and for z but at t = 1
+                n_prox=0 if prox is None else trials + t - 1,
+                backtracks=backtracks, max_L_hat=float(top[k]))
         if t == last[start]:
             retire(start)
-            return
-        if prox is None and t % _REANCHOR_STEPS == 0:
+        elif prox is None and t % _REANCHOR_STEPS == 0:
             rows, scale = state[cur, k], float(S[k])
-            try:
-                _reanchor(rows, Q, h, scale)
-            except Exception as exc:  # from a Q that is no array
-                fail(start, exc)
-                return
+            _reanchor(rows, Q, h, scale)
             grams[k] = gram = rows[:4].dot(rows[2:7].T)
             f = values[k][-1] = 0.5 * scale * (float(gram[0, 0]) - float(gram[0, 4])) + c
-        if not math.isfinite(f):
-            fail(start, DivergenceError(_NON_FINITE))
+            _check_finite(math.isfinite(f))
 
-    x0 = _start(oracle, x0, L0, last[0], f_star)[0]  # raises what a first cycle would
-    with np.errstate(all="ignore"):
-        make([(0, x0, L0)])
-        tick = 0
-        while slots:
-            tick += 1
-            C = len(slots)
-            if prox is not None:
-                f0, overflowed = _composite_tick(Q, h, c, prox, oracle.psi, state[0, :C],
-                                                 scalars[:, :C])
-                failed = {slots[k]: _overflow(tick - born[slots[k]]) for k in overflowed}
+    # validates L0 and f(x0) before any column is made, as a run's first cycle does
+    x0 = _start(oracle, x0, L0, last[0], f_star)[0]
+    make([(0, x0, L0)])
+    tick = 0
+    while slots:
+        tick += 1
+        C = len(slots)
+        if prox is not None:
+            f0 = _composite_tick(Q, h, c, prox, oracle.psi, state[0, :C], scalars[:, :C])
+        else:
+            rows, new = state[cur, :C], state[1 - cur, :C]
+            Ac, Sc, Lc, topc, backc = scalars[:, :C]
+            if C > _SCALAR_TRIALS:
+                passed = _ladder(grams[:C], scalars[:2, :C], Lc, ladder[:, :C])
+                m = passed.argmax(1)
+                level = ladder[:5, index[:C], m]
+                ok = passed[index[:C], m]
+                alone = [] if ok.all() else np.flatnonzero(~ok).tolist()
             else:
-                rows, new = state[cur, :C], state[1 - cur, :C]
-                Ac, Sc, Lc, topc, backc = scalars[:, :C]
-                if C > _SCALAR_TRIALS:
-                    passed = _ladder(grams[:C], scalars[:2, :C], Lc, ladder[:, :C])
-                    m = passed.argmax(1)
-                    level = ladder[:5, index[:C], m]
-                    ok = passed[index[:C], m]
-                    alone = [] if ok.all() else np.flatnonzero(~ok).tolist()
-                else:
-                    m, level, alone = np.zeros(C, dtype=np.intp), np.empty((5, C)), range(C)
-                failed = {}
-                for k in alone:  # no pass in the ladder, or too few columns for one
-                    start = slots[k]
-                    try:
-                        found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(),
-                                              0.0, tick - born[start])
-                    except DivergenceError as exc:
-                        failed[start] = exc
-                    else:
-                        level[:, k], m[k] = found[:5], found[5]
-                u, tau, s, a, L_hat = level
-                Ac += a
-                backc += m
-                np.maximum(topc, L_hat, out=topc, where=m > 0)
-                np.maximum(L_hat / 2.0, _L_HAT_MIN, out=Lc)
-                # the step's product: Q times the mix of the image rows
-                UT[:C, 0, :2] = level[:2].T
-                np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
-                mix = np.matmul(W[:C], rows[:, 4:6])
-                errors = {}
-                _products(Q, mix.reshape(C, n), rows[:, 7], errors)
-                for k, exc in errors.items():  # after the trial's own error
-                    failed.setdefault(slots[k], exc)
-                np.negative(s, out=K[:C, 1, 0])
-                np.multiply(a, -Sc, out=K[:C, 2, 0])
-                steps.reshape(-1)[cells[:16 * C]] = (
-                    (K[:C] * UT[:C]).reshape(C, 9).take(_STEP_SOURCES, 1).ravel())
-                np.matmul(steps[:C], rows, out=new)
-                np.matmul(new[:, :4], new[:, 2:7].transpose(0, 2, 1), out=grams[:C])
-                f0 = (0.5 * Sc * (grams[:C, 0, 0] - grams[:C, 0, 4]) + c).tolist()
-                cur = 1 - cur
-            for column, f in zip(values, f0):
-                column.append(f)
-            due = [start for start in events.pop(tick, ()) if start in where]
-            if failed or not math.isfinite(sum(f0)):
-                due += [slots[k] for k, f in enumerate(f0) if not math.isfinite(f)]
-            made: list = []
-            for start in dict.fromkeys(due + list(failed)):
-                if start in failed:
-                    fail(start, failed[start])
-                elif start in where:
-                    settle(start, tick - born[start], made)
-            if made:
-                make(made)
+                m, level, alone = np.zeros(C, dtype=np.intp), np.empty((5, C)), range(C)
+            for k in alone:  # no pass in the ladder, or too few columns for one
+                found = _smooth_trial(grams[k].tolist(), *scalars[:3, k].tolist(), 0.0,
+                                      tick - born[slots[k]])
+                level[:, k], m[k] = found[:5], found[5]
+            u, tau, s, a, L_hat = level
+            Ac += a
+            backc += m
+            np.maximum(topc, L_hat, out=topc, where=m > 0)
+            np.maximum(L_hat / 2.0, _L_HAT_MIN, out=Lc)
+            # the step's product: Q times the mix of the image rows
+            UT[:C, 0, :2] = level[:2].T
+            np.divide(UT[:C, :, :2], Sc[:, None, None], out=W[:C])
+            mix = np.matmul(W[:C], rows[:, 4:6])
+            _products(Q, mix.reshape(C, n), rows[:, 7])
+            np.negative(s, out=K[:C, 1, 0])
+            np.multiply(a, -Sc, out=K[:C, 2, 0])
+            steps.reshape(-1)[cells[:16 * C]] = (
+                (K[:C] * UT[:C]).reshape(C, 9).take(_STEP_SOURCES, 1).ravel())
+            np.matmul(steps[:C], rows, out=new)
+            np.matmul(new[:, :4], new[:, 2:7].transpose(0, 2, 1), out=grams[:C])
+            f0 = (0.5 * Sc * (grams[:C, 0, 0] - grams[:C, 0, 4]) + c).tolist()
+            cur = 1 - cur
+        _check_finite(all(map(math.isfinite, f0)))
+        for column, f in zip(values, f0):
+            column.append(f)
+        made: list = []
+        for start in events.pop(tick, ()):
+            settle(start, tick - born[start], made)
+        if made:
+            make(made)
     return kept
 
 
@@ -1172,7 +1127,7 @@ def _rows_times(X: np.ndarray, Q: np.ndarray, out: Optional[np.ndarray] = None) 
 
 
 def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndarray,
-                    scalars: np.ndarray) -> tuple[list[float], list[int]]:
+                    scalars: np.ndarray) -> list[float]:
     """One accepted step of each column of a composite lockstep grid, at target 0.
 
     ``rows`` holds each column's y, z, g_y, g_z and v, ``scalars`` its A,
@@ -1186,7 +1141,8 @@ def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndar
     x = (1 - tau) y + tau z and w = x - g / L_hat and an accepted step's
     g = (1 - tau) g_y + tau g_z and v - a g, are small stacked matrix
     products, and products with Q go through ``_rows_times``. Returns each
-    column's value f(y) and the columns whose estimate overflowed.
+    column's value f(y); an estimate that would overflow raises
+    DivergenceError.
     """
     A, _, L, top, backs = scalars
     C = A.size
@@ -1200,7 +1156,6 @@ def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndar
     QD, Y_new = np.empty_like(Y), np.empty_like(Y)
     M = np.zeros(C, dtype=np.intp)  # each column's doublings
     K = np.zeros((C, 2, 4))  # [x; w] = K [y; z; g_y; g_z]
-    overflowed = []
     live, r, L_k, A_k = None, 0, L, A  # live: the columns still trying, None for all
     while True:
         a = (1.0 + np.sqrt(1.0 + 4.0 * A_k * L_k)) / 2.0 / L_k
@@ -1227,11 +1182,7 @@ def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndar
         r += 1
         L_k = np.ldexp(L[live], r)
         if np.isinf(L_k).any():
-            inf = np.isinf(L_k)
-            overflowed += live[inf].tolist()
-            live, L_k = live[~inf], L_k[~inf]
-            if not live.size:
-                break
+            raise DivergenceError("Lipschitz estimate overflowed in the lockstep line search")
         A_k = A[live]
     L_m = np.ldexp(L, M)
     np.maximum(top, L_m, out=top)
@@ -1248,7 +1199,7 @@ def _composite_tick(Q: np.ndarray, h: Vector, c: float, prox, psi, rows: np.ndar
     V[...] = G[:, 1]
     np.subtract(GY, h, out=QD)
     f0 = 0.5 * _rowdot(Y, QD) + c
-    return [f + psi(y) for f, y in zip(f0.tolist(), Y)], overflowed
+    return [f + psi(y) for f, y in zip(f0.tolist(), Y)]
 
 
 def _ufgm_on_form(

@@ -1,6 +1,8 @@
 """Command-line behavior: trace files, summaries, determinism, errors."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -343,6 +345,54 @@ class TestRun:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 26
+
+    def test_dual_svm_dataset_run(self, tmp_path):
+        data = tmp_path / "d.csv"
+        separable_csv(data)
+        out = tmp_path / "grid"
+        code = run_cli("grid", "--dataset", str(data), "--loss", "dual-svm", "--N", "16",
+                       "--out", str(out))
+        assert code == 0
+        assert len([p for p in out.iterdir() if p.name.startswith("trace_")]) == 20
+
+    def test_sharp_norm_run_meets_its_envelope(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--problem", "sharp-norm", "--dim", "5", "--method", "h-restart",
+                       "--N", "60", "--out", str(out))
+        assert code == 0
+        rows = trace_rows(out)
+        assert len(rows) == 60
+        [envelope] = envelope_lines(capsys.readouterr().out)
+        assert 0.0 <= float(rows[-1][2]) <= float(envelope.split(": ")[-1])
+
+    def test_criterion_without_regularity_decays_its_targets_by_e(self, tmp_path, capsys):
+        # a rank-deficient least squares (the second column repeats the
+        # first) has a known optimum but no declared regularity, so the
+        # criterion restart takes gamma = 1 and prints no envelope
+        data = tmp_path / "d.csv"
+        rng = np.random.default_rng(4)
+        lines = []
+        for _ in range(20):
+            a, b, target = rng.standard_normal(3)
+            lines.append(",".join(format(v, ".8f") for v in (a, a, b, target)))
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "t.csv"
+        code = run_cli("run", "--dataset", str(data), "--loss", "least-squares",
+                       "--method", "criterion", "--N", "40", "--out", str(out))
+        assert code == 0
+        assert not envelope_lines(capsys.readouterr().out)
+        targets = list(dict.fromkeys(float(row[4]) for row in trace_rows(out)))
+        assert len(targets) >= 2
+        for before, after in zip(targets, targets[1:]):
+            steps = math.log(before / after)  # cycles skip targets they already meet
+            assert steps >= 0.5 and math.isclose(steps, round(steps), abs_tol=1e-9)
+
+    def test_restart_without_a_gap_estimate_is_a_config_error(self):
+        # every instance with declared smooth regularity also knows its
+        # optimum, so only an instance built without one reaches this
+        inst = dataclasses.replace(make_quadratic(5, 10.0, seed=1), f_star=None)
+        with pytest.raises(ConfigError, match="needs an initial gap estimate"):
+            cli.run_method("restart", inst, {"N": 10, "L0": 1.0})
 
 
 class TestHRestartRun:

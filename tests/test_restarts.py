@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from restartopt import (
     ufgm_constant,
     universal_fast_gradient,
 )
-from restartopt import solvers
+from restartopt import restarts, solvers
 from restartopt.problems import soft_threshold
 from restartopt.solvers import Trace
 from test_solvers import CountingMatrix, restart_marks
@@ -518,7 +519,7 @@ def assert_runs_are_scheduled(oracle, x0, N, L0=1.0):
     return out
 
 
-def assert_grid_raises_as_its_first_failing_run(oracle, x0, N, error):
+def assert_grid_raises_as_its_first_failing_run(oracle, x0, N, error, L0=1.0):
     """The grid raises what its first run in (i, j) order to fail raises alone.
 
     Returns the (i, j) of that run, each run being ``restart_scheduled(..., cap=2N)``.
@@ -526,29 +527,70 @@ def assert_grid_raises_as_its_first_failing_run(oracle, x0, N, error):
     first = None
     for i, j in grid_indices(N):
         try:
-            restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
+            restart_scheduled(oracle, x0, grid_schedule(i, j), N, L0, cap=2 * N)
         except error as exc:
             first = (i, j), str(exc)
             break
     assert first is not None
     with pytest.raises(error) as raised:
-        adaptive_grid(oracle, x0, N, 1.0)
+        adaptive_grid(oracle, x0, N, L0)
     assert str(raised.value) == first[1]
     return first[0]
 
 
 @pytest.fixture
 def lockstep_calls(monkeypatch):
-    """The calls the grid makes to the lockstep engine."""
+    """How each call the grid makes to the lockstep engine ends: "returned" or "raised".
+
+    A tree that raises is dropped and its runs run alone, which gives the
+    same traces, so a grid that should run in lockstep asserts "returned".
+    """
     calls = []
     engine = solvers._lockstep
 
-    def counted(*args):
-        calls.append(args)
-        return engine(*args)
+    def recorded(*args):
+        try:
+            kept = engine(*args)
+        except Exception:
+            calls.append("raised")
+            raise
+        calls.append("returned")
+        return kept
 
-    monkeypatch.setattr(solvers, "_lockstep", counted)
+    monkeypatch.setattr(solvers, "_lockstep", recorded)
     return calls
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """Whether each plan tree the grid runs is "kept" or "dropped" (it raised)."""
+    outcomes = []
+    run = restarts._grid_snapshots
+
+    def recorded(*args):
+        kept = run(*args)
+        outcomes.append("kept" if kept else "dropped")
+        return kept
+
+    monkeypatch.setattr(restarts, "_grid_snapshots", recorded)
+    return outcomes
+
+
+def capped_prox_oracle(prox_rowwise=True):
+    """An indefinite 3x3 composite form whose prox returns inf past 1e3, and its x0.
+
+    Along the negative curvature the iterates grow until the prox fails
+    every trial and the estimate overflows.
+    """
+    lam = 1e-3
+
+    def capped(v, t):
+        return np.where(np.abs(v) > 1e3, np.inf, soft_threshold(v, lam * t))
+
+    oracle = ProximalOracle.from_quadratic(
+        QuadraticForm(np.diag([1.0, 0.5, -1.0]), np.zeros(3)), capped,
+        lambda x: lam * float(np.abs(x).sum()), prox_rowwise=prox_rowwise)
+    return oracle, np.array([1.0, 1.0, 1e-3])
 
 
 class TestSharedGrid:
@@ -556,9 +598,11 @@ class TestSharedGrid:
 
     @pytest.mark.parametrize("N", [4, 100])
     @pytest.mark.parametrize("path", [p for p in GRID_PATHS if p not in LOCKSTEP_COMPOSITE])
-    def test_every_run_is_bitwise_its_scheduled_run(self, path, N):
+    def test_every_run_is_bitwise_its_scheduled_run(self, path, N, lockstep_calls, trees):
         oracle = GRID_PATHS[path]()
         out = assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), N)
+        assert trees == ["kept"]
+        assert lockstep_calls == (["returned"] if path == "smooth-form" else [])
         if path == "smooth-form" and N == 100:
             # a cycle that ends on step 32 or 64 reports another value there
             # than one that goes on, and the shared cycle reproduces both
@@ -575,7 +619,7 @@ class TestSharedGrid:
         oracle = GRID_PATHS[path]()
         x0 = np.zeros(oracle.dimension)
         out = adaptive_grid(oracle, x0, N, L0)
-        assert len(lockstep_calls) == 1
+        assert lockstep_calls == ["returned"]
         assert sorted(out.runs) == grid_indices(N)
         for (i, j), trace in out.runs.items():
             ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, L0, cap=2 * N)
@@ -600,14 +644,15 @@ class TestSharedGrid:
         wrapped = dataclasses.replace(oracle, prox=traced)
         x0 = np.zeros(oracle.dimension)
         plain, traced_out = (adaptive_grid(o, x0, 100, 1.0) for o in (oracle, wrapped))
-        assert len(lockstep_calls) == 2
+        assert lockstep_calls == ["returned", "returned"]
         assert (plain.best, plain.total_inner_iterations) == (
             traced_out.best, traced_out.total_inner_iterations)
         for ij, trace in plain.runs.items():
             assert trace_state(trace) == trace_state(traced_out.runs[ij]), ij
 
     @pytest.mark.parametrize("prox", ["undeclared", "identity"])
-    def test_other_composite_forms_keep_the_walk_and_stay_bitwise(self, prox, lockstep_calls):
+    def test_other_composite_forms_keep_the_walk_and_stay_bitwise(self, prox, lockstep_calls,
+                                                                  trees):
         lasso = GRID_PATHS["lasso"]()
         if prox == "undeclared":
             oracle = dataclasses.replace(lasso, prox_rowwise=False)
@@ -615,6 +660,7 @@ class TestSharedGrid:
             oracle = ProximalOracle.from_quadratic(lasso.quadratic, lambda v, t: v)
         assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), 100)
         assert not lockstep_calls
+        assert trees == ["kept"]
 
     @pytest.mark.parametrize("prox, expected", [("soft-threshold", (2, 1)), ("capped", (1, 1))])
     def test_composite_lockstep_divergence_surfaces_as_in_per_run_order(
@@ -634,11 +680,100 @@ class TestSharedGrid:
             capped if prox == "capped" else (lambda v, t: soft_threshold(v, lam * t)),
             lambda x: lam * float(np.abs(x).sum()), prox_rowwise=True)
         x0 = np.array([1.0, 1.0, 1e-3])
-        # the per-run loop warns on the inf entries, which tier-1 makes errors
-        with np.errstate(all="ignore"):
-            first = assert_grid_raises_as_its_first_failing_run(oracle, x0, 33, DivergenceError)
+        first = assert_grid_raises_as_its_first_failing_run(oracle, x0, 33, DivergenceError)
         assert first == expected
         assert len(lockstep_calls) == 1
+
+    @pytest.mark.parametrize("part", ["prox", "psi"])
+    def test_a_raising_declared_prox_or_psi_surfaces_as_in_per_run_order(
+            self, part, lockstep_calls):
+        # along the form's negative curvature the iterates grow until the
+        # prox's input, or psi's, passes 1e3; its message names the size it
+        # saw, which on a stack of columns is another column's
+        lam = 1e-3
+
+        def check(v, name):
+            size = float(np.abs(v).max())
+            if size > 1e3:
+                raise ValueError(f"{name} input of size {size:g}")
+
+        def prox(v, t):
+            if part == "prox":
+                check(v, "prox")
+            return soft_threshold(v, lam * t)
+
+        def psi(x):
+            if part == "psi":
+                check(x, "psi")
+            return lam * float(np.abs(x).sum())
+
+        oracle = ProximalOracle.from_quadratic(
+            QuadraticForm(np.diag([1.0, 0.5, -1.0]), np.zeros(3)), prox, psi, prox_rowwise=True)
+        x0 = np.array([1.0, 1.0, 1e-3])
+        assert assert_grid_raises_as_its_first_failing_run(oracle, x0, 33, ValueError) == (1, 0)
+        assert lockstep_calls == ["raised"]
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_an_inf_returning_prox_raises_typed_with_no_warning(self, declared):
+        # the prox returns inf once an entry passes 1e3; a single run and a
+        # walked grid (undeclared prox) raise the typed error, not numpy's
+        # warnings on the inf entries first
+        oracle, x0 = capped_prox_oracle(prox_rowwise=declared)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError, match="overflowed"):
+                universal_fast_gradient(oracle, x0, 0.0, 1.0, 33)
+            with pytest.raises(DivergenceError, match="overflowed"):
+                adaptive_grid(oracle, x0, 33, 1.0)
+        assert not seen
+
+    @pytest.mark.parametrize("lockstep", [True, False])
+    def test_a_failing_tree_raises_once_and_is_not_entered_again(
+            self, lockstep, lockstep_calls, trees):
+        # the tree is dropped at its first error; the runs then run alone
+        oracle, x0 = capped_prox_oracle(prox_rowwise=lockstep)
+        with pytest.raises(DivergenceError):
+            adaptive_grid(oracle, x0, 33, 1.0)
+        assert trees == ["dropped"]
+        assert lockstep_calls == (["raised"] if lockstep else [])
+
+    def test_a_non_finite_value_at_a_cycle_start_surfaces_as_in_per_run_order(
+            self, lockstep_calls):
+        # Q returns inf for vectors longer than 9; the iterates run from 0
+        # towards an optimum of norm 10, no cycle of N = 16 re-anchors, so
+        # the first product to see one is Q x0 at a later cycle's start
+        inst = make_quadratic(10, 100.0, seed=3)
+        A = inst.oracle.quadratic.Q
+
+        class LongVectorsInf:
+            def __matmul__(self, x):
+                if float(np.linalg.norm(x)) > 9.0:
+                    return np.full(x.shape, np.inf)
+                return A @ x
+
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(LongVectorsInf(), A @ (10 * inst.x0)))
+        assert assert_grid_raises_as_its_first_failing_run(
+            oracle, np.zeros(10), 16, DivergenceError) == (3, 1)
+        assert lockstep_calls == ["raised"]
+
+    def test_an_error_at_a_re_anchor_surfaces_as_in_per_run_order(self, lockstep_calls):
+        # on a form with curvatures 1e-7 to 1e-5 started from L0 = 1.25e-6,
+        # the scale S is small, so a re-anchor's gradient row g / S is the
+        # shortest vector Q meets, and the first it refuses
+        inst = make_quadratic(10, 100.0, seed=3)
+        A = inst.oracle.quadratic.Q * 1e-5
+
+        class ShortVectorsRefused:
+            def __matmul__(self, x):
+                norm = float(np.linalg.norm(x))
+                if norm < 1e-6:
+                    raise ValueError(f"norm {norm!r} below 1e-6")
+                return A @ x
+
+        oracle = ProximalOracle.from_quadratic(QuadraticForm(ShortVectorsRefused(), np.zeros(10)))
+        assert assert_grid_raises_as_its_first_failing_run(
+            oracle, inst.x0, 100, ValueError, L0=1.25e-6) == (3, 2)
+        assert lockstep_calls == ["raised"]
 
     @pytest.mark.parametrize("error, floor", [(DivergenceError, 1e-10), (ValueError, 1e-6)])
     def test_divergence_surfaces_as_in_per_run_order(self, error, floor):
@@ -665,20 +800,20 @@ class TestSharedGrid:
         # by S = L0 and the estimate halves down for many steps
         oracle = GRID_PATHS["smooth-form"]()
         out = assert_runs_are_scheduled(oracle, np.zeros(oracle.dimension), 100, L0)
-        assert len(lockstep_calls) == 1
+        assert lockstep_calls == ["returned"]
         if L0 < 1.0:
             assert out.runs[(1, 0)].max_L_hat > 2.0**8 * L0
 
     def test_smooth_form_of_a_generated_quadratic(self, lockstep_calls):
         inst = make_quadratic(30, 100.0, seed=45)
         assert_runs_are_scheduled(inst.oracle, inst.x0, 100)
-        assert len(lockstep_calls) == 1
+        assert lockstep_calls == ["returned"]
 
     def test_figure_one_grid_with_many_columns(self, lockstep_calls):
         # at N = 500 up to 80 cycles step at once
         inst = make_least_squares(*synthetic_regression(208, 60, cond=1e4, seed=1))
         assert_runs_are_scheduled(inst.oracle, inst.x0, 500)
-        assert len(lockstep_calls) == 1
+        assert lockstep_calls == ["returned"]
 
     @pytest.mark.parametrize("N", [33, 100])
     def test_a_form_whose_Q_is_no_array_runs_in_lockstep(self, N, lockstep_calls):
@@ -692,7 +827,7 @@ class TestSharedGrid:
         x0 = np.zeros(form.h.shape[0])
         out = adaptive_grid(oracle, x0, N, 1.0)
         products = M.matvecs
-        assert len(lockstep_calls) == 1
+        assert lockstep_calls == ["returned"]
         for (i, j), trace in out.runs.items():
             ref = restart_scheduled(oracle, x0, grid_schedule(i, j), N, 1.0, cap=2 * N)
             assert trace_state(trace) == trace_state(ref), (i, j)

@@ -30,6 +30,7 @@ from restartopt import (
     restart_scheduled,
     restarts,
     soft_threshold,
+    solvers,
     synthetic_classification,
     synthetic_regression,
     universal_fast_gradient,
@@ -409,6 +410,11 @@ class TestUniversal:
         with pytest.raises(AttributeError):
             trace.entries[0].restart = False
 
+    def test_final_value_of_an_empty_trace(self):
+        assert Trace(f_initial=2.5).final_f == 2.5
+        with pytest.raises(ValueError, match="empty trace with no recorded initial value"):
+            Trace().final_f
+
     def test_gap_none_without_f_star(self):
         inst = make_quadratic(8, 25.0, seed=19)
         _, trace = accelerated(inst.oracle, inst.x0, 1.0, 10)
@@ -680,6 +686,24 @@ class TestQuadraticImages:
         inst = noiseless_least_squares()
         _, trace = accelerated(inst.oracle, inst.x0, 1.0, 3000, f_star=inst.f_star)
         assert trace.max_L_hat <= 2 * inst.regularity.L
+
+    @pytest.mark.parametrize("prox, L0, N", [(None, 1e-100, 700),
+                                             (lambda v, t: soft_threshold(v, 1e-3 * t), 1.0, 1000)],
+                             ids=["smooth", "composite"])
+    def test_estimate_halves_to_its_floor_at_the_optimum(self, prox, L0, N):
+        # started at its optimum every step is 0 and passes its test, so the
+        # estimate halves after each one until it stops at the floor: from
+        # L0 = 1 after about 930 steps, from 1e-100 after about 600. (From
+        # L0 = 1 the smooth loop's scaled test overflows first, at estimates
+        # below 1e-154, and it backtracks once a step from there.)
+        psi = None if prox is None else (lambda x: 1e-3 * float(np.abs(x).sum()))
+        oracle = ProximalOracle.from_quadratic(
+            QuadraticForm(np.diag([2.0, 1.0, 0.5]), np.zeros(3)), prox, psi)
+        y, trace = universal_fast_gradient(oracle, np.zeros(3), 0.0, L0, N)
+        assert trace.final_L_hat == solvers._L_HAT_MIN
+        assert trace.backtracks == 0
+        assert np.array_equal(y, np.zeros(3))
+        assert set(trace.values) == {0.0}
 
     def test_huge_form_does_not_diverge(self):
         # f = 1e200 ||x||^2 / 2 as a form: Q g would overflow, Q d does not

@@ -16,7 +16,13 @@ line for each single run of N steps: ``gradient_descent``, and
 * composite forms: LASSO (the l1 prox), dual SVM (the box prox), and the
   LASSO's form with a prox that returns its argument and with one that
   returns a copy of it;
-* generic: logistic, and the LASSO with ``quadratic=None``.
+* generic: logistic, and the LASSO with ``quadratic=None``;
+* failing forms, whose runs raise at different steps: the indefinite form
+  diag(1, 0.5, -1) from (1, 1, 1e-3) alone (its steps run off along the
+  negative curvature), with a declared row-wise soft-threshold that returns
+  inf past 1e3 (its estimate overflows), and with one that raises past
+  1e3; and the generated quadratic with its Q wrapped in an object that
+  refuses the product of a vector shorter than 1e-6.
 
 It does the same for the Figure-1 least squares (208x60, cond 1e4, seed 1)
 at L0 = 1 and N = 500, where up to 80 grid cycles run at once.
@@ -26,7 +32,8 @@ else ``None``). A line digests the trace's values, cycles, oracle
 counters, backtracks, largest and final estimates, notes, final point,
 f(x0) and ``f_star`` (for the grid, every run's digest, the best index and
 the total), or the error's type and message. Run it once per tree and diff
-the two listings: equal lines mean bitwise-equal runs.
+the two listings: equal lines mean bitwise-equal runs, and on the failing
+forms equal errors.
 
 A grid on an oracle whose prox is declared row-wise (``prox_rowwise``: the
 LASSO and the dual SVM) runs its cycles in lockstep on matrix products that
@@ -38,14 +45,17 @@ with equal cycles (so equal accepted steps and restart marks), and it
 checks that a grid that raises raises what the first failing run raises.
 
 Exits 1 after the listing if any run raised an error other than
-``DivergenceError``, ``ConfigError`` or ``DatasetFormatError``, or if a
-lockstep grid's run is off its scheduled run.
+``DivergenceError``, ``ConfigError``, ``DatasetFormatError`` or the
+failing forms' own ``Refused``, or if a lockstep grid's run is off its
+scheduled run.
 """
 
 import dataclasses
 import hashlib
 import os
 import sys
+
+import numpy as np
 
 # The largest relative value difference |f - f_run| / max(1, |f_run|) a
 # lockstep composite grid's run may have against its own scheduled run,
@@ -61,6 +71,55 @@ class MatmulOnly:
 
     def __matmul__(self, v):
         return self._Q @ v
+
+
+class Refused(Exception):
+    """The error the failing forms' own Q and prox raise."""
+
+
+class ShortVectorsRefused(MatmulOnly):
+    """A ``MatmulOnly`` matrix that refuses the product of a vector shorter than 1e-6."""
+
+    def __matmul__(self, v):
+        norm = float(np.linalg.norm(v))
+        if norm < 1e-6:
+            raise Refused(f"norm {norm!r} below 1e-6")
+        return self._Q @ v
+
+
+def failing_forms(ro) -> dict:
+    """The failing forms of the matrix, by name."""
+    lam = 1e-3
+    indefinite = ro.QuadraticForm(np.diag([1.0, 0.5, -1.0]), np.zeros(3))
+
+    def l1(x):
+        return lam * float(np.abs(x).sum())
+
+    def capped(v, t):
+        return np.where(np.abs(v) > 1e3, np.inf, ro.soft_threshold(v, lam * t))
+
+    def raising(v, t):
+        size = float(np.abs(v).max())
+        if size > 1e3:
+            raise Refused(f"prox input of size {size:g}")
+        return ro.soft_threshold(v, lam * t)
+
+    x0 = np.array([1.0, 1.0, 1e-3])
+    quadratic = ro.make_quadratic(12, 100.0, seed=5)
+    refusing = ro.QuadraticForm(ShortVectorsRefused(quadratic.oracle.quadratic.Q), np.zeros(12))
+    return {
+        "indefinite": ro.ProblemInstance(
+            "indefinite", ro.ProximalOracle.from_quadratic(indefinite), x0),
+        "indefinite-capped-prox": ro.ProblemInstance(
+            "indefinite-capped-prox",
+            ro.ProximalOracle.from_quadratic(indefinite, capped, l1, prox_rowwise=True), x0),
+        "indefinite-raising-prox": ro.ProblemInstance(
+            "indefinite-raising-prox",
+            ro.ProximalOracle.from_quadratic(indefinite, raising, l1, prox_rowwise=True), x0),
+        "quadratic-short-vectors-refused": ro.ProblemInstance(
+            "quadratic-short-vectors-refused", ro.ProximalOracle.from_quadratic(refusing),
+            quadratic.x0),
+    }
 
 
 def hexed(v):
@@ -82,7 +141,7 @@ def main(src: str) -> None:
     import restartopt as ro
     from restartopt.cli import ConfigError
 
-    typed = (ro.DivergenceError, ConfigError, ro.DatasetFormatError)
+    typed = (ro.DivergenceError, ConfigError, ro.DatasetFormatError, Refused)
     lasso = ro.make_lasso(*ro.synthetic_regression(40, 10, cond=100.0, seed=2))
     least_squares = ro.make_least_squares(*ro.synthetic_regression(40, 10, cond=100.0, seed=1))
     form = least_squares.oracle.quadratic
@@ -104,6 +163,7 @@ def main(src: str) -> None:
         "lasso-form-copying-prox": dataclasses.replace(
             lasso, oracle=ro.ProximalOracle.from_quadratic(lasso.oracle.quadratic,
                                                            lambda v, t: v.copy())),
+        **failing_forms(ro),
     }
     untyped = off = 0
 
