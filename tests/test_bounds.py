@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from restartopt import (
     DerivedConditioning,
+    GenericBound,
     bound_accelerated,
     bound_adaptive,
     bound_generic,
@@ -17,6 +18,7 @@ from restartopt import (
     bound_rounded,
     bound_smooth,
     bound_universal,
+    optimal_constant_holder,
     optimal_constant_smooth,
     restart_count,
     schedule_threshold,
@@ -25,6 +27,7 @@ from restartopt import (
 )
 
 E = math.e
+E_INV = 1.0 / math.e
 
 
 def smooth_cond(kappa, tau):
@@ -289,3 +292,226 @@ class TestEnvelopeObjects:
                 for kappa in (1.0, 5.0, 50.0, 500.0)
             ]
             assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+class TestFloatRange:
+    """Closed forms of a schedule's C, alpha or cycle index never raise on finite input."""
+
+    def test_exp_range_ends_where_the_module_says(self):
+        from restartopt.bounds import _LOG_MAX
+
+        assert math.isfinite(math.exp(_LOG_MAX))
+        with pytest.raises(OverflowError):
+            math.exp(math.nextafter(_LOG_MAX, math.inf))
+
+    def test_generic_envelope_of_a_short_constant_schedule_is_inf(self):
+        # C = 3 < e sqrt(400): each cycle multiplies the gap by 400/9, e^1264 in all
+        got = bound_generic(DerivedConditioning(100.0, 0.0, 2.0), 1.0, 4.0, 3.0, 0.0, 1000.0)
+        assert got == (math.inf, False)
+
+    def test_total_past_the_float_range_is_inf(self):
+        assert schedule_total(2.0, 1.0, 1000) == math.inf
+
+    def test_threshold_past_the_float_range_is_inf(self):
+        cond = DerivedConditioning(100.0, 0.5, 2.0)
+        assert schedule_threshold(cond, 1.0, 4.0, 2.0, 2000) == math.inf
+
+    def test_count_at_a_steep_schedule_is_finite(self):
+        # (e^800 - 1) / e^800 rounds to 1: R = log(1 + N/C) / alpha
+        got = restart_count(2.0, 800.0, 1e300)
+        assert got == pytest.approx(0.8626029758970672, rel=1e-15)
+        assert got == math.log1p(1e300 / 2.0) / 800.0
+
+    def test_rounded_envelope_at_a_steep_schedule_is_finite(self):
+        # N' = 10 - log(6)/800, and e^-800 rounds to 0, so the envelope stays at nu
+        assert bound_rounded(1.0, 1.0, 2.0, 800.0, 10.0) == 1.0
+
+    def test_only_an_intermediate_past_the_range_gives_the_finite_value(self):
+        # C e^alpha / (e^alpha - 1) e^(alpha R) at C = 1e-300: e^710 alone overflows
+        expected = math.exp(710.0 + math.log(1e-300 / -math.expm1(-1.0)))
+        assert schedule_total(1e-300, 1.0, 710) == pytest.approx(expected, rel=1e-12)
+        # eps0^(-tau/q) = 1e-50 brings e^(gamma tau k / q) = e^750 back into range
+        cond = DerivedConditioning(100.0, 0.5, 2.0)
+        got = schedule_threshold(cond, 1e200, 4.0, 2.0, 1500)
+        expected = math.exp(0.5 + 750.0 + math.log(20.0) - 50.0 * math.log(10.0))
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_guarantee_threshold_past_the_float_range_is_not_met(self):
+        # C(alpha) = e^(800 (1 - 0.5)/0.5) sqrt(400): no finite C meets it
+        got = bound_generic(DerivedConditioning(100.0, 0.5, 2.0), 1.0, 4.0, 1e300, 800.0, 10.0)
+        assert not got.guaranteed and 0.0 < got.value <= 1.0
+
+    def test_huge_constant_gives_the_finite_value(self):
+        # C^2 passes the float range; (400 / C^2)^(N/C) is 1 to rounding at N/C = 1e-199
+        got = bound_generic(DerivedConditioning(100.0, 0.0, 2.0), 1.0, 4.0, 1e200, 0.0, 10.0)
+        assert got.guaranteed and got.value == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The envelopes as each was written before it became an instance of one closed
+# form: the references the folded functions are held to.
+
+
+def ref_bound_smooth(cond, gap0, c, N):
+    ck = c * cond.kappa
+    if cond.tau == 0.0:
+        return gap0 * math.exp(-2.0 * E_INV * ck ** -0.5 * N)
+    a = E_INV * gap0 ** (cond.tau / 2.0) * ck ** -0.5
+    return gap0 * math.exp(-(2.0 / cond.tau) * math.log1p(cond.tau * a * N))
+
+
+def ref_bound_generic(cond, gap0, c, C, alpha, N):
+    ck = c * cond.kappa
+    if cond.tau == 0.0:
+        guaranteed = C >= math.e * math.sqrt(ck)
+        value = gap0 * math.exp((N / C) * math.log(ck / C**2))
+        return GenericBound(value, guaranteed)
+    c_alpha = (
+        math.exp(alpha * (1.0 - cond.tau) / cond.tau)
+        * math.sqrt(ck)
+        * gap0 ** (-cond.tau / 2.0)
+    )
+    guaranteed = C >= c_alpha
+    if alpha == 0.0:
+        return GenericBound(gap0, guaranteed)
+    value = gap0 * math.exp(
+        -(2.0 / cond.tau) * math.log1p(alpha * math.exp(-alpha) * N / C)
+    )
+    return GenericBound(value, guaranteed)
+
+
+def ref_bound_holder(cond, eps0, c, N):
+    rate = (c * cond.kappa) ** (-cond.s / (2.0 * cond.q))
+    if cond.tau == 0.0:
+        return eps0 * math.exp(-cond.q * E_INV * rate * N)
+    a = E_INV * rate * eps0 ** (cond.tau / cond.q)
+    return eps0 * math.exp(-(cond.q / cond.tau) * math.log1p(cond.tau * a * N))
+
+
+def ref_bound_adaptive(cond, gap0, c, N):
+    ck = c * cond.kappa
+    if cond.tau == 0.0:
+        return gap0 * math.exp(-E_INV * ck ** -0.5 * N)
+    a = E_INV * ck ** -0.5 * gap0 ** (cond.tau / 2.0)
+    return gap0 * math.exp(
+        -(2.0 / cond.tau) * math.log1p(cond.tau * a * (N - 1.0) / 4.0)
+    )
+
+
+def ref_bound_rounded(nu, gamma, C, alpha, N):
+    if alpha == 0.0:
+        return nu * math.exp(-gamma * N / (C + 1.0))
+    n_prime = N - math.log1p(math.expm1(alpha) * math.exp(-alpha) * N / C) / alpha
+    return nu * math.exp(
+        -(gamma / alpha) * math.log1p(alpha * math.exp(-alpha) * n_prime / C)
+    )
+
+
+def ref_bound_universal(s, L, dist0, epsilon, t, c=None):
+    if c is None:
+        c = ufgm_constant(s)
+    q = (3.0 * s - 2.0) / 2.0
+    if epsilon == 0.0:
+        if s == 2.0:
+            return c * L * dist0**2 / (2.0 * t ** (2.0 * q / s))
+        return math.inf
+    ratio = c * L ** (2.0 / s) * dist0**2 / (epsilon ** (2.0 / s) * t ** (2.0 * q / s))
+    return epsilon / 2.0 + ratio * epsilon / 2.0
+
+
+def ref_optimal_constant_smooth(cond, gap0, c):
+    return (
+        math.exp(1.0 - cond.tau)
+        * math.sqrt(c * cond.kappa)
+        * gap0 ** (-cond.tau / 2.0)
+    )
+
+
+def log_uniform(rng, low, high):
+    return float(math.exp(rng.uniform(math.log(low), math.log(high))))
+
+
+def draws(count=10**4, seed=20170309):
+    """Seeded parameters: kappa log-uniform in [1, 1e8], r in [2, 8] (r = 2, so
+    tau = 0, in a quarter of draws), gap0 in [1e-6, 1e6], N in [1, 1e5], C in
+    [0.1, 1e4], alpha in (0, 2] (0 in a quarter of draws), and s in [1, 2] for
+    the Hölder envelope (2 in half of them)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = 2.0 if rng.random() < 0.25 else float(rng.uniform(2.0, 8.0))
+        s = 2.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 2.0))
+        yield dict(
+            kappa=log_uniform(rng, 1.0, 1e8), tau=1.0 - 2.0 / r, r=r, s=s,
+            gap0=log_uniform(rng, 1e-6, 1e6), N=log_uniform(rng, 1.0, 1e5),
+            C=log_uniform(rng, 0.1, 1e4), c=float(rng.choice([4.0, 8.0, rng.uniform(1.0, 10.0)])),
+            alpha=0.0 if rng.random() < 0.25 else float(2.0 - rng.uniform(0.0, 2.0)),
+            gamma=float(rng.uniform(0.1, 4.0)),
+        )
+
+
+def same_bits(new, ref):
+    """new == ref where ref is in the float range; where ref overflows, new is a number.
+
+    Where ref leaves its domain (a rounded envelope at an N' below -C e^alpha / alpha),
+    new raises the same ValueError.
+    """
+    try:
+        expected = ref()
+    except OverflowError:
+        got = new()
+        return not math.isnan(got[0] if isinstance(got, tuple) else got)
+    except ValueError:
+        with pytest.raises(ValueError):
+            new()
+        return True
+    return new() == expected
+
+
+class TestFoldedEnvelopesMatchTheirReferences:
+    def test_bitwise(self):
+        for d in draws():
+            cond = smooth_cond(d["kappa"], d["tau"])
+            gap0, c, N, C, alpha, gamma = (d[k] for k in ("gap0", "c", "N", "C", "alpha", "gamma"))
+            s = d["s"]
+            holder = DerivedConditioning(d["kappa"], max(0.0, 1.0 - s / d["r"]), (3 * s - 2) / 2)
+            pairs = [
+                (lambda: bound_holder(holder, gap0, c, N),
+                 lambda: ref_bound_holder(holder, gap0, c, N)),
+                (lambda: bound_adaptive(cond, gap0, c, N),
+                 lambda: ref_bound_adaptive(cond, gap0, c, N)),
+                (lambda: bound_generic(cond, gap0, c, C, alpha, N),
+                 lambda: ref_bound_generic(cond, gap0, c, C, alpha, N)),
+                (lambda: bound_rounded(gap0, gamma, C, alpha, N),
+                 lambda: ref_bound_rounded(gap0, gamma, C, alpha, N)),
+            ]
+            if d["tau"] == 0.0:
+                pairs.append((lambda: bound_smooth(cond, gap0, c, N),
+                              lambda: ref_bound_smooth(cond, gap0, c, N)))
+            for new, ref in pairs:
+                assert same_bits(new, ref), d
+
+    def test_universal_bitwise(self):
+        rng = np.random.default_rng(1702)
+        for _ in range(10**4):
+            s = 2.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 2.0))
+            args = (s, log_uniform(rng, 1e-3, 1e6), log_uniform(rng, 1e-3, 1e3),
+                    0.0 if rng.random() < 0.5 else log_uniform(rng, 1e-8, 1.0),
+                    log_uniform(rng, 1.0, 1e5))
+            c = None if rng.random() < 0.5 else float(rng.uniform(1.0, 10.0))
+            assert bound_universal(*args, c) == ref_bound_universal(*args, c), (args, c)
+
+    def test_smooth_at_positive_tau_within_1e_12(self):
+        for d in draws():
+            if d["tau"] > 0.0:
+                cond = smooth_cond(d["kappa"], d["tau"])
+                got = bound_smooth(cond, d["gap0"], d["c"], d["N"])
+                ref = ref_bound_smooth(cond, d["gap0"], d["c"], d["N"])
+                assert abs(got - ref) <= 1e-12 * ref, d
+
+    def test_optimal_constant_smooth_within_4_ulps(self):
+        for d in draws():
+            cond = smooth_cond(d["kappa"], d["tau"])
+            got = optimal_constant_smooth(cond, d["gap0"], d["c"])
+            ref = ref_optimal_constant_smooth(cond, d["gap0"], d["c"])
+            assert got == optimal_constant_holder(cond, d["gap0"], d["c"])
+            assert abs(got - ref) <= 4 * math.ulp(ref), d

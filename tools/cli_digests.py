@@ -38,6 +38,7 @@ import numpy as np
 WORKDIR = "cli_digests_out"
 LS = "--problem least-squares --rows 60 --cols 20 --cond 100"
 QUAD = "--problem quadratic --dim 8 --kappa 50"
+NORM_POWER = "--problem norm-power --power 4 --dim 5"
 RUNS = {
     "compare": f"compare {LS} --N 120 --methods grad,acc,mono,restart,h-restart,criterion,grid",
     "compare-lasso": "compare --problem lasso --rows 80 --cols 20 --N 60 "
@@ -49,7 +50,12 @@ RUNS = {
     "restart-explicit": f"run {QUAD} --method restart --C 3 --alpha 0.3 --N 60",
     "restart-derived": f"run {LS} --method restart --N 90 --format json",
     "h-restart-explicit": f"run {QUAD} --method h-restart --C 4 --alpha 0.2 --gamma 0.5 --N 60",
-    "h-restart-derived": "run --problem norm-power --power 4 --dim 5 --method h-restart --N 70",
+    "h-restart-derived": f"run {NORM_POWER} --method h-restart --N 70",
+    # The other envelopes `run` prints, at tau = 0 (least squares) and tau = 0.5 (norm-power).
+    **{f"{method}-derived": f"run {LS} --method {method} --N 90"
+       for method in ("grad", "acc", "grid", "criterion")},
+    **{f"{method}-norm-power": f"run {NORM_POWER} --method {method} --N 70"
+       for method in ("restart", "grid", "grad")},
 }
 # Run from WORKDIR/cold and WORKDIR/warm, beside the files write_datasets makes.
 DATASET_RUNS = {
